@@ -48,9 +48,6 @@ from .explorer import (  # noqa: E402
     EvalRecord,
     Partition,
     RunResult,
-    exhaustive_phase,
-    greedy_phase,
-    one_shot,
     partition,
     run,
 )
@@ -97,9 +94,6 @@ __all__ = [
     "EvalRecord",
     "Partition",
     "RunResult",
-    "exhaustive_phase",
-    "greedy_phase",
-    "one_shot",
     "partition",
     "run",
     "WEIGHT_PROFILES",

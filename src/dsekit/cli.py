@@ -7,7 +7,6 @@ problem. Runs are addressed by their output directory — ``oracle`` and
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -101,14 +100,9 @@ def _build_evaluator(spec: str, space: DesignSpace, timeout: float) -> Evaluator
     raise AssertionError
 
 
-def _default_jobs(jobs: int | None, evaluator: Evaluator) -> int:
-    if jobs is not None:
-        if jobs < 1:
-            _fail(EXIT_VALIDATION, "--jobs must be >= 1")
-        return jobs
-    if isinstance(evaluator, ExternalEvaluator):
-        return 1
-    return os.cpu_count() or 1
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        _fail(EXIT_VALIDATION, "--jobs must be >= 1")
 
 
 def _close_evaluator(evaluator: Evaluator) -> None:
@@ -202,7 +196,7 @@ def validate_cmd(space_file: str) -> None:
 @click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory for run artifacts.")
-@click.option("--jobs", type=int, default=None, help="Concurrent evaluation cap (default: cores; 1 for exec).")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted and recorded in the manifest; evaluation is serial.")
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def run_cmd(
     space_spec: str,
@@ -211,7 +205,7 @@ def run_cmd(
     profile: str | None,
     evaluator_spec: str,
     out_dir: Path,
-    jobs: int | None,
+    jobs: int,
     timeout: float,
 ) -> None:
     """Run the four-phase search and write run artifacts."""
@@ -220,10 +214,10 @@ def run_cmd(
         _fail(EXIT_VALIDATION, "threshold must be >= 1")
     weights = _resolve_weights(weights_text, profile)
     evaluator = _build_evaluator(evaluator_spec, space, timeout)
-    jobs = _default_jobs(jobs, evaluator)
+    _check_jobs(jobs)
 
     try:
-        result = run_search(space, evaluator, weights, threshold, jobs=jobs)
+        result = run_search(space, evaluator, weights, threshold)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
         raise
@@ -248,9 +242,9 @@ def run_cmd(
 @main.command(name="oracle")
 @click.argument("run_dir", type=click.Path(path_type=Path))
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None, help="Output directory (default: RUN_DIR/oracle).")
-@click.option("--jobs", type=int, default=None, help="Concurrent evaluation cap.")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted for compatibility; evaluation is serial.")
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
-def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int | None, timeout: float) -> None:
+def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
     """Exhaustively search the space a run used, with the run's context."""
     try:
         manifest, run_result = artifacts.load_run(run_dir)
@@ -262,7 +256,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int | None, timeout: f
         raise
     space = run_result.space
     evaluator = _build_evaluator(manifest["evaluator"], space, timeout)
-    jobs = _default_jobs(jobs, evaluator)
+    _check_jobs(jobs)
     ctx = run_result.context()
     out = out_dir if out_dir is not None else run_dir / "oracle"
 
@@ -276,7 +270,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int | None, timeout: f
                 )
                 continue
             results[benchmark] = oracle_search(
-                space, benchmark, evaluator, run_result.weights, ctx, jobs=jobs
+                space, benchmark, evaluator, run_result.weights, ctx
             )
             best = results[benchmark]
             config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
@@ -341,7 +335,7 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
 @click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory.")
-@click.option("--jobs", type=int, default=None, help="Concurrent evaluation cap.")
+@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted and recorded in the manifest; evaluation is serial.")
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def sweep_cmd(
     space_spec: str,
@@ -350,7 +344,7 @@ def sweep_cmd(
     profile: str | None,
     evaluator_spec: str,
     out_dir: Path,
-    jobs: int | None,
+    jobs: int,
     timeout: float,
 ) -> None:
     """Run once per threshold, sharing evaluations, and summarize."""
@@ -367,7 +361,7 @@ def sweep_cmd(
     space = _load_valid_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
     evaluator = _build_evaluator(evaluator_spec, space, timeout)
-    jobs = _default_jobs(jobs, evaluator)
+    _check_jobs(jobs)
 
     size = cardinality(space)
     shared_memo: dict = {}
@@ -377,7 +371,7 @@ def sweep_cmd(
         for index, threshold in enumerate(thresholds, start=1):
             cache = CachedEvaluator(evaluator, memo=shared_memo)
             try:
-                result = run_search(space, cache, weights, threshold, jobs=jobs)
+                result = run_search(space, cache, weights, threshold)
             except ValueError as exc:
                 _fail(EXIT_VALIDATION, str(exc))
                 raise

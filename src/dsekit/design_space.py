@@ -158,34 +158,6 @@ def enumerate_configs(
         yield {p.name: assignment[p.name] for p in space.parameters}
 
 
-def config_errors(space: DesignSpace, config: Mapping[str, Setting]) -> list[str]:
-    """Check a full configuration against the space; empty list means valid."""
-    errors = []
-    for p in space.parameters:
-        if p.name not in config:
-            errors.append(f"missing parameter {p.name!r}")
-        elif config[p.name] not in p.settings:
-            errors.append(f"value {config[p.name]!r} is not a setting of {p.name!r}")
-    extras = set(config) - set(space.names)
-    if extras:
-        errors.append(f"unknown parameters: {sorted(extras)}")
-    return errors
-
-
-def partial_errors(space: DesignSpace, assignment: Mapping[str, Setting]) -> list[str]:
-    """Check a partial configuration: a legal subset of the space's parameters."""
-    errors = []
-    for name, value in assignment.items():
-        try:
-            p = space.parameter(name)
-        except UnknownParameterError:
-            errors.append(f"unknown parameter {name!r}")
-            continue
-        if value not in p.settings:
-            errors.append(f"value {value!r} is not a setting of {name!r}")
-    return errors
-
-
 def space_to_dict(space: DesignSpace) -> dict:
     return {
         "parameters": [

@@ -13,8 +13,9 @@ built-in backends are:
 * ``ExternalEvaluator`` — drives a persistent worker subprocess over a
   line-delimited JSON protocol (one request and one response per line).
 
-``CachedEvaluator`` wraps any backend with memoization and unique/total
-request counters; all percent-explored and speedup numbers rest on it.
+``CachedEvaluator`` wraps any backend with memoization, so a configuration
+requested again (by a later phase, or by another run sharing the memo) never
+reaches the backend twice. The search itself counts unique evaluations.
 """
 
 from __future__ import annotations
@@ -411,15 +412,11 @@ class ExternalEvaluator:
 
 
 class CachedEvaluator:
-    """Memoizes an inner backend and counts unique/total requests.
+    """Memoizes an inner backend, keyed by (benchmark, configuration).
 
-    The cache key is (benchmark, configuration). ``unique_evaluations``
-    counts distinct keys successfully evaluated through this instance —
-    that is the "configurations explored" number behind percent-explored
-    and speedup reporting — while ``total_requests`` counts every call.
     Passing a shared ``memo`` lets several runs reuse results (e.g. a
-    threshold sweep) while each run keeps its own unique count; a key served
-    from the shared memo still counts as unique for the run that asked.
+    threshold sweep); each run still counts every configuration it asked
+    for as one of its own unique evaluations.
 
     Safe under concurrent calls; concurrent requests for the same key reach
     the inner backend at most once. Errors are never cached: a failed key is
@@ -429,35 +426,17 @@ class CachedEvaluator:
     def __init__(self, inner: Evaluator, memo: dict | None = None):
         self.inner = inner
         self._memo: dict[tuple, dict[str, float]] = memo if memo is not None else {}
-        self._seen: set[tuple] = set()
         self._inflight: dict[tuple, Future] = {}
-        self._total = 0
         self._lock = threading.Lock()
 
     @staticmethod
     def _key(config: Config, benchmark: str) -> tuple:
         return (benchmark, tuple(sorted(config.items())))
 
-    @property
-    def unique_evaluations(self) -> int:
-        with self._lock:
-            return len(self._seen)
-
-    @property
-    def total_requests(self) -> int:
-        with self._lock:
-            return self._total
-
-    @property
-    def memo(self) -> dict:
-        return self._memo
-
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
         key = self._key(config, benchmark)
         with self._lock:
-            self._total += 1
             if key in self._memo:
-                self._seen.add(key)
                 return dict(self._memo[key])
             future = self._inflight.get(key)
             if future is None:
@@ -468,10 +447,7 @@ class CachedEvaluator:
                 owner = False
 
         if not owner:
-            result = future.result()
-            with self._lock:
-                self._seen.add(key)
-            return dict(result)
+            return dict(future.result())
 
         try:
             result = self.inner.evaluate(config, benchmark)
@@ -485,7 +461,6 @@ class CachedEvaluator:
             raise
         with self._lock:
             self._memo[key] = dict(result)
-            self._seen.add(key)
             del self._inflight[key]
         future.set_result(result)
         return dict(result)

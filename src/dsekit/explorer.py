@@ -18,58 +18,46 @@ Each benchmark is optimized independently, in four phases:
    frozen at the current B; the walk stops at the first candidate that fails
    to strictly improve the best objective seen in this phase.
 
-The evaluation log keeps one record per distinct configuration per benchmark,
-tagged with the phase that first requested it, so the log length is exactly
-the unique-evaluation count that percent-explored reporting is based on.
+The search is one sequential decision chain, so it runs serially: each
+benchmark gets one ``_Session``, the only code that evaluates. It counts
+requests and distinct configurations, validates each new response, and
+normalizes and scores it once. The log keeps one record per distinct
+configuration per benchmark, tagged with the phase that first requested it,
+so its length is exactly the unique-evaluation count that percent-explored
+reporting is based on.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .design_space import Config, DesignSpace, enumerate_configs, validate
 from .errors import DegenerateMetricError, EvaluationError
 from .evaluators import CachedEvaluator, Evaluator
-from .objective import (
+from .objective import (  # noqa: F401 -- objective: see map_ordered
     NormalizationContext,
     WeightVector,
     build_context,
+    check_metrics,
     objective,
     validate_weights,
+    weighted_sum,
 )
 
 PHASE_ONESHOT = "oneshot"
 PHASE_EXHAUSTIVE = "exhaustive"
 PHASE_GREEDY = "greedy"
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
+def map_ordered(fn, items):
+    """Plain serial map, called by nothing in the package.
 
-def map_ordered(
-    fn: Callable[[_T], _R], items: Iterable[_T], jobs: int
-) -> Iterator[_R]:
-    """Apply fn with up to `jobs` concurrent calls, yielding in input order.
-
-    Work is dispatched in bounded chunks so very large enumerations never
-    queue all at once. With jobs <= 1 this is a plain serial map.
+    It stays, like the ``objective`` import above, only because
+    perfbench/tracing.py patches both names on this module.
     """
-    if jobs <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    iterator = iter(items)
-    chunk_size = max(4 * jobs, 16)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        while True:
-            chunk = list(islice(iterator, chunk_size))
-            if not chunk:
-                return
-            yield from pool.map(fn, chunk)
+    return map(fn, items)
 
 
 @dataclass
@@ -77,7 +65,7 @@ class EvalRecord:
     """One logged evaluation — the first request of a configuration in a run.
 
     Normalized metrics and the objective are filled in once the one-shot
-    normalization context exists; phase-1 records are backfilled.
+    normalization context exists; phase-1 records are scored when it is built.
     """
 
     benchmark: str
@@ -103,14 +91,6 @@ class Partition:
     oneshot: tuple[str, ...]
     num_exhaustive: int
     warnings: tuple[str, ...] = ()
-
-
-@dataclass
-class OneShotOutcome:
-    significance: dict[str, float]
-    best: Config
-    ctx: NormalizationContext
-    records: list[EvalRecord]
 
 
 @dataclass
@@ -157,7 +137,12 @@ class RunResult:
 
 
 class _Session:
-    """Per-benchmark run state: log, counters, objective plumbing."""
+    """One benchmark's search: the log, the request count and the scoring.
+
+    Every evaluation of the search goes through ``evaluate``. A record is
+    created, validated, normalized and scored once, on the first request of
+    its configuration; later requests return the same record.
+    """
 
     def __init__(
         self,
@@ -165,108 +150,92 @@ class _Session:
         benchmark: str,
         evaluator: Evaluator,
         weights: WeightVector,
-        jobs: int,
     ):
         self.space = space
         self.benchmark = benchmark
         self.evaluator = evaluator
         self.weights = weights
-        self.jobs = jobs
         self.ctx: NormalizationContext | None = None
+        self.metric_names: frozenset[str] = frozenset()
         self.records: list[EvalRecord] = []
         self._logged: dict[tuple, EvalRecord] = {}
         self.total_requests = 0
 
-    @property
-    def unique_evaluations(self) -> int:
-        return len(self.records)
-
-    def evaluate_many(
-        self, configs: Sequence[Config], phase: str
-    ) -> list[tuple[dict[str, float], float | None]]:
-        """Evaluate a batch in order; log each configuration's first request."""
-        jobs = self.jobs if len(configs) > 1 else 1
-        metrics_list = list(
-            map_ordered(
-                lambda c: self.evaluator.evaluate(c, self.benchmark), configs, jobs
-            )
-        )
-        out = []
-        for config, metrics in zip(configs, metrics_list):
-            self.total_requests += 1
-            normalized = None
-            value = None
+    def evaluate(self, config: Config, phase: str) -> EvalRecord:
+        metrics = self.evaluator.evaluate(config, self.benchmark)
+        self.total_requests += 1
+        key = self.space.config_key(config)
+        record = self._logged.get(key)
+        if record is None:
+            seq = len(self.records)
+            record = EvalRecord(self.benchmark, phase, seq, dict(config), dict(metrics))
             if self.ctx is not None:
-                normalized = self.ctx.normalize(self.benchmark, metrics)
-                value = objective(metrics, self.ctx, self.benchmark, self.weights)
-            key = self.space.config_key(config)
-            if key not in self._logged:
-                record = EvalRecord(
-                    benchmark=self.benchmark,
-                    phase=phase,
-                    seq=len(self.records),
-                    config=dict(config),
-                    metrics=dict(metrics),
-                    normalized=normalized,
-                    objective=value,
-                )
-                self._logged[key] = record
-                self.records.append(record)
-            out.append((metrics, value))
-        return out
+                check_metrics(self.benchmark, record.metrics, self.metric_names)
+                self._score(record)
+            self._logged[key] = record
+            self.records.append(record)
+        return record
 
-    def evaluate(self, config: Config, phase: str) -> tuple[dict[str, float], float | None]:
-        return self.evaluate_many([config], phase)[0]
+    def calibrate(self, records: Sequence[EvalRecord]) -> None:
+        """Build the normalization context from the one-shot records; score them."""
+        self.metric_names = frozenset(records[0].metrics)
+        violations = validate_weights(self.weights, self.metric_names)
+        if violations:
+            raise ValueError("invalid weights: " + "; ".join(violations))
+        for record in records:
+            check_metrics(self.benchmark, record.metrics, self.metric_names)
+        self.ctx = build_context((self.benchmark, r.metrics) for r in records)
+        for record in records:
+            self._score(record)
 
-    def logged_metrics(self, config: Config) -> dict[str, float]:
-        return dict(self._logged[self.space.config_key(config)].metrics)
+    def _score(self, record: EvalRecord) -> None:
+        assert self.ctx is not None
+        record.normalized = self.ctx.normalize(self.benchmark, record.metrics)
+        record.objective = weighted_sum(
+            record.normalized, self.ctx, self.benchmark, self.weights
+        )
+
+    def result(
+        self,
+        best: EvalRecord | None,
+        significance: dict[str, float],
+        part: Partition | None,
+        error: str | None = None,
+    ) -> BenchmarkResult:
+        ctx = self.ctx
+        degenerate = ctx.degenerate if ctx else set()
+        return BenchmarkResult(
+            benchmark=self.benchmark,
+            best_config=None if best is None else dict(best.config),
+            best_metrics=None if best is None else dict(best.metrics),
+            objective=None if best is None else best.objective,
+            significance=significance,
+            partition=part,
+            maxima=dict(ctx.maxima[self.benchmark]) if ctx else {},
+            degenerate=tuple(sorted(m for (b, m) in degenerate if b == self.benchmark)),
+            unique_evaluations=len(self.records),
+            total_requests=self.total_requests,
+            records=self.records,
+            error=error,
+        )
 
 
 def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     space = session.space
     base = {p.name: p.first for p in space.parameters}
-    multi = [p for p in space.parameters if len(p) > 1]
+    multi = [space.parameter(name) for name in space.multi_setting_names()]
     configs = [base] + [{**base, p.name: p.last} for p in multi]
-    results = session.evaluate_many(configs, PHASE_ONESHOT)
+    records = [session.evaluate(config, PHASE_ONESHOT) for config in configs]
+    session.calibrate(records)
 
-    violations = validate_weights(session.weights, results[0][0].keys())
-    if violations:
-        raise ValueError("invalid weights: " + "; ".join(violations))
-
-    session.ctx = build_context(
-        (session.benchmark, metrics) for metrics, _ in results
-    )
-    for record in session.records:
-        record.normalized = session.ctx.normalize(session.benchmark, record.metrics)
-        record.objective = objective(
-            record.metrics, session.ctx, session.benchmark, session.weights
-        )
-
-    f_base = session.records[0].objective
-    assert f_base is not None
+    f_base = records[0].objective
     significance: dict[str, float] = {}
     best: Config = dict(base)
-    for p, record in zip(multi, session.records[1:]):
-        f_last = record.objective
-        assert f_last is not None
-        d = f_last - f_base
+    for p, record in zip(multi, records[1:]):
+        d = record.objective - f_base
         significance[p.name] = d
         best[p.name] = p.first if d > 0 else p.last
-    return significance, {p.name: best[p.name] for p in space.parameters}
-
-
-def one_shot(
-    space: DesignSpace,
-    benchmark: str,
-    evaluator: Evaluator,
-    weights: WeightVector,
-    jobs: int = 1,
-) -> OneShotOutcome:
-    """Phase 1: endpoint evaluations, significance table, initial best settings."""
-    session = _Session(space, benchmark, evaluator, weights, jobs)
-    significance, best = _one_shot(session)
-    assert session.ctx is not None
-    return OneShotOutcome(significance, best, session.ctx, session.records)
+    return significance, best
 
 
 def partition(
@@ -311,100 +280,50 @@ def partition(
     )
 
 
-def _exhaustive(
-    session: _Session, part: Partition, best: Config
-) -> tuple[Config, float]:
+def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
+    """Phase 3: the strict-minimum record over the exhaustive set, earliest on ties."""
     space = session.space
     if not part.exhaustive:
         # Nothing to enumerate, but the all-best configuration is evaluated
         # once so the greedy phase starts from a defined objective.
-        config = dict(best)
-        _, value = session.evaluate(config, PHASE_EXHAUSTIVE)
-        assert value is not None
-        return config, value
+        return session.evaluate(best, PHASE_EXHAUSTIVE)
 
     members = set(part.exhaustive)
     free = [name for name in space.names if name in members]
     fixed = {name: best[name] for name in space.names if name not in members}
-    candidates = list(enumerate_configs(space, free=free, fixed=fixed))
-    results = session.evaluate_many(candidates, PHASE_EXHAUSTIVE)
-
-    best_config = dict(best)
-    best_value = math.inf
-    for config, (_, value) in zip(candidates, results):
-        assert value is not None
-        if value < best_value:
-            best_value = value
-            best_config = dict(config)
-    return best_config, best_value
-
-
-def exhaustive_phase(
-    space: DesignSpace,
-    part: Partition,
-    best: Config,
-    ctx: NormalizationContext,
-    weights: WeightVector,
-    benchmark: str,
-    evaluator: Evaluator,
-    jobs: int = 1,
-) -> tuple[Config, float, list[EvalRecord]]:
-    """Phase 3: full scan over the exhaustive set, others frozen at best."""
-    session = _Session(space, benchmark, evaluator, weights, jobs)
-    session.ctx = ctx
-    best_config, best_value = _exhaustive(session, part, best)
-    return best_config, best_value, session.records
+    winner: EvalRecord | None = None
+    for config in enumerate_configs(space, free=free, fixed=fixed):
+        record = session.evaluate(config, PHASE_EXHAUSTIVE)
+        if winner is None or record.objective < winner.objective:
+            winner = record
+    assert winner is not None
+    return winner
 
 
 def _greedy(
     session: _Session,
     part: Partition,
     significance: Mapping[str, float],
-    best: Config,
-) -> tuple[Config, float]:
-    space = session.space
-    best = dict(best)
-    best_value = math.inf
-    for name in part.greedy:
-        param = space.parameter(name)
-        if significance[name] >= 0:
-            walk = param.settings
-        else:
-            walk = tuple(reversed(param.settings))
-        for setting in walk:
-            config = dict(best)
-            config[name] = setting
-            _, value = session.evaluate(config, PHASE_GREEDY)
-            assert value is not None
-            if value < best_value:
-                best_value = value
-                best[name] = setting
-            else:
-                break
-    return best, best_value
-
-
-def greedy_phase(
-    space: DesignSpace,
-    part: Partition,
-    significance: Mapping[str, float],
-    best: Config,
-    ctx: NormalizationContext,
-    weights: WeightVector,
-    benchmark: str,
-    evaluator: Evaluator,
-    jobs: int = 1,
-) -> tuple[Config, float, list[EvalRecord]]:
+    start: Config,
+) -> EvalRecord:
     """Phase 4: directional per-parameter walks over the greedy set.
 
-    The walk for each parameter starts at its current best setting and stops
-    at the first candidate that does not strictly improve on the best
-    objective seen so far in this phase.
+    The walk for each parameter stops at the first candidate that does not
+    strictly improve on the best objective seen so far in this phase.
     """
-    session = _Session(space, benchmark, evaluator, weights, jobs)
-    session.ctx = ctx
-    best_config, best_value = _greedy(session, part, significance, best)
-    return best_config, best_value, session.records
+    best = dict(start)
+    winner: EvalRecord | None = None
+    for name in part.greedy:
+        settings = session.space.parameter(name).settings
+        walk = settings if significance[name] >= 0 else reversed(settings)
+        for setting in walk:
+            record = session.evaluate({**best, name: setting}, PHASE_GREEDY)
+            if winner is not None and record.objective >= winner.objective:
+                break
+            winner = record
+            best[name] = setting
+    assert winner is not None
+    return winner
 
 
 def run(
@@ -413,12 +332,12 @@ def run(
     weights: WeightVector,
     threshold: int,
     benchmarks: Sequence[str] | None = None,
-    jobs: int = 1,
 ) -> RunResult:
     """Run all four phases for every benchmark.
 
     The evaluator is wrapped in a memoizing cache unless it already is one.
-    An evaluation failure aborts only the affected benchmark — its result
+    An evaluation failure, including a response with the wrong metric names
+    or a non-finite value, aborts only the affected benchmark — its result
     records the error and the remaining benchmarks still complete. Identical
     inputs produce identical results, including log order.
     """
@@ -433,52 +352,22 @@ def run(
 
     results: dict[str, BenchmarkResult] = {}
     for benchmark in benchmarks:
-        session = _Session(space, benchmark, cache, weights, jobs)
+        session = _Session(space, benchmark, cache, weights)
         significance: dict[str, float] = {}
         part: Partition | None = None
         try:
             significance, best = _one_shot(session)
             part = partition(significance, space, threshold)
-            best, value = _exhaustive(session, part, best)
+            winner = _exhaustive(session, part, best)
             if part.greedy:
-                best, value = _greedy(session, part, significance, best)
-            results[benchmark] = BenchmarkResult(
-                benchmark=benchmark,
-                best_config=best,
-                best_metrics=session.logged_metrics(best),
-                objective=value,
-                significance=significance,
-                partition=part,
-                maxima=dict(session.ctx.maxima[benchmark]) if session.ctx else {},
-                degenerate=_degenerate_names(session.ctx, benchmark),
-                unique_evaluations=session.unique_evaluations,
-                total_requests=session.total_requests,
-                records=session.records,
-            )
+                winner = _greedy(session, part, significance, winner.config)
         except (EvaluationError, DegenerateMetricError) as exc:
-            results[benchmark] = BenchmarkResult(
-                benchmark=benchmark,
-                best_config=None,
-                best_metrics=None,
-                objective=None,
-                significance=significance,
-                partition=part,
-                maxima=dict(session.ctx.maxima[benchmark]) if session.ctx else {},
-                degenerate=_degenerate_names(session.ctx, benchmark),
-                unique_evaluations=session.unique_evaluations,
-                total_requests=session.total_requests,
-                records=session.records,
-                error=str(exc),
-            )
+            results[benchmark] = session.result(None, significance, part, str(exc))
+        else:
+            results[benchmark] = session.result(winner, significance, part)
     return RunResult(
         space=space,
         weights=dict(weights),
         threshold=threshold,
         benchmarks=results,
     )
-
-
-def _degenerate_names(ctx: NormalizationContext | None, benchmark: str) -> tuple[str, ...]:
-    if ctx is None:
-        return ()
-    return tuple(sorted(m for (b, m) in ctx.degenerate if b == benchmark))

@@ -10,10 +10,11 @@ recorded maxima; their normalized components are then > 1, by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, EvaluationError
 
 MetricVector = Mapping[str, float]
 WeightVector = Mapping[str, float]
@@ -84,9 +85,6 @@ class NormalizationContext:
     maxima: dict[str, dict[str, float]] = field(default_factory=dict)
     degenerate: set[tuple[str, str]] = field(default_factory=set)
 
-    def benchmarks(self) -> list[str]:
-        return list(self.maxima)
-
     def normalize(self, benchmark: str, metrics: MetricVector) -> dict[str, float]:
         """Scale a raw metric vector by the benchmark's recorded maxima."""
         if benchmark not in self.maxima:
@@ -122,6 +120,24 @@ def build_context(
     return ctx
 
 
+def check_metrics(benchmark: str, metrics: MetricVector, names: AbstractSet[str]) -> None:
+    """Reject an evaluator response that is not exactly `names`, all finite.
+
+    Raises EvaluationError, so a malformed response fails only the benchmark
+    it belongs to instead of turning into a bogus objective value.
+    """
+    if metrics.keys() != names:
+        raise EvaluationError(
+            f"benchmark {benchmark!r}: evaluator returned metrics {sorted(metrics)}, "
+            f"expected {sorted(names)}"
+        )
+    for name, value in metrics.items():
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise EvaluationError(
+                f"benchmark {benchmark!r}: metric {name!r} is {value!r}, not a finite number"
+            )
+
+
 def objective(
     metrics: MetricVector,
     ctx: NormalizationContext,
@@ -129,7 +145,16 @@ def objective(
     weights: WeightVector,
 ) -> float:
     """F = sum of weight * (value / one-shot maximum) over all metrics."""
-    normalized = ctx.normalize(benchmark, metrics)
+    return weighted_sum(ctx.normalize(benchmark, metrics), ctx, benchmark, weights)
+
+
+def weighted_sum(
+    normalized: MetricVector,
+    ctx: NormalizationContext,
+    benchmark: str,
+    weights: WeightVector,
+) -> float:
+    """F of an already normalized metric vector."""
     total = 0.0
     for name, value in normalized.items():
         w = weights[name]

@@ -18,8 +18,8 @@ from typing import Mapping
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
 from .evaluators import Evaluator
-from .explorer import RunResult, map_ordered
-from .objective import NormalizationContext, WeightVector, objective
+from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
+from .objective import NormalizationContext, WeightVector, check_metrics, objective
 
 DEFAULT_GUARD = 1_000_000
 GUARD_ENV = "DSE_ORACLE_GUARD"
@@ -54,9 +54,12 @@ def oracle_search(
     weights: WeightVector,
     ctx: NormalizationContext,
     guard: int | None = None,
-    jobs: int = 1,
 ) -> OracleResult:
-    """Evaluate every configuration; strict-minimum F wins, earliest on ties."""
+    """Evaluate every configuration; strict-minimum F wins, earliest on ties.
+
+    Each response is checked against the run's metric names and must be
+    finite; a violation raises EvaluationError.
+    """
     limit = enumeration_guard(guard)
     size = cardinality(space)
     if size > limit:
@@ -65,15 +68,13 @@ def oracle_search(
             f"raise it explicitly (or via {GUARD_ENV}) to run the oracle anyway"
         )
 
+    names = ctx.maxima[benchmark].keys()
     best_config: Config | None = None
     best_metrics: dict[str, float] | None = None
     best_value = math.inf
-    configs = enumerate_configs(space)
-
-    def evaluate(config: Config) -> tuple[Config, dict[str, float]]:
-        return config, evaluator.evaluate(config, benchmark)
-
-    for config, metrics in map_ordered(evaluate, configs, jobs):
+    for config in enumerate_configs(space):
+        metrics = evaluator.evaluate(config, benchmark)
+        check_metrics(benchmark, metrics, names)
         value = objective(metrics, ctx, benchmark, weights)
         if value < best_value:
             best_value = value

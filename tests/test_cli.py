@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,9 +23,10 @@ from dsekit.artifacts import (
     replay_hash,
     space_hash,
 )
+from dsekit import cli
 from dsekit.cli import main
 
-from .conftest import write_tiny_csv
+from .conftest import tiny_metrics, write_tiny_csv
 
 TINY_BEST_F = 0.3513986013986014
 
@@ -449,6 +452,45 @@ class TestExecBackend:
         assert result.exit_code == 2
         payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
         assert "injected failure" in payload["benchmarks"]["t"]["error"]
+
+
+class TinyBackend:
+    """The tiny model; records the thread of every call and may emit NaN."""
+
+    def __init__(self, nan=False):
+        self.nan = nan
+        self.threads = set()
+
+    def evaluate(self, config, benchmark):
+        self.threads.add(threading.get_ident())
+        metrics = tiny_metrics(config["A"], config["B"])
+        return {**metrics, "time": math.nan} if self.nan else metrics
+
+
+class TestSerialEvaluation:
+    def use_backend(self, monkeypatch, backend):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: backend)
+
+    def test_run_and_oracle_evaluate_on_the_main_thread(self, runner, tmp_path, monkeypatch):
+        backend = TinyBackend()
+        self.use_backend(monkeypatch, backend)
+        result, out_dir = do_run(runner, tmp_path, **{"--jobs": None})
+        assert result.exit_code == 0
+        assert invoke(runner, "oracle", out_dir).exit_code == 0
+        assert backend.threads == {threading.main_thread().ident}
+
+    def test_non_finite_oracle_response_exits_2(self, runner, tmp_path, monkeypatch):
+        result, out_dir = do_run(runner, tmp_path)
+        assert result.exit_code == 0
+        self.use_backend(monkeypatch, TinyBackend(nan=True))
+        result = invoke(runner, "oracle", out_dir)
+        assert result.exit_code == 2
+        assert "not a finite number" in result.stderr
+
+    def test_jobs_below_one_rejected(self, runner, tmp_path):
+        result, _ = do_run(runner, tmp_path, **{"--jobs": 0})
+        assert result.exit_code == 1
+        assert "--jobs must be >= 1" in result.stderr
 
 
 class TestVersion:

@@ -15,8 +15,6 @@ from dsekit import (
     validate,
 )
 from dsekit.design_space import (
-    config_errors,
-    partial_errors,
     save_space,
     shipped_space_path,
     space_from_dict,
@@ -128,7 +126,9 @@ class TestEnumerate:
         assert len(configs) == cardinality(space)
         keys = {space.config_key(c) for c in configs}
         assert len(keys) == len(configs)
-        assert all(config_errors(space, c) == [] for c in configs)
+        for config in configs:
+            assert tuple(config) == space.names
+            assert all(config[name] in space.parameter(name).settings for name in config)
 
     @given(small_spaces())
     @settings(max_examples=30, deadline=None)
@@ -143,20 +143,6 @@ class TestEnumerate:
         got = [tuple(c.values()) for c in enumerate_configs(space)]
         want = list(itertools.product(*(p.settings for p in space.parameters)))
         assert got == want
-
-
-class TestConfigChecks:
-    def test_config_errors(self, tiny_space):
-        assert config_errors(tiny_space, {"A": 1, "B": 100}) == []
-        errors = config_errors(tiny_space, {"A": 3, "C": 1})
-        assert any("missing parameter 'B'" in e for e in errors)
-        assert any("not a setting" in e for e in errors)
-        assert any("unknown parameters" in e for e in errors)
-
-    def test_partial_errors(self, tiny_space):
-        assert partial_errors(tiny_space, {"B": 200}) == []
-        errors = partial_errors(tiny_space, {"B": 150, "C": 1})
-        assert len(errors) == 2
 
 
 class TestSerialization:

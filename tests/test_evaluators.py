@@ -14,6 +14,7 @@ from dsekit import (
     TableEvaluator,
     make_evaluator,
     make_space,
+    run,
 )
 from dsekit.errors import (
     MissingTableRowError,
@@ -23,7 +24,7 @@ from dsekit.errors import (
 from dsekit.evaluators import SYNTHETIC_PROFILES, synthetic_evaluate
 
 from .bruteforce import sepmono_metrics, synthetic_metrics
-from .conftest import tiny_metrics
+from .conftest import TINY_WEIGHTS, tiny_metrics
 
 
 def synth_configs(extended: bool):
@@ -198,42 +199,47 @@ class TestTable:
 
 
 class TestCache:
-    def test_counts_unique_and_total(self, tiny_evaluator):
+    def test_counts_unique_and_total(self, tiny_space, tiny_evaluator):
         cache = CachedEvaluator(tiny_evaluator)
         a = cache.evaluate({"A": 1, "B": 100}, "t")
         b = cache.evaluate({"A": 1, "B": 100}, "t")
-        cache.evaluate({"A": 2, "B": 100}, "t")
+        cache.evaluate({"A": 4, "B": 100}, "t")
         assert a == b
-        assert cache.unique_evaluations == 2
-        assert cache.total_requests == 3
         assert tiny_evaluator.calls == 2
+        # the search counts its own requests, including the 2 already cached
+        bench = run(tiny_space, cache, TINY_WEIGHTS, 3).benchmarks["t"]
+        assert bench.unique_evaluations == 5
+        assert bench.total_requests == 8
+        assert tiny_evaluator.calls == 2 + 3
 
     def test_key_ignores_dict_insertion_order(self, tiny_evaluator):
         cache = CachedEvaluator(tiny_evaluator)
         cache.evaluate({"A": 1, "B": 100}, "t")
         cache.evaluate({"B": 100, "A": 1}, "t")
-        assert cache.unique_evaluations == 1
         assert tiny_evaluator.calls == 1
 
     def test_benchmark_is_part_of_the_key(self):
         class Echo:
+            calls = 0
+
             def evaluate(self, config, benchmark):
+                self.calls += 1
                 return {"m": float(len(benchmark))}
 
-        cache = CachedEvaluator(Echo())
+        echo = Echo()
+        cache = CachedEvaluator(echo)
         assert cache.evaluate({"A": 1}, "x") == {"m": 1.0}
         assert cache.evaluate({"A": 1}, "xy") == {"m": 2.0}
-        assert cache.unique_evaluations == 2
+        assert echo.calls == 2
 
-    def test_shared_memo_attributes_unique_per_run(self, tiny_evaluator):
+    def test_shared_memo_attributes_unique_per_run(self, tiny_space, tiny_evaluator):
         memo = {}
-        first = CachedEvaluator(tiny_evaluator, memo=memo)
-        first.evaluate({"A": 1, "B": 100}, "t")
-        second = CachedEvaluator(tiny_evaluator, memo=memo)
-        second.evaluate({"A": 1, "B": 100}, "t")
-        assert tiny_evaluator.calls == 1
-        assert first.unique_evaluations == 1
-        assert second.unique_evaluations == 1
+        first = run(tiny_space, CachedEvaluator(tiny_evaluator, memo=memo), TINY_WEIGHTS, 3)
+        second = run(tiny_space, CachedEvaluator(tiny_evaluator, memo=memo), TINY_WEIGHTS, 3)
+        assert tiny_evaluator.calls == 5
+        for result in (first, second):
+            assert result.benchmarks["t"].unique_evaluations == 5
+            assert result.benchmarks["t"].total_requests == 8
 
     def test_results_are_isolated_copies(self, tiny_evaluator):
         cache = CachedEvaluator(tiny_evaluator)
@@ -256,10 +262,9 @@ class TestCache:
         cache = CachedEvaluator(flaky)
         with pytest.raises(EvaluationError):
             cache.evaluate({"A": 1}, "t")
-        assert cache.unique_evaluations == 0
         assert cache.evaluate({"A": 1}, "t") == {"m": 1.0}
-        assert cache.unique_evaluations == 1
-        assert cache.total_requests == 2
+        assert cache.evaluate({"A": 1}, "t") == {"m": 1.0}
+        assert flaky.calls == 2
 
     def test_concurrent_requests_reach_inner_once(self):
         gate = threading.Event()
@@ -292,8 +297,6 @@ class TestCache:
         assert len(results) == 8
         assert all(r == {"m": 1.0} for r in results)
         assert slow.calls == 1
-        assert cache.unique_evaluations == 1
-        assert cache.total_requests == 8
 
     @given(
         st.lists(
@@ -303,14 +306,17 @@ class TestCache:
     @settings(max_examples=50, deadline=None)
     def test_unique_equals_distinct_keys(self, requests):
         class Zero:
+            calls = 0
+
             def evaluate(self, config, benchmark):
+                self.calls += 1
                 return {"m": 0.0}
 
-        cache = CachedEvaluator(Zero())
+        zero = Zero()
+        cache = CachedEvaluator(zero)
         for a, b in requests:
             cache.evaluate({"a": a, "b": b}, "bench")
-        assert cache.unique_evaluations == len(set(requests))
-        assert cache.total_requests == len(requests)
+        assert zero.calls == len(set(requests))
 
 
 class TestMakeEvaluator:

@@ -10,7 +10,6 @@ from dsekit import (
     EvaluationError,
     SepMonoEvaluator,
     make_space,
-    one_shot,
     partition,
     run,
 )
@@ -18,8 +17,6 @@ from dsekit.explorer import (
     PHASE_EXHAUSTIVE,
     PHASE_GREEDY,
     PHASE_ONESHOT,
-    exhaustive_phase,
-    greedy_phase,
     map_ordered,
 )
 
@@ -29,96 +26,113 @@ from .bruteforce import (
     sepmono_metrics,
     weighted_objective,
 )
-from .conftest import TINY_WEIGHTS
+from .conftest import TINY_WEIGHTS, tiny_metrics
 
 TINY_D_A = -0.554895104895105
 TINY_D_B = -0.025524475524475565
 TINY_BEST_F = 0.3513986013986014
 
 
-class Curve1D:
-    """Single-parameter evaluator: looks the metric up in a value table."""
+class Additive:
+    """Metric m is the sum of one table lookup per parameter setting."""
 
-    def __init__(self, table):
-        self.table = dict(table)
+    def __init__(self, **tables):
+        self.tables = tables
 
     def evaluate(self, config, benchmark):
-        (value,) = config.values()
-        return {"m": float(self.table[value])}
+        return {"m": float(sum(self.tables[name][v] for name, v in config.items()))}
+
+
+class RequestLog(CachedEvaluator):
+    """The run's cache, also logging every request of the search in order."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.log = []
+
+    def evaluate(self, config, benchmark):
+        self.log.append(dict(config))
+        return super().evaluate(config, benchmark)
+
+
+def phase_configs(bench, phase):
+    return [r.config for r in bench.records if r.phase == phase]
 
 
 class TestMapOrdered:
     def test_serial_path(self):
-        assert list(map_ordered(lambda x: x + 1, range(5), jobs=1)) == [1, 2, 3, 4, 5]
-
-    def test_parallel_preserves_order(self):
-        items = list(range(200))
-        got = list(map_ordered(lambda x: x * x, items, jobs=8))
-        assert got == [x * x for x in items]
+        assert list(map_ordered(lambda x: x + 1, range(5))) == [1, 2, 3, 4, 5]
 
     def test_lazy_consumption(self):
         def generator():
             yield from range(3)
             raise RuntimeError("must not be reached")
 
-        stream = map_ordered(lambda x: x, generator(), jobs=1)
+        stream = map_ordered(lambda x: x, generator())
         assert next(stream) == 0
 
 
 class TestOneShot:
     def test_tiny_significance_and_best(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
-        assert outcome.significance["A"] == pytest.approx(TINY_D_A, rel=1e-12)
-        assert outcome.significance["B"] == pytest.approx(TINY_D_B, rel=1e-12)
-        assert outcome.best == {"A": 4, "B": 200}
-        assert outcome.ctx.maxima["t"] == {"power": 2.2, "time": 26.0}
+        # threshold 2 leaves the exhaustive set empty, so phase 3 evaluates
+        # exactly the one-shot best configuration
+        bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 2).benchmarks["t"]
+        assert bench.significance["A"] == pytest.approx(TINY_D_A, rel=1e-12)
+        assert bench.significance["B"] == pytest.approx(TINY_D_B, rel=1e-12)
+        assert phase_configs(bench, PHASE_EXHAUSTIVE) == [{"A": 4, "B": 200}]
+        assert bench.maxima == {"power": 2.2, "time": 26.0}
 
     def test_tiny_records(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
-        configs = [r.config for r in outcome.records]
-        assert configs == [
+        bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
+        records = bench.records[:3]
+        assert [r.config for r in records] == [
             {"A": 1, "B": 100},
             {"A": 4, "B": 100},
             {"A": 1, "B": 200},
         ]
-        assert [r.phase for r in outcome.records] == [PHASE_ONESHOT] * 3
-        assert [r.seq for r in outcome.records] == [0, 1, 2]
-        # phase-1 records are backfilled with normalized metrics and F
-        assert all(r.normalized is not None for r in outcome.records)
-        assert outcome.records[0].objective == pytest.approx(
-            0.1 * (0.7 / 2.2) + 0.9 * 1.0
-        )
+        assert [r.phase for r in records] == [PHASE_ONESHOT] * 3
+        assert phase_configs(bench, PHASE_ONESHOT) == [r.config for r in records]
+        assert [r.seq for r in records] == [0, 1, 2]
+        # phase-1 records are scored once the context exists
+        assert all(r.normalized is not None for r in records)
+        assert records[0].objective == pytest.approx(0.1 * (0.7 / 2.2) + 0.9 * 1.0)
 
     def test_positive_significance_keeps_first_setting(self):
-        space = make_space([("A", [1, 2])], ["b"])
-        outcome = one_shot(space, "b", Curve1D({1: 1.0, 2: 9.0}), {"m": 1.0})
-        assert outcome.significance["A"] > 0
-        assert outcome.best == {"A": 1}
+        # C is the most significant and the only exhaustive parameter, so
+        # phase 3 holds A at its one-shot best setting
+        space = make_space([("A", [1, 2]), ("C", [1, 2, 3])], ["b"])
+        ev = Additive(A={1: 1.0, 2: 9.0}, C={1: 30.0, 2: 20.0, 3: 10.0})
+        bench = run(space, ev, {"m": 1.0}, 3).benchmarks["b"]
+        assert bench.significance["A"] > 0
+        assert bench.partition.exhaustive == ("C",)
+        assert phase_configs(bench, PHASE_EXHAUSTIVE) == [{"A": 1, "C": 2}]
 
     def test_zero_significance_takes_last_setting(self):
-        space = make_space([("A", [1, 2])], ["b"])
-        outcome = one_shot(space, "b", Curve1D({1: 3.0, 2: 3.0}), {"m": 1.0})
-        assert outcome.significance["A"] == 0.0
-        assert outcome.best == {"A": 2}
+        space = make_space([("A", [1, 2]), ("C", [1, 2, 3])], ["b"])
+        ev = Additive(A={1: 3.0, 2: 3.0}, C={1: 30.0, 2: 20.0, 3: 10.0})
+        bench = run(space, ev, {"m": 1.0}, 3).benchmarks["b"]
+        assert bench.significance["A"] == 0.0
+        assert bench.partition.exhaustive == ("C",)
+        assert phase_configs(bench, PHASE_EXHAUSTIVE) == [{"A": 2, "C": 2}, {"A": 2, "C": 3}]
 
     def test_single_setting_parameters_are_not_scored(self, tiny_evaluator):
         space = make_space([("A", [1, 2, 4]), ("S", [9]), ("B", [100, 200])], ["t"])
-        outcome = one_shot(space, "t", tiny_evaluator, TINY_WEIGHTS)
-        assert set(outcome.significance) == {"A", "B"}
-        assert outcome.best["S"] == 9
-        assert len(outcome.records) == 3
+        bench = run(space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
+        assert set(bench.significance) == {"A", "B"}
+        assert all(r.config["S"] == 9 for r in bench.records)
+        assert len(phase_configs(bench, PHASE_ONESHOT)) == 3
 
     def test_invalid_weights_rejected(self, tiny_space, tiny_evaluator):
         with pytest.raises(ValueError, match="invalid weights"):
-            one_shot(tiny_space, "t", tiny_evaluator, {"power": 1.0})
+            run(tiny_space, tiny_evaluator, {"power": 1.0}, 3)
 
     def test_maxima_come_only_from_oneshot_records(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
+        bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
         want = oneshot_maxima(
             [(1, 2, 4), (100, 200)],
             lambda cfg: tiny_evaluator.evaluate({"A": cfg[0], "B": cfg[1]}, "t"),
         )
-        assert outcome.ctx.maxima["t"] == want
+        assert bench.maxima == want
 
 
 class TestPartition:
@@ -205,111 +219,112 @@ class TestPartition:
 
 class TestExhaustivePhase:
     def test_scans_only_the_exhaustive_set(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
-        part = partition(outcome.significance, tiny_space, threshold=3)
-        best, value, records = exhaustive_phase(
-            tiny_space, part, outcome.best, outcome.ctx, TINY_WEIGHTS, "t", tiny_evaluator
-        )
-        assert best == {"A": 4, "B": 200}
-        assert value == pytest.approx(TINY_BEST_F, rel=1e-12)
-        assert [r.config["A"] for r in records] == [1, 2, 4]
-        assert all(r.config["B"] == 200 for r in records)
-        assert all(r.phase == PHASE_EXHAUSTIVE for r in records)
+        cache = RequestLog(tiny_evaluator)
+        bench = run(tiny_space, cache, TINY_WEIGHTS, 3).benchmarks["t"]
+        assert bench.partition.exhaustive == ("A",)
+        # A varies over all its settings, B is held at its one-shot best
+        assert cache.log[3:6] == [{"A": a, "B": 200} for a in (1, 2, 4)]
+        assert phase_configs(bench, PHASE_EXHAUSTIVE) == [
+            {"A": 2, "B": 200},
+            {"A": 4, "B": 200},
+        ]
+        assert bench.best_config == {"A": 4, "B": 200}
+        assert bench.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
 
     def test_empty_set_evaluates_current_best_once(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
-        part = partition(outcome.significance, tiny_space, threshold=2)
-        best, value, records = exhaustive_phase(
-            tiny_space, part, outcome.best, outcome.ctx, TINY_WEIGHTS, "t", tiny_evaluator
-        )
-        assert best == outcome.best
-        assert len(records) == 1
-        assert records[0].config == outcome.best
-        assert value == records[0].objective
+        cache = RequestLog(tiny_evaluator)
+        bench = run(tiny_space, cache, TINY_WEIGHTS, 2).benchmarks["t"]
+        assert bench.partition.exhaustive == ()
+        # one request between the one-shot batch and the greedy walk
+        assert cache.log[3] == {"A": 4, "B": 200}
+        (record,) = [r for r in bench.records if r.phase == PHASE_EXHAUSTIVE]
+        assert record.config == {"A": 4, "B": 200}
+        assert bench.best_config == record.config
+        assert bench.objective == record.objective
 
     def test_tie_keeps_earliest_candidate(self):
         space = make_space([("A", [1, 2, 3])], ["b"])
-        flat = Curve1D({1: 4.0, 2: 4.0, 3: 4.0})
-        outcome = one_shot(space, "b", flat, {"m": 1.0})
-        part = partition(outcome.significance, space, threshold=3)
-        assert part.exhaustive == ("A",)
-        best, value, _ = exhaustive_phase(
-            space, part, outcome.best, outcome.ctx, {"m": 1.0}, "b", flat
-        )
-        assert best == {"A": 1}
-        assert value == 1.0
+        flat = Additive(A={1: 4.0, 2: 4.0, 3: 4.0})
+        bench = run(space, flat, {"m": 1.0}, 3).benchmarks["b"]
+        assert bench.partition.exhaustive == ("A",)
+        assert bench.partition.greedy == ()
+        assert bench.best_config == {"A": 1}
+        assert bench.objective == 1.0
 
 
 class TestGreedyPhase:
-    def run_greedy(self, table, threshold=1, weights=None):
-        settings_list = sorted(table)
-        space = make_space([("A", settings_list)], ["b"])
-        curve = Curve1D(table)
-        outcome = one_shot(space, "b", curve, weights or {"m": 1.0})
-        part = partition(outcome.significance, space, threshold)
-        best = dict(outcome.best)
-        if part.exhaustive:
-            best, _, _ = exhaustive_phase(
-                space, part, best, outcome.ctx, weights or {"m": 1.0}, "b", curve
-            )
-        return space, part, outcome, greedy_phase(
-            space,
-            part,
-            outcome.significance,
-            best,
-            outcome.ctx,
-            weights or {"m": 1.0},
-            "b",
-            curve,
-        )
+    def run_greedy(self, table):
+        """Threshold 1 on one parameter: 2 one-shot requests, 1 exhaustive
+        request of the one-shot best, then the greedy walk."""
+        space = make_space([("A", sorted(table))], ["b"])
+        cache = RequestLog(Additive(A=table))
+        bench = run(space, cache, {"m": 1.0}, 1).benchmarks["b"]
+        assert bench.partition.greedy == ("A",)
+        walk = [config["A"] for config in cache.log[3:]]
+        return bench, walk
 
     def test_negative_significance_walks_downward(self):
         table = {10: 9.0, 20: 3.0, 30: 5.0, 40: 7.0}
-        _, part, outcome, (best, value, records) = self.run_greedy(table)
-        assert part.greedy == ("A",)
-        assert outcome.best == {"A": 40}
+        bench, walk = self.run_greedy(table)
+        assert bench.significance["A"] < 0
         # walk 40, 30, 20 improves each step; 10 fails and stops the walk
-        assert [r.config["A"] for r in records] == [40, 30, 20, 10]
-        assert best == {"A": 20}
-        assert value == pytest.approx(3.0 / 9.0)
-        assert all(r.phase == PHASE_GREEDY for r in records)
+        assert walk == [40, 30, 20, 10]
+        assert [c["A"] for c in phase_configs(bench, PHASE_GREEDY)] == [30, 20]
+        assert bench.best_config == {"A": 20}
+        assert bench.objective == pytest.approx(3.0 / 9.0)
 
     def test_positive_significance_walks_upward(self):
         table = {10: 3.0, 20: 5.0, 30: 7.0, 40: 9.0}
-        _, _, outcome, (best, value, records) = self.run_greedy(table)
-        assert outcome.significance["A"] > 0
-        assert outcome.best == {"A": 10}
+        bench, walk = self.run_greedy(table)
+        assert bench.significance["A"] > 0
         # first step improves on nothing-yet, second fails immediately
-        assert [r.config["A"] for r in records] == [10, 20]
-        assert best == {"A": 10}
+        assert walk == [10, 20]
+        assert bench.best_config == {"A": 10}
 
     def test_stops_at_first_non_improvement_even_when_better_exists(self):
         table = {10: 5.0, 20: 1.0, 30: 6.0, 40: 2.0}
-        _, _, _, (best, value, records) = self.run_greedy(table)
+        bench, walk = self.run_greedy(table)
         # D < 0: walk starts at 40 (2.0), then 30 (6.0) stops the walk,
         # leaving the global optimum at 20 undiscovered.
-        assert [r.config["A"] for r in records] == [40, 30]
-        assert best == {"A": 40}
+        assert walk == [40, 30]
+        assert bench.best_config == {"A": 40}
+
+    def test_tie_stops_the_walk(self):
+        table = {10: 9.0, 20: 1.0, 30: 4.0, 40: 4.0}
+        bench, walk = self.run_greedy(table)
+        assert walk == [40, 30]
+        assert bench.best_config == {"A": 40}
+
+    def test_later_walks_start_from_earlier_moves(self):
+        space = make_space([("A", [1, 2, 3]), ("C", [1, 2, 3]), ("E", [1, 2, 3])], ["b"])
+        ev = Additive(
+            A={1: 9.0, 2: 1.0, 3: 6.0},
+            C={1: 6.0, 2: 0.0, 3: 2.0},
+            E={1: 0.0, 2: 0.5, 3: 1.0},
+        )
+        cache = RequestLog(ev)
+        bench = run(space, cache, {"m": 1.0}, 1).benchmarks["b"]
+        assert bench.partition.greedy == ("C", "A")
+        # 4 one-shot requests, 1 exhaustive; C walks down from 3 and moves
+        # to 2, then A's walk holds C at 2 and stops at its first candidate
+        assert cache.log[5:] == [
+            {"A": 3, "C": 3, "E": 1},
+            {"A": 3, "C": 2, "E": 1},
+            {"A": 3, "C": 1, "E": 1},
+            {"A": 3, "C": 2, "E": 1},
+        ]
+        assert bench.best_config == {"A": 3, "C": 2, "E": 1}
+        assert bench.objective == pytest.approx(6.0 / 16.0)
 
     def test_walk_holds_other_parameters_at_best(self, tiny_space, tiny_evaluator):
-        outcome = one_shot(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS)
-        part = partition(outcome.significance, tiny_space, threshold=1)
-        assert part.greedy == ("A",)
-        assert part.oneshot == ("B",)
+        cache = RequestLog(tiny_evaluator)
+        bench = run(tiny_space, cache, TINY_WEIGHTS, 1).benchmarks["t"]
+        assert bench.partition.greedy == ("A",)
+        assert bench.partition.oneshot == ("B",)
         # with threshold 1 nothing is exhaustive; greedy walks A from 4 down
-        best, value, records = greedy_phase(
-            tiny_space,
-            part,
-            outcome.significance,
-            outcome.best,
-            outcome.ctx,
-            TINY_WEIGHTS,
-            "t",
-            tiny_evaluator,
-        )
-        assert [r.config["A"] for r in records] == [4, 2]
-        assert best == {"A": 4, "B": 200}
-        assert value == pytest.approx(TINY_BEST_F, rel=1e-12)
+        assert cache.log[4:] == [{"A": 4, "B": 200}, {"A": 2, "B": 200}]
+        assert bench.best_config == {"A": 4, "B": 200}
+        assert bench.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
 
 
 class TestRunTiny:
@@ -366,19 +381,6 @@ class TestRunTiny:
         ]
         assert traces[0] == traces[1]
 
-    def test_jobs_do_not_change_the_result(self, tiny_space):
-        serial = run(tiny_space, SepMonoEvaluator(tiny_space), TINY_WEIGHTS, 3, jobs=1)
-        threaded = run(tiny_space, SepMonoEvaluator(tiny_space), TINY_WEIGHTS, 3, jobs=4)
-
-        def key(res):
-            return [
-                (r.phase, r.seq, tuple(r.config.items()), r.objective)
-                for r in res.records()
-            ]
-
-        assert key(serial) == key(threaded)
-        assert serial.benchmarks["t"].best_config == threaded.benchmarks["t"].best_config
-
     def test_rejects_invalid_inputs(self, tiny_space, tiny_evaluator):
         with pytest.raises(ValueError, match="invalid space"):
             run(make_space([], []), tiny_evaluator, TINY_WEIGHTS, 3)
@@ -386,7 +388,40 @@ class TestRunTiny:
             run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 0)
 
 
+class Corrupt:
+    """The tiny model, except one response of benchmark t is corrupted."""
+
+    def __init__(self, at, corrupt):
+        self.at = at
+        self.corrupt = corrupt
+
+    def evaluate(self, config, benchmark):
+        metrics = tiny_metrics(config["A"], config["B"])
+        if benchmark == "t" and (config["A"], config["B"]) == self.at:
+            return self.corrupt(metrics)
+        return metrics
+
+
 class TestRunIsolation:
+    @pytest.mark.parametrize(
+        "at, corrupt",
+        [
+            ((2, 200), lambda m: {**m, "energy": 1.0}),
+            ((2, 200), lambda m: {"power": m["power"]}),
+            ((4, 100), lambda m: {"power": m["power"]}),
+            ((1, 100), lambda m: {**m, "time": math.nan}),
+        ],
+        ids=["extra-key", "missing-key", "missing-key-oneshot", "nan-base"],
+    )
+    def test_malformed_response_fails_only_its_benchmark(self, tiny_space, at, corrupt):
+        result = run(tiny_space, Corrupt(at, corrupt), TINY_WEIGHTS, 3, benchmarks=["t", "u"])
+        assert result.failed == ["t"]
+        assert result.benchmarks["t"].objective is None
+        assert "benchmark 't'" in result.benchmarks["t"].error
+        good = result.benchmarks["u"]
+        assert good.error is None
+        assert good.best_config == {"A": 4, "B": 200}
+
     def test_failing_benchmark_does_not_poison_the_rest(self, tiny_space, tiny_evaluator):
         class Partial:
             def evaluate(self, config, benchmark):

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from dsekit import (
     CachedEvaluator,
+    EvaluationError,
     GuardExceededError,
     SepMonoEvaluator,
     compare,
@@ -11,7 +14,7 @@ from dsekit import (
 from dsekit.errors import DseError
 from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, enumeration_guard
 
-from .conftest import TINY_WEIGHTS
+from .conftest import TINY_WEIGHTS, tiny_metrics
 
 TINY_BEST_F = 0.3513986013986014
 
@@ -76,16 +79,45 @@ class TestOracleSearch:
         )
         assert oracle.evaluations == 6
 
-    def test_jobs_do_not_change_the_pick(self, tiny_space, tiny_evaluator):
+    def test_enumeration_is_streamed(self, tiny_space, tiny_evaluator, monkeypatch):
+        import dsekit.oracle_compare as oc
+
+        events = []
+        enumerate_all = oc.enumerate_configs
+
+        def enumerate_logged(space):
+            for config in enumerate_all(space):
+                events.append("next")
+                yield config
+
+        class Logged:
+            def evaluate(self, config, benchmark):
+                events.append("evaluate")
+                return tiny_evaluator.evaluate(config, benchmark)
+
         result = self.tiny_run(tiny_space, tiny_evaluator)
-        serial = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context(), jobs=1
-        )
-        threaded = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context(), jobs=4
-        )
-        assert serial.best_config == threaded.best_config
-        assert serial.objective == threaded.objective
+        monkeypatch.setattr(oc, "enumerate_configs", enumerate_logged)
+        oracle_search(tiny_space, "t", Logged(), TINY_WEIGHTS, result.context())
+        assert events == ["next", "evaluate"] * 6
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda m: {**m, "time": math.nan},
+            lambda m: {**m, "energy": 1.0},
+            lambda m: {"power": m["power"]},
+        ],
+        ids=["nan", "extra-key", "missing-key"],
+    )
+    def test_malformed_response_raises_evaluation_error(self, tiny_space, tiny_evaluator, corrupt):
+        class Corrupt:
+            def evaluate(self, config, benchmark):
+                metrics = tiny_metrics(config["A"], config["B"])
+                return corrupt(metrics) if config == {"A": 2, "B": 200} else metrics
+
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        with pytest.raises(EvaluationError, match="benchmark 't'"):
+            oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, result.context())
 
 
 class TestCompare:
