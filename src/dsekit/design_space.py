@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -151,11 +152,18 @@ def enumerate_configs(
         if value not in space.parameter(name).settings:
             raise ValueError(f"fixed value {value!r} is not a setting of {name!r}")
 
-    free_params = [space.parameter(name) for name in free]
-    for combo in product(*(p.settings for p in free_params)):
-        assignment = dict(fixed)
-        assignment.update(zip(free, combo))
-        yield {p.name: assignment[p.name] for p in space.parameters}
+    # Each configuration is one dict(zip(...)) in declaration order: the
+    # combination, followed by the fixed values, is permuted into place by a
+    # precomputed position map.
+    names = space.names
+    fixed_names = [name for name in names if name in fixed_set]
+    position = {name: i for i, name in enumerate([*free, *fixed_names])}
+    order = [position[name] for name in names]
+    fixed_values = tuple(fixed[name] for name in fixed_names)
+    # itemgetter of a single index returns the bare item, not a 1-tuple.
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    for combo in product(*(space.parameter(name).settings for name in free)):
+        yield dict(zip(names, pick(combo + fixed_values)))
 
 
 def space_to_dict(space: DesignSpace) -> dict:

@@ -419,14 +419,18 @@ class CachedEvaluator:
     for as one of its own unique evaluations.
 
     Safe under concurrent calls; concurrent requests for the same key reach
-    the inner backend at most once. Errors are never cached: a failed key is
-    re-evaluated on the next request.
+    the inner backend at most once. The first caller of a key marks it in
+    flight; a ``Future`` is made only when a second caller arrives to wait
+    on it, so serial misses allocate none. Waiters re-raise the owner's
+    exception. Errors are never cached: a failed key is re-evaluated on the
+    next request.
     """
 
     def __init__(self, inner: Evaluator, memo: dict | None = None):
         self.inner = inner
         self._memo: dict[tuple, dict[str, float]] = memo if memo is not None else {}
-        self._inflight: dict[tuple, Future] = {}
+        # None while only the owner is in flight; a Future once a caller waits.
+        self._inflight: dict[tuple, Future | None] = {}
         self._lock = threading.Lock()
 
     @staticmethod
@@ -436,33 +440,33 @@ class CachedEvaluator:
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
         key = self._key(config, benchmark)
         with self._lock:
-            if key in self._memo:
-                return dict(self._memo[key])
-            future = self._inflight.get(key)
-            if future is None:
-                future = Future()
-                self._inflight[key] = future
-                owner = True
+            cached = self._memo.get(key)
+            if cached is not None:
+                return dict(cached)
+            waiting = key in self._inflight
+            if waiting:
+                future = self._inflight[key]
+                if future is None:
+                    future = self._inflight[key] = Future()
             else:
-                owner = False
+                self._inflight[key] = None
 
-        if not owner:
+        if waiting:
             return dict(future.result())
 
         try:
             result = self.inner.evaluate(config, benchmark)
         except BaseException as exc:
             with self._lock:
-                del self._inflight[key]
-            future.set_exception(exc)
-            # A Future with an unretrieved exception logs noise at GC time;
-            # concurrent waiters (if any) re-raise it via future.result().
-            future.exception()
+                future = self._inflight.pop(key)
+            if future is not None:
+                future.set_exception(exc)
             raise
         with self._lock:
             self._memo[key] = dict(result)
-            del self._inflight[key]
-        future.set_result(result)
+            future = self._inflight.pop(key)
+        if future is not None:
+            future.set_result(result)
         return dict(result)
 
 

@@ -14,9 +14,10 @@ Each benchmark is optimized independently, in four phases:
 3. **Exhaustive.** All combinations of the exhaustive set, other parameters
    frozen at B; the strict-minimum F wins, earliest enumeration index on ties.
 4. **Greedy.** Each greedy parameter in significance order walks its settings
-   starting from B_i (ascending for D_i >= 0, descending otherwise), others
-   frozen at the current B; the walk stops at the first candidate that fails
-   to strictly improve the best objective seen in this phase.
+   starting from its endpoint B_i (ascending for D_i > 0, descending
+   otherwise), others frozen at the current B; the walk stops at the first
+   candidate that fails to strictly improve the best objective seen in this
+   phase.
 
 The search is one sequential decision chain, so it runs serially: each
 benchmark gets one ``_Session``, the only code that evaluates. It counts
@@ -308,14 +309,16 @@ def _greedy(
 ) -> EvalRecord:
     """Phase 4: directional per-parameter walks over the greedy set.
 
-    The walk for each parameter stops at the first candidate that does not
-    strictly improve on the best objective seen so far in this phase.
+    Each walk starts at the parameter's one-shot endpoint B_i: the first
+    setting when D_i > 0, the last one otherwise. It stops at the first
+    candidate that does not strictly improve on the best objective seen so
+    far in this phase.
     """
     best = dict(start)
     winner: EvalRecord | None = None
     for name in part.greedy:
         settings = session.space.parameter(name).settings
-        walk = settings if significance[name] >= 0 else reversed(settings)
+        walk = settings if significance[name] > 0 else reversed(settings)
         for setting in walk:
             record = session.evaluate({**best, name: setting}, PHASE_GREEDY)
             if winner is not None and record.objective >= winner.objective:

@@ -48,11 +48,16 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
             earliest[key] = record
 
     # In lexicographic order any dominator precedes what it dominates, so a
-    # single pass checking only against already-accepted members is exact.
+    # single pass checking only against already-accepted members is exact,
+    # whatever order those members are checked in. Newest-first makes the
+    # pass near-linear: with two metrics the kept front is a staircase whose
+    # second metric strictly falls, so its newest member dominates every
+    # dominated key and one check rejects it. Only accepted keys scan the
+    # whole front, which bounds the total at n + |front|^2 checks.
     front: list[tuple[tuple, EvalRecord]] = []
     for key in sorted(earliest):
         record = earliest[key]
-        if not any(_dominates_tuple(kept, key) for kept, _ in front):
+        if not any(_dominates_tuple(kept, key) for kept, _ in reversed(front)):
             front.append((key, record))
     front.sort(key=lambda item: (item[0], item[1].seq))
     return [record for _, record in front]

@@ -144,6 +144,29 @@ class TestEnumerate:
         want = list(itertools.product(*(p.settings for p in space.parameters)))
         assert got == want
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_free_order_and_fixed_settings_match_product(self, data):
+        space = data.draw(small_spaces())
+        names = list(space.names)
+        order = data.draw(st.permutations(names))
+        free = order[: data.draw(st.integers(0, len(order)))]
+        fixed = {
+            name: data.draw(st.sampled_from(space.parameter(name).settings))
+            for name in names
+            if name not in free
+        }
+        got = list(enumerate_configs(space, free=free, fixed=fixed))
+        combos = list(itertools.product(*(space.parameter(n).settings for n in free)))
+        want = []
+        for combo in combos:
+            assignment = {**fixed, **dict(zip(free, combo))}
+            want.append({name: assignment[name] for name in names})
+        assert got == want
+        # lexicographic in free order, with the last free parameter fastest
+        assert [tuple(c[n] for n in free) for c in got] == combos
+        assert all(list(c) == names for c in got)
+
 
 class TestSerialization:
     def test_round_trip_dict(self, tiny_space):

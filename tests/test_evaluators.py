@@ -1,6 +1,10 @@
+import collections
 import csv
 import itertools
+import sys
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from dsekit import (
     make_space,
     run,
 )
+from dsekit import evaluators
 from dsekit.errors import (
     MissingTableRowError,
     TableLoadError,
@@ -297,6 +302,114 @@ class TestCache:
         assert len(results) == 8
         assert all(r == {"m": 1.0} for r in results)
         assert slow.calls == 1
+
+    def test_owner_error_reaches_every_waiter(self, monkeypatch):
+        entered = threading.Event()
+        gate = threading.Event()
+        waiting = threading.Semaphore(0)
+
+        class FailsFirst:
+            def __init__(self):
+                self.calls = 0
+
+            def evaluate(self, config, benchmark):
+                self.calls += 1
+                if self.calls == 1:
+                    entered.set()
+                    gate.wait(timeout=5)
+                    raise EvaluationError("owner failed")
+                return {"m": 1.0}
+
+        class Waited(Future):
+            def result(self, timeout=None):
+                waiting.release()
+                return super().result(timeout)
+
+        monkeypatch.setattr(evaluators, "Future", Waited)
+        backend = FailsFirst()
+        cache = CachedEvaluator(backend)
+        outcomes = []
+
+        def request():
+            try:
+                outcomes.append(cache.evaluate({"A": 1}, "t"))
+            except EvaluationError as exc:
+                outcomes.append(exc)
+
+        owner = threading.Thread(target=request, daemon=True)
+        owner.start()
+        assert entered.wait(timeout=5)
+        waiters = [threading.Thread(target=request, daemon=True) for _ in range(4)]
+        for t in waiters:
+            t.start()
+        # every waiter is blocked on the owner's outcome before it fails
+        for _ in waiters:
+            assert waiting.acquire(timeout=5)
+        gate.set()
+        for t in [owner, *waiters]:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in [owner, *waiters])
+        assert len(outcomes) == 5
+        assert all(isinstance(o, EvaluationError) for o in outcomes)
+        assert {str(o) for o in outcomes} == {"owner failed"}
+        assert backend.calls == 1
+        # the error was not cached
+        assert cache.evaluate({"A": 1}, "t") == {"m": 1.0}
+        assert backend.calls == 2
+
+    def test_contended_keys_reach_inner_once(self):
+        class Counting:
+            def __init__(self):
+                self.calls = collections.Counter()
+                self._lock = threading.Lock()
+
+            def evaluate(self, config, benchmark):
+                with self._lock:
+                    self.calls[config["A"]] += 1
+                time.sleep(0)  # let the other threads pile up on this key
+                return {"m": float(config["A"])}
+
+        backend = Counting()
+        cache = CachedEvaluator(backend)
+        keys = list(range(200))
+        wrong = []
+
+        def request_all():
+            # every thread walks the keys in the same order, so most keys
+            # get concurrent waiters
+            for a in keys:
+                if cache.evaluate({"A": a}, "t") != {"m": float(a)}:
+                    wrong.append(a)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request_all, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 10
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert backend.calls == {a: 1 for a in keys}
+
+    def test_serial_misses_allocate_no_future(
+        self, monkeypatch, tiny_space, tiny_evaluator
+    ):
+        made = []
+
+        class Counted(Future):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(evaluators, "Future", Counted)
+        bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
+        assert bench.unique_evaluations == tiny_evaluator.calls == 5
+        assert made == []
 
     @given(
         st.lists(

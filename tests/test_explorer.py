@@ -316,6 +316,25 @@ class TestGreedyPhase:
         assert bench.best_config == {"A": 3, "C": 2, "E": 1}
         assert bench.objective == pytest.approx(6.0 / 16.0)
 
+    def test_zero_significance_walk_starts_at_its_endpoint(self):
+        # D_C = 0 makes B_C the last setting, so C's walk must start there
+        # and descend; ascending would accept m(1,0) = 6 unchecked.
+        class Table:
+            def evaluate(self, config, benchmark):
+                a, c = config["A"], config["C"]
+                return {"m": 3.0 if a == 2 else 1.0 if (a, c) == (1, 2) else 6.0}
+
+        space = make_space([("A", [0, 1, 2]), ("C", [0, 1, 2])], ["b"])
+        cache = RequestLog(Table())
+        bench = run(space, cache, {"m": 1.0}, 3).benchmarks["b"]
+        assert bench.significance["C"] == 0.0
+        assert bench.partition.exhaustive == ("A",)
+        assert bench.partition.greedy == ("C",)
+        assert [c["A"] for c in phase_configs(bench, PHASE_EXHAUSTIVE)] == [1, 2]
+        assert cache.log[6:] == [{"A": 1, "C": 2}, {"A": 1, "C": 1}]
+        assert bench.best_config == {"A": 1, "C": 2}
+        assert bench.objective == pytest.approx(1.0 / 6.0)
+
     def test_walk_holds_other_parameters_at_best(self, tiny_space, tiny_evaluator):
         cache = RequestLog(tiny_evaluator)
         bench = run(tiny_space, cache, TINY_WEIGHTS, 1).benchmarks["t"]

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit import build_context, dominates, objective, pareto_front, select_tradeoff
+from dsekit import (
+    build_context,
+    dominates,
+    objective,
+    pareto,
+    pareto_front,
+    select_tradeoff,
+)
 from dsekit.explorer import EvalRecord
 
 from .bruteforce import pairwise_front
@@ -123,6 +130,24 @@ class TestParetoFront:
                 for f in front
             )
             assert covered
+
+    def test_dominance_checks_are_near_linear(self, monkeypatch):
+        checks = 0
+        helper = pareto._dominates_tuple
+
+        def counting(a, b):
+            nonlocal checks
+            checks += 1
+            return helper(a, b)
+
+        monkeypatch.setattr(pareto, "_dominates_tuple", counting)
+        points = [(float(i), float(100 - i)) for i in range(100)]
+        points += [(float(100 + j), 1.5) for j in range(5000)]
+        random.Random(11).shuffle(points)
+        records = [record(i, p, t) for i, (p, t) in enumerate(points)]
+        front = pareto_front(records)
+        assert [r.metrics["power"] for r in front] == [float(i) for i in range(100)]
+        assert checks <= len(records) + len(front) ** 2
 
     def test_front_is_invariant_to_log_order(self):
         rng = random.Random(7)

@@ -120,7 +120,7 @@ def phase4(evaluator, greedy, significance, best, maxima):
     trace = []
     for name in greedy:
         settings = dict(PARAMS)[name]
-        walk = list(settings) if significance[name] >= 0 else list(reversed(settings))
+        walk = list(settings) if significance[name] > 0 else list(reversed(settings))
         for value in walk:
             cfg = dict(best)
             cfg[name] = value
