@@ -26,7 +26,9 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict
+from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
+from .objective import NormalizationContext
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -123,10 +125,7 @@ def result_payload(run: RunResult) -> dict:
             "objective": result.objective,
             "significance": result.significance,
             "partition": _partition_payload(result.partition),
-            "normalization": {
-                "maxima": result.maxima,
-                "degenerate": list(result.degenerate),
-            },
+            "normalization": _normalization_payload(result.normalization),
             "unique_evaluations": result.unique_evaluations,
             "total_requests": result.total_requests,
             "error": result.error,
@@ -136,6 +135,12 @@ def result_payload(run: RunResult) -> dict:
         "weights": run.weights,
         "benchmarks": benchmarks,
     }
+
+
+def _normalization_payload(ctx: NormalizationContext | None) -> dict:
+    if ctx is None:
+        return {"maxima": {}, "degenerate": []}
+    return {"maxima": ctx.maxima, "degenerate": sorted(ctx.degenerate)}
 
 
 def _partition_payload(part: Partition | None) -> dict | None:
@@ -213,15 +218,6 @@ def write_pareto_csv(
                 )
 
 
-def _parse_cell(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     """Rebuild a RunResult (manifest, results, full log) from a run directory."""
     manifest = _load_json(run_dir / MANIFEST_FILE)
@@ -246,7 +242,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 benchmark=row["benchmark"],
                 phase=row["phase"],
                 seq=int(row["seq"]),
-                config={p: _parse_cell(row[p]) for p in params},
+                config={p: parse_cell(row[p]) for p in params},
                 metrics={m: float(row[m]) for m in metrics},
                 normalized=normalized or None,
                 objective=float(row["objective"]) if row["objective"] else None,
@@ -256,6 +252,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     benchmarks: dict[str, BenchmarkResult] = {}
     for name, entry in payload["benchmarks"].items():
         part = entry.get("partition")
+        norm = entry["normalization"]
         benchmarks[name] = BenchmarkResult(
             benchmark=name,
             best_config=entry["best_config"],
@@ -271,8 +268,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             )
             if part
             else None,
-            maxima=entry["normalization"]["maxima"],
-            degenerate=tuple(entry["normalization"]["degenerate"]),
+            normalization=NormalizationContext(norm["maxima"], set(norm["degenerate"]))
+            if norm["maxima"]
+            else None,
             unique_evaluations=entry["unique_evaluations"],
             total_requests=entry["total_requests"],
             records=records.get(name, []),

@@ -22,6 +22,7 @@ from .design_space import (
     validation_warnings,
 )
 from .errors import (
+    DegenerateMetricError,
     DseError,
     EvaluationError,
     GuardExceededError,
@@ -116,7 +117,6 @@ def _fronts_and_choices(result: RunResult):
     Also cross-checks that the minimum logged objective is attained on the
     front — a weighted sum can never prefer a dominated point.
     """
-    ctx = result.context()
     fronts = {}
     chosen = {}
     for name, bench in result.benchmarks.items():
@@ -124,7 +124,7 @@ def _fronts_and_choices(result: RunResult):
             continue
         front = pareto_front(bench.records)
         fronts[name] = front
-        chosen[name] = select_tradeoff(front, ctx, result.weights)
+        chosen[name] = select_tradeoff(front, bench.normalization, result.weights)
         min_all = min(r.objective for r in bench.records if r.objective is not None)
         min_front = min(r.objective for r in front if r.objective is not None)
         if min_front != min_all:
@@ -254,35 +254,39 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
     except (KeyError, ValueError) as exc:
         _fail(EXIT_VALIDATION, f"malformed run directory: {exc}")
         raise
+    try:
+        guard = enumeration_guard()
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+        raise
     space = run_result.space
     evaluator = _build_evaluator(manifest["evaluator"], space, timeout)
     _check_jobs(jobs)
-    ctx = run_result.context()
     out = out_dir if out_dir is not None else run_dir / "oracle"
 
     results = {}
     try:
-        for benchmark in run_result.benchmarks:
-            if benchmark not in ctx.maxima:
+        for benchmark, bench in run_result.benchmarks.items():
+            if bench.normalization is None:
                 click.echo(
                     f"warning: skipping {benchmark}: run has no normalization data",
                     err=True,
                 )
                 continue
             results[benchmark] = oracle_search(
-                space, benchmark, evaluator, run_result.weights, ctx
+                space, benchmark, evaluator, run_result.weights, bench.normalization
             )
             best = results[benchmark]
             config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
             click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
-    except GuardExceededError as exc:
+    except (GuardExceededError, DegenerateMetricError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     except EvaluationError as exc:
         _fail(EXIT_EVALUATOR, str(exc))
     finally:
         _close_evaluator(evaluator)
 
-    payload = artifacts.oracle_payload(manifest, enumeration_guard(), results)
+    payload = artifacts.oracle_payload(manifest, guard, results)
     try:
         artifacts.write_oracle(out, payload)
     except OSError as exc:

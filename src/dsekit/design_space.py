@@ -108,15 +108,11 @@ def validation_warnings(space: DesignSpace) -> list[str]:
     return warnings
 
 
-def cardinality(space: DesignSpace, subset: Iterable[str] | None = None) -> int:
-    """Number of configurations spanned by `subset` (full space if omitted)."""
-    if subset is None:
-        names: Iterable[str] = space.names
-    else:
-        names = list(subset)
+def cardinality(space: DesignSpace) -> int:
+    """Number of configurations in the space."""
     count = 1
-    for name in names:
-        count *= len(space.parameter(name))
+    for p in space.parameters:
+        count *= len(p)
     return count
 
 

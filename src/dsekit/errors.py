@@ -34,7 +34,7 @@ class ProtocolError(EvaluationError):
 
 
 class EvaluatorTerminatedError(EvaluationError):
-    """The external worker process exited or closed its pipe."""
+    """The external worker process could not start, exited or closed its pipe."""
 
 
 class EvaluationTimeoutError(EvaluationError):

@@ -194,7 +194,8 @@ class SepMonoEvaluator:
 # CSV table replay backend
 
 
-def _parse_cell(text: str) -> Setting:
+def parse_cell(text: str) -> Setting:
+    """A CSV cell as the int, float or string setting it spells."""
     for cast in (int, float):
         try:
             return cast(text)
@@ -245,7 +246,7 @@ class TableEvaluator:
             rows: dict[tuple, dict[str, float]] = {}
             benchmarks = set()
             for lineno, row in enumerate(reader, start=2):
-                config = {n: _parse_cell(row[n]) for n in param_names}
+                config = {n: parse_cell(row[n]) for n in param_names}
                 key = (row["benchmark"], space.config_key(config))
                 if key in rows:
                     raise TableLoadError(
@@ -279,14 +280,19 @@ class _Worker:
     """One spawned worker process plus a thread pumping its stdout lines."""
 
     def __init__(self, argv: Sequence[str]):
-        self.proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            bufsize=1,
-        )
+        try:
+            self.proc = subprocess.Popen(
+                argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                encoding="utf-8",
+                bufsize=1,
+            )
+        except OSError as exc:
+            raise EvaluatorTerminatedError(
+                f"evaluator terminated: cannot start worker: {exc}"
+            ) from None
         self.lines: queue.SimpleQueue[str | None] = queue.SimpleQueue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
@@ -316,11 +322,12 @@ class ExternalEvaluator:
         response: {"id": <int>, "metrics": {...}}  or  {"id": <int>, "error": <str>}
 
     One worker is spawned lazily and reused across evaluations; requests are
-    serialized over its single pipe. Worker exit, malformed responses, id
-    mismatches, and timeouts each raise a distinct error; after any of those
-    the worker is discarded and a fresh one is spawned on the next call. An
-    ``error`` response is an ordinary evaluation failure and leaves the
-    worker running.
+    serialized over its single pipe. A command that cannot be started raises
+    EvaluatorTerminatedError on each call. Worker exit, malformed responses,
+    id mismatches, and timeouts each raise a distinct error; after any of
+    those the worker is discarded and a fresh one is spawned on the next
+    call. An ``error`` response is an ordinary evaluation failure and leaves
+    the worker running.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 300.0):

@@ -22,10 +22,12 @@ Each benchmark is optimized independently, in four phases:
 The search is one sequential decision chain, so it runs serially: each
 benchmark gets one ``_Session``, the only code that evaluates. It counts
 requests and distinct configurations, validates each new response, and
-normalizes and scores it once. The log keeps one record per distinct
-configuration per benchmark, tagged with the phase that first requested it,
-so its length is exactly the unique-evaluation count that percent-explored
-reporting is based on.
+normalizes and scores it once. It builds its benchmark's normalization
+context from the one-shot records, checks the weights against it once and
+returns it as ``BenchmarkResult.normalization``. The log keeps one record
+per distinct configuration per benchmark, tagged with the phase that first
+requested it, so its length is exactly the unique-evaluation count that
+percent-explored reporting is based on.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .objective import (  # noqa: F401 -- objective: see map_ordered
     WeightVector,
     build_context,
     check_metrics,
+    check_weights,
     objective,
     validate_weights,
     weighted_sum,
@@ -102,8 +105,7 @@ class BenchmarkResult:
     objective: float | None
     significance: dict[str, float]
     partition: Partition | None
-    maxima: dict[str, float]
-    degenerate: tuple[str, ...]
+    normalization: NormalizationContext | None
     unique_evaluations: int
     total_requests: int
     records: list[EvalRecord]
@@ -123,14 +125,6 @@ class RunResult:
         for result in self.benchmarks.values():
             out.extend(result.records)
         return out
-
-    def context(self) -> NormalizationContext:
-        ctx = NormalizationContext()
-        for name, result in self.benchmarks.items():
-            if result.maxima:
-                ctx.maxima[name] = dict(result.maxima)
-                ctx.degenerate.update((name, m) for m in result.degenerate)
-        return ctx
 
     @property
     def failed(self) -> list[str]:
@@ -157,7 +151,6 @@ class _Session:
         self.evaluator = evaluator
         self.weights = weights
         self.ctx: NormalizationContext | None = None
-        self.metric_names: frozenset[str] = frozenset()
         self.records: list[EvalRecord] = []
         self._logged: dict[tuple, EvalRecord] = {}
         self.total_requests = 0
@@ -171,7 +164,7 @@ class _Session:
             seq = len(self.records)
             record = EvalRecord(self.benchmark, phase, seq, dict(config), dict(metrics))
             if self.ctx is not None:
-                check_metrics(self.benchmark, record.metrics, self.metric_names)
+                check_metrics(self.benchmark, record.metrics, self.ctx.maxima.keys())
                 self._score(record)
             self._logged[key] = record
             self.records.append(record)
@@ -179,22 +172,21 @@ class _Session:
 
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
         """Build the normalization context from the one-shot records; score them."""
-        self.metric_names = frozenset(records[0].metrics)
-        violations = validate_weights(self.weights, self.metric_names)
+        names = records[0].metrics.keys()
+        violations = validate_weights(self.weights, names)
         if violations:
             raise ValueError("invalid weights: " + "; ".join(violations))
         for record in records:
-            check_metrics(self.benchmark, record.metrics, self.metric_names)
-        self.ctx = build_context((self.benchmark, r.metrics) for r in records)
+            check_metrics(self.benchmark, record.metrics, names)
+        self.ctx = build_context(r.metrics for r in records)
+        check_weights(self.benchmark, self.ctx, self.weights)
         for record in records:
             self._score(record)
 
     def _score(self, record: EvalRecord) -> None:
         assert self.ctx is not None
-        record.normalized = self.ctx.normalize(self.benchmark, record.metrics)
-        record.objective = weighted_sum(
-            record.normalized, self.ctx, self.benchmark, self.weights
-        )
+        record.normalized = self.ctx.normalize(record.metrics)
+        record.objective = weighted_sum(record.normalized, self.weights)
 
     def result(
         self,
@@ -203,8 +195,6 @@ class _Session:
         part: Partition | None,
         error: str | None = None,
     ) -> BenchmarkResult:
-        ctx = self.ctx
-        degenerate = ctx.degenerate if ctx else set()
         return BenchmarkResult(
             benchmark=self.benchmark,
             best_config=None if best is None else dict(best.config),
@@ -212,8 +202,7 @@ class _Session:
             objective=None if best is None else best.objective,
             significance=significance,
             partition=part,
-            maxima=dict(ctx.maxima[self.benchmark]) if ctx else {},
-            degenerate=tuple(sorted(m for (b, m) in degenerate if b == self.benchmark)),
+            normalization=self.ctx,
             unique_evaluations=len(self.records),
             total_requests=self.total_requests,
             records=self.records,

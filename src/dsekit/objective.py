@@ -1,11 +1,14 @@
 """Weighted-sum objective over normalized minimize-direction metrics.
 
-Raw metric vectors are normalized against per-benchmark maxima collected in
-the one-shot phase; the scalar objective F is the weighted sum of the
-normalized components. Lower F is always better — metrics the user wants to
-maximize must be supplied as a minimizing proxy (e.g. execution time rather
-than throughput). Values observed after the one-shot phase may exceed the
-recorded maxima; their normalized components are then > 1, by design.
+Each benchmark is normalized on its own: its ``NormalizationContext`` holds
+the per-metric maxima of that benchmark's one-shot records, and raw metric
+vectors are divided by them. The scalar objective F is the weighted sum of
+the normalized components. Lower F is always better — metrics the user wants
+to maximize must be supplied as a minimizing proxy (e.g. execution time
+rather than throughput). Values observed after the one-shot phase may exceed
+the recorded maxima; their normalized components are then > 1, by design.
+``check_weights`` refuses a nonzero weight on a degenerate metric once per
+context, before any record is scored.
 """
 
 from __future__ import annotations
@@ -75,49 +78,47 @@ def parse_weights(text: str) -> dict[str, float]:
 
 @dataclass
 class NormalizationContext:
-    """Per-benchmark, per-metric maxima from the one-shot phase.
+    """One benchmark's per-metric maxima from its one-shot phase.
 
     A metric whose maximum is 0 across all one-shot records is degenerate:
-    its normalized value is defined as 0 and the metric is flagged, so the
-    objective can refuse to weight it.
+    its normalized value is defined as 0 and the metric is flagged, so
+    ``check_weights`` can refuse to weight it.
     """
 
-    maxima: dict[str, dict[str, float]] = field(default_factory=dict)
-    degenerate: set[tuple[str, str]] = field(default_factory=set)
+    maxima: dict[str, float] = field(default_factory=dict)
+    degenerate: set[str] = field(default_factory=set)
 
-    def normalize(self, benchmark: str, metrics: MetricVector) -> dict[str, float]:
-        """Scale a raw metric vector by the benchmark's recorded maxima."""
-        if benchmark not in self.maxima:
-            raise KeyError(f"no normalization data for benchmark {benchmark!r}")
-        maxima = self.maxima[benchmark]
+    def normalize(self, metrics: MetricVector) -> dict[str, float]:
+        """Scale a raw metric vector by the recorded maxima."""
+        maxima, degenerate = self.maxima, self.degenerate
         normalized = {}
         for name, value in metrics.items():
             if name not in maxima:
                 raise KeyError(f"no maximum recorded for metric {name!r}")
-            if (benchmark, name) in self.degenerate:
-                normalized[name] = 0.0
-            else:
-                normalized[name] = value / maxima[name]
+            normalized[name] = 0.0 if name in degenerate else value / maxima[name]
         return normalized
 
 
-def build_context(
-    phase1_records: Iterable[tuple[str, MetricVector]],
-) -> NormalizationContext:
-    """Collect per-benchmark, per-metric maxima from one-shot records."""
-    ctx = NormalizationContext()
-    for benchmark, metrics in phase1_records:
-        per_bench = ctx.maxima.setdefault(benchmark, {})
+def build_context(phase1_metrics: Iterable[MetricVector]) -> NormalizationContext:
+    """Collect per-metric maxima from one benchmark's one-shot records."""
+    maxima: dict[str, float] = {}
+    for metrics in phase1_metrics:
         for name, value in metrics.items():
-            if name not in per_bench or value > per_bench[name]:
-                per_bench[name] = value
-    if not ctx.maxima:
+            if name not in maxima or value > maxima[name]:
+                maxima[name] = value
+    if not maxima:
         raise ValueError("no one-shot records to build a normalization context")
-    for benchmark, per_bench in ctx.maxima.items():
-        for name, maximum in per_bench.items():
-            if maximum == 0:
-                ctx.degenerate.add((benchmark, name))
-    return ctx
+    return NormalizationContext(maxima, {name for name, m in maxima.items() if m == 0})
+
+
+def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVector) -> None:
+    """Refuse a nonzero weight on a degenerate metric; fails only `benchmark`."""
+    for name in ctx.maxima:
+        if name in ctx.degenerate and weights[name] != 0:
+            raise DegenerateMetricError(
+                f"metric {name!r} is 0 in every one-shot record for benchmark "
+                f"{benchmark!r} but carries weight {weights[name]}"
+            )
 
 
 def check_metrics(benchmark: str, metrics: MetricVector, names: AbstractSet[str]) -> None:
@@ -141,27 +142,15 @@ def check_metrics(benchmark: str, metrics: MetricVector, names: AbstractSet[str]
 def objective(
     metrics: MetricVector,
     ctx: NormalizationContext,
-    benchmark: str,
     weights: WeightVector,
 ) -> float:
     """F = sum of weight * (value / one-shot maximum) over all metrics."""
-    return weighted_sum(ctx.normalize(benchmark, metrics), ctx, benchmark, weights)
+    return weighted_sum(ctx.normalize(metrics), weights)
 
 
-def weighted_sum(
-    normalized: MetricVector,
-    ctx: NormalizationContext,
-    benchmark: str,
-    weights: WeightVector,
-) -> float:
+def weighted_sum(normalized: MetricVector, weights: WeightVector) -> float:
     """F of an already normalized metric vector."""
     total = 0.0
     for name, value in normalized.items():
-        w = weights[name]
-        if (benchmark, name) in ctx.degenerate and w != 0:
-            raise DegenerateMetricError(
-                f"metric {name!r} is 0 in every one-shot record for benchmark "
-                f"{benchmark!r} but carries weight {w}"
-            )
-        total += w * value
+        total += weights[name] * value
     return total

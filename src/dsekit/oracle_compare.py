@@ -4,8 +4,8 @@ The oracle enumerates the entire design space — guarded against accidental
 runs on spaces too large to enumerate — and the comparison report gives the
 numbers a designer cares about: per-metric and objective gaps, the fraction
 of the space the methodology actually evaluated, and the resulting speedup
-over full enumeration. The oracle reuses the methodology run's normalization
-context so objective values are directly comparable.
+over full enumeration. The oracle reuses the normalization context of the
+methodology run's benchmark, so objective values are directly comparable.
 """
 
 from __future__ import annotations
@@ -19,16 +19,20 @@ from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
 from .evaluators import Evaluator
 from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
-from .objective import NormalizationContext, WeightVector, check_metrics, objective
+from .objective import (
+    NormalizationContext,
+    WeightVector,
+    check_metrics,
+    check_weights,
+    objective,
+)
 
 DEFAULT_GUARD = 1_000_000
 GUARD_ENV = "DSE_ORACLE_GUARD"
 
 
-def enumeration_guard(guard: int | None = None) -> int:
-    """Effective oracle size limit: argument, else environment, else default."""
-    if guard is not None:
-        return guard
+def enumeration_guard() -> int:
+    """Effective oracle size limit: the environment, else the default."""
     env = os.environ.get(GUARD_ENV)
     if env is not None:
         try:
@@ -53,29 +57,32 @@ def oracle_search(
     evaluator: Evaluator,
     weights: WeightVector,
     ctx: NormalizationContext,
-    guard: int | None = None,
 ) -> OracleResult:
     """Evaluate every configuration; strict-minimum F wins, earliest on ties.
 
-    Each response is checked against the run's metric names and must be
-    finite; a violation raises EvaluationError.
+    `ctx` is the benchmark's context from the methodology run. A nonzero
+    weight on one of its degenerate metrics raises DegenerateMetricError
+    before anything is evaluated. Each response is checked against the
+    context's metric names and must be finite; a violation raises
+    EvaluationError.
     """
-    limit = enumeration_guard(guard)
+    limit = enumeration_guard()
     size = cardinality(space)
     if size > limit:
         raise GuardExceededError(
             f"space cardinality {size} exceeds the enumeration guard {limit}; "
-            f"raise it explicitly (or via {GUARD_ENV}) to run the oracle anyway"
+            f"raise it via {GUARD_ENV} to run the oracle anyway"
         )
 
-    names = ctx.maxima[benchmark].keys()
+    check_weights(benchmark, ctx, weights)
+    names = ctx.maxima.keys()
     best_config: Config | None = None
     best_metrics: dict[str, float] | None = None
     best_value = math.inf
     for config in enumerate_configs(space):
         metrics = evaluator.evaluate(config, benchmark)
         check_metrics(benchmark, metrics, names)
-        value = objective(metrics, ctx, benchmark, weights)
+        value = objective(metrics, ctx, weights)
         if value < best_value:
             best_value = value
             best_config = config

@@ -3,9 +3,9 @@
 All metrics are minimize-direction, so a point dominates another when it is
 componentwise <= and strictly better somewhere. Fronts are computed on raw
 metric values — dominance is scale-free — while the trade-off choice uses
-the run's normalization context and weights: for a weighted-sum objective,
-the front member with minimum F is exactly the first contact point of the
-objective line swept across the front.
+the benchmark's normalization context and the weights: for a weighted-sum
+objective, the front member with minimum F is exactly the first contact
+point of the objective line swept across the front.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def select_tradeoff(
     first = metric_names[0]
 
     def rank(record: EvalRecord) -> tuple[float, float]:
-        value = objective(record.metrics, ctx, record.benchmark, weights)
+        value = objective(record.metrics, ctx, weights)
         return (value, record.metrics[first])
 
     return min(front, key=rank)

@@ -76,7 +76,7 @@ def test_c1_tiny_golden_trace(tiny_space):
     assert bench.unique_evaluations == 5
 
     # the exhaustive oracle lands on the same configuration with zero gap
-    oracle = oracle_search(tiny_space, "t", evaluator, TINY_WEIGHTS, result.context())
+    oracle = oracle_search(tiny_space, "t", evaluator, TINY_WEIGHTS, bench.normalization)
     assert oracle.best_config == bench.best_config
     report = compare(result, {"t": oracle}).benchmarks["t"]
     assert report.objective_gap_pct == 0.0
@@ -112,7 +112,7 @@ def test_c2_separable_exact_optimality():
                 assert found == want_cfg, (shape, profile, threshold)
                 if oracle is None:
                     oracle = oracle_search(
-                        space, "sep", evaluator, weights, result.context()
+                        space, "sep", evaluator, weights, bench.normalization
                     )
                 assert config_tuple(space, oracle.best_config) == want_cfg
                 report = compare(result, {"sep": oracle}).benchmarks["sep"]
@@ -145,9 +145,10 @@ def test_c3_synthetic_gap_regression():
     for profile, weights in sorted(WEIGHT_PROFILES.items()):
         evaluator = CachedEvaluator(SyntheticEvaluator())
         result = run(space, evaluator, weights, threshold=150)
-        ctx = result.context()
         oracles = {
-            bench: oracle_search(space, bench, evaluator, weights, ctx)
+            bench: oracle_search(
+                space, bench, evaluator, weights, result.benchmarks[bench].normalization
+            )
             for bench in SYNTH_BENCHMARKS
         }
         report = compare(result, oracles)
@@ -234,12 +235,12 @@ def test_c6_pareto_suite():
 
         w = round(rng.uniform(0.05, 0.95), 3)
         weights = {"power": w, "time": 1.0 - w}
-        ctx = build_context(("b", r.metrics) for r in records)
-        values = [objective(r.metrics, ctx, "b", weights) for r in records]
+        ctx = build_context(r.metrics for r in records)
+        values = [objective(r.metrics, ctx, weights) for r in records]
         best = min(values)
         argmin = records[values.index(best)]
         assert any(f.metrics == argmin.metrics for f in front), log_index
-        assert min(objective(f.metrics, ctx, "b", weights) for f in front) == best
+        assert min(objective(f.metrics, ctx, weights) for f in front) == best
 
         chosen = select_tradeoff(front, ctx, weights)
         factors = {"power": rng.choice(scales), "time": rng.choice(scales)}
@@ -255,7 +256,7 @@ def test_c6_pareto_suite():
         ]
         scaled_front = pareto_front(scaled)
         assert [r.seq for r in scaled_front] == [r.seq for r in front], log_index
-        scaled_ctx = build_context(("b", r.metrics) for r in scaled)
+        scaled_ctx = build_context(r.metrics for r in scaled)
         scaled_chosen = select_tradeoff(scaled_front, scaled_ctx, weights)
         assert scaled_chosen.seq == chosen.seq, log_index
 

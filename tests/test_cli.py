@@ -337,6 +337,30 @@ class TestOracle:
         result = invoke(runner, "oracle", tmp_path / "absent")
         assert result.exit_code == 3
 
+    def test_malformed_guard_exits_1(self, runner, tmp_path):
+        _, run_dir = do_run(runner, tmp_path)
+        result = invoke(runner, "oracle", run_dir, env={"DSE_ORACLE_GUARD": "abc"})
+        assert result.exit_code == 1
+        assert "error: DSE_ORACLE_GUARD must be an integer" in result.stderr
+        assert not (run_dir / "oracle").exists()
+
+    def test_run_failed_on_degenerate_weight_exits_1(self, runner, tmp_path, monkeypatch):
+        class ZeroPower:
+            def evaluate(self, config, benchmark):
+                return {**tiny_metrics(config["A"], config["B"]), "power": 0.0}
+
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: ZeroPower())
+        result, run_dir = do_run(runner, tmp_path)
+        assert result.exit_code == 2
+        payload = json.loads((run_dir / RESULT_FILE).read_text(encoding="utf-8"))
+        assert payload["benchmarks"]["t"]["normalization"] == {
+            "maxima": {"power": 0.0, "time": 26.0},
+            "degenerate": ["power"],
+        }
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        assert "error: metric 'power' is 0 in every one-shot record" in result.stderr
+
 
 class TestCompareMismatch:
     def test_different_weights_rejected(self, runner, tmp_path):
@@ -452,6 +476,24 @@ class TestExecBackend:
         assert result.exit_code == 2
         payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
         assert "injected failure" in payload["benchmarks"]["t"]["error"]
+
+    def test_unstartable_worker_fails_run_with_exit_2(self, runner, tmp_path):
+        worker = f"exec:{tmp_path / 'absent-worker'}"
+        result, out_dir = do_run(runner, tmp_path, out="bad", **{"--evaluator": worker})
+        assert result.exit_code == 2
+        assert "t: FAILED: evaluator terminated: cannot start worker" in result.stdout
+        payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
+        assert "cannot start worker" in payload["benchmarks"]["t"]["error"]
+
+    def test_unstartable_worker_fails_oracle_with_exit_2(self, runner, tmp_path):
+        _, run_dir = do_run(runner, tmp_path)
+        manifest_file = run_dir / MANIFEST_FILE
+        manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        manifest["evaluator"] = f"exec:{tmp_path / 'absent-worker'}"
+        manifest_file.write_text(json.dumps(manifest), encoding="utf-8")
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 2
+        assert "error: evaluator terminated: cannot start worker" in result.stderr
 
 
 class TinyBackend:

@@ -80,10 +80,9 @@ class TestValidate:
 
 
 class TestCardinality:
-    def test_full_and_subset(self, tiny_space):
+    def test_full_space(self, tiny_space):
         assert cardinality(tiny_space) == 6
-        assert cardinality(tiny_space, ["A"]) == 3
-        assert cardinality(tiny_space, []) == 1
+        assert cardinality(make_space([("A", [1, 2, 4])], ["b"])) == 3
 
 
 class TestEnumerate:

@@ -80,7 +80,7 @@ class TestOneShot:
         assert bench.significance["A"] == pytest.approx(TINY_D_A, rel=1e-12)
         assert bench.significance["B"] == pytest.approx(TINY_D_B, rel=1e-12)
         assert phase_configs(bench, PHASE_EXHAUSTIVE) == [{"A": 4, "B": 200}]
-        assert bench.maxima == {"power": 2.2, "time": 26.0}
+        assert bench.normalization.maxima == {"power": 2.2, "time": 26.0}
 
     def test_tiny_records(self, tiny_space, tiny_evaluator):
         bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
@@ -132,7 +132,7 @@ class TestOneShot:
             [(1, 2, 4), (100, 200)],
             lambda cfg: tiny_evaluator.evaluate({"A": cfg[0], "B": cfg[1]}, "t"),
         )
-        assert bench.maxima == want
+        assert bench.normalization.maxima == want
 
 
 class TestPartition:
@@ -358,8 +358,8 @@ class TestRunTiny:
         assert bench.significance["B"] == pytest.approx(TINY_D_B, rel=1e-12)
         assert bench.partition.exhaustive == ("A",)
         assert bench.partition.greedy == ("B",)
-        assert bench.maxima == {"power": 2.2, "time": 26.0}
-        assert bench.degenerate == ()
+        assert bench.normalization.maxima == {"power": 2.2, "time": 26.0}
+        assert bench.normalization.degenerate == set()
         assert bench.unique_evaluations == 5
         # 3 one-shot + 3 exhaustive + 2 greedy requests; duplicates memoized
         assert bench.total_requests == 8
@@ -467,7 +467,9 @@ class TestRunIsolation:
         bench = result.benchmarks["t"]
         assert bench.error is not None
         assert "power" in bench.error
-        assert bench.degenerate == ("power",)
+        assert bench.normalization.degenerate == {"power"}
+        # the one-shot records are logged, none of them normalized or scored
+        assert [(r.normalized, r.objective) for r in bench.records] == [(None, None)] * 3
 
     def test_zero_weight_tolerates_degenerate_metric(self, tiny_space):
         class ZeroPower:

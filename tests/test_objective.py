@@ -12,6 +12,7 @@ from dsekit import (
     parse_weights,
     validate_weights,
 )
+from dsekit.objective import check_weights
 
 from .bruteforce import weighted_objective
 
@@ -64,34 +65,30 @@ class TestParseWeights:
 
 class TestNormalization:
     def test_maxima_come_from_supplied_records(self):
-        ctx = build_context(
-            [("b", {"power": 2.0, "time": 10.0}), ("b", {"power": 4.0, "time": 5.0})]
-        )
-        assert ctx.maxima == {"b": {"power": 4.0, "time": 10.0}}
-        assert ctx.normalize("b", {"power": 2.0, "time": 10.0}) == {
+        ctx = build_context([{"power": 2.0, "time": 10.0}, {"power": 4.0, "time": 5.0}])
+        assert ctx.maxima == {"power": 4.0, "time": 10.0}
+        assert ctx.normalize({"power": 2.0, "time": 10.0}) == {
             "power": 0.5,
             "time": 1.0,
         }
 
     def test_values_above_maximum_normalize_above_one(self):
-        ctx = build_context([("b", {"time": 10.0})])
-        assert ctx.normalize("b", {"time": 25.0}) == {"time": 2.5}
+        ctx = build_context([{"time": 10.0}])
+        assert ctx.normalize({"time": 25.0}) == {"time": 2.5}
 
-    def test_unknown_benchmark_or_metric(self):
-        ctx = build_context([("b", {"time": 10.0})])
+    def test_unknown_metric(self):
+        ctx = build_context([{"time": 10.0}])
         with pytest.raises(KeyError):
-            ctx.normalize("other", {"time": 1.0})
-        with pytest.raises(KeyError):
-            ctx.normalize("b", {"power": 1.0})
+            ctx.normalize({"power": 1.0})
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             build_context([])
 
     def test_degenerate_metric_normalizes_to_zero(self):
-        ctx = build_context([("b", {"power": 0.0, "time": 10.0})])
-        assert ("b", "power") in ctx.degenerate
-        assert ctx.normalize("b", {"power": 0.0, "time": 5.0}) == {
+        ctx = build_context([{"power": 0.0, "time": 10.0}])
+        assert ctx.degenerate == {"power"}
+        assert ctx.normalize({"power": 0.0, "time": 5.0}) == {
             "power": 0.0,
             "time": 0.5,
         }
@@ -99,32 +96,31 @@ class TestNormalization:
 
 class TestObjective:
     def test_matches_reference_formula(self):
-        ctx = build_context(
-            [("b", {"power": 2.2, "time": 26.0}), ("b", {"power": 1.0, "time": 4.0})]
-        )
+        ctx = build_context([{"power": 2.2, "time": 26.0}, {"power": 1.0, "time": 4.0}])
         weights = {"power": 0.1, "time": 0.9}
         metrics = {"power": 2.2, "time": 24.4}
-        got = objective(metrics, ctx, "b", weights)
-        want = weighted_objective(metrics, weights, ctx.maxima["b"])
+        got = objective(metrics, ctx, weights)
+        want = weighted_objective(metrics, weights, ctx.maxima)
         assert got == want == 0.1 * 1.0 + 0.9 * (24.4 / 26.0)
 
     def test_weighted_degenerate_metric_raises(self):
-        ctx = build_context([("b", {"power": 0.0, "time": 10.0})])
-        with pytest.raises(DegenerateMetricError):
-            objective({"power": 0.0, "time": 5.0}, ctx, "b", {"power": 0.5, "time": 0.5})
+        ctx = build_context([{"power": 0.0, "time": 10.0}])
+        with pytest.raises(DegenerateMetricError, match="'power' is 0 .* benchmark 'b'"):
+            check_weights("b", ctx, {"power": 0.5, "time": 0.5})
 
     def test_zero_weight_ignores_degenerate_metric(self):
-        ctx = build_context([("b", {"power": 0.0, "time": 10.0})])
-        value = objective({"power": 0.0, "time": 5.0}, ctx, "b", {"power": 0.0, "time": 1.0})
+        ctx = build_context([{"power": 0.0, "time": 10.0}])
+        check_weights("b", ctx, {"power": 0.0, "time": 1.0})
+        value = objective({"power": 0.0, "time": 5.0}, ctx, {"power": 0.0, "time": 1.0})
         assert value == 0.5
 
     @given(metric_vectors(min_value=1e-3), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_bounds_on_oneshot_records(self, metrics, w):
         """F of a record that set the maxima lies in [0, 1]."""
-        ctx = build_context([("b", metrics)])
+        ctx = build_context([metrics])
         weights = {"power": w, "time": 1.0 - w}
-        value = objective(metrics, ctx, "b", weights)
+        value = objective(metrics, ctx, weights)
         assert 0.0 <= value <= 1.0 + 1e-12
         # the record attaining every maximum scores exactly the weight sum
         assert math.isclose(value, 1.0)
@@ -135,13 +131,13 @@ class TestObjective:
     )
     @settings(max_examples=100, deadline=None)
     def test_linearity_in_each_metric(self, vectors, w):
-        ctx = build_context([("b", m) for m in vectors])
+        ctx = build_context(vectors)
         weights = {"power": w, "time": 1.0 - w}
         a, b = vectors[0], vectors[1]
-        fa = objective(a, ctx, "b", weights)
-        fb = objective(b, ctx, "b", weights)
+        fa = objective(a, ctx, weights)
+        fb = objective(b, ctx, weights)
         mid = {k: (a[k] + b[k]) / 2 for k in a}
-        fmid = objective(mid, ctx, "b", weights)
+        fmid = objective(mid, ctx, weights)
         assert math.isclose(fmid, (fa + fb) / 2, rel_tol=1e-9, abs_tol=1e-12)
 
     @given(
@@ -150,8 +146,8 @@ class TestObjective:
     )
     @settings(max_examples=100, deadline=None)
     def test_dominated_vector_never_scores_lower(self, vectors, w):
-        ctx = build_context([("b", m) for m in vectors])
+        ctx = build_context(vectors)
         weights = {"power": w, "time": 1.0 - w}
         base = vectors[0]
         worse = {k: v * 1.5 for k, v in base.items()}
-        assert objective(worse, ctx, "b", weights) >= objective(base, ctx, "b", weights)
+        assert objective(worse, ctx, weights) >= objective(base, ctx, weights)

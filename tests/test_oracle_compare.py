@@ -4,6 +4,7 @@ import pytest
 
 from dsekit import (
     CachedEvaluator,
+    DegenerateMetricError,
     EvaluationError,
     GuardExceededError,
     SepMonoEvaluator,
@@ -19,14 +20,15 @@ from .conftest import TINY_WEIGHTS, tiny_metrics
 TINY_BEST_F = 0.3513986013986014
 
 
+def tiny_ctx(result):
+    """The normalization context of a tiny-space run's only benchmark."""
+    return result.benchmarks["t"].normalization
+
+
 class TestEnumerationGuard:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(GUARD_ENV, raising=False)
         assert enumeration_guard() == DEFAULT_GUARD
-
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV, "5")
-        assert enumeration_guard(77) == 77
 
     def test_environment_override(self, monkeypatch):
         monkeypatch.setenv(GUARD_ENV, "123")
@@ -45,7 +47,7 @@ class TestOracleSearch:
     def test_finds_global_optimum(self, tiny_space, tiny_evaluator):
         result = self.tiny_run(tiny_space, tiny_evaluator)
         oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context()
+            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
         )
         assert oracle.best_config == {"A": 4, "B": 200}
         assert oracle.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
@@ -58,24 +60,38 @@ class TestOracleSearch:
                 return {"power": 1.0, "time": 1.0}
 
         ctx_run = run(tiny_space, Flat(), TINY_WEIGHTS, 3)
-        oracle = oracle_search(tiny_space, "t", Flat(), TINY_WEIGHTS, ctx_run.context())
+        oracle = oracle_search(tiny_space, "t", Flat(), TINY_WEIGHTS, tiny_ctx(ctx_run))
         assert oracle.best_config == {"A": 1, "B": 100}
 
-    def test_guard_blocks_large_spaces(self, tiny_space, tiny_evaluator):
+    def test_guard_blocks_large_spaces(self, tiny_space, tiny_evaluator, monkeypatch):
         result = self.tiny_run(tiny_space, tiny_evaluator)
+        monkeypatch.setenv(GUARD_ENV, "5")
         with pytest.raises(GuardExceededError, match="enumeration guard 5"):
-            oracle_search(
-                tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context(), guard=5
-            )
+            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result))
+
+    def test_weighted_degenerate_metric_raises_before_evaluating(self, tiny_space):
+        class NoPower:
+            calls = 0
+
+            def evaluate(self, config, benchmark):
+                NoPower.calls += 1
+                return {"power": 0.0, "time": float(config["A"])}
+
+        result = self.tiny_run(tiny_space, NoPower())
+        assert result.benchmarks["t"].error is not None
+        NoPower.calls = 0
+        with pytest.raises(DegenerateMetricError, match="benchmark 't'"):
+            oracle_search(tiny_space, "t", NoPower(), TINY_WEIGHTS, tiny_ctx(result))
+        assert NoPower.calls == 0
 
     def test_environment_guard_applies(self, tiny_space, tiny_evaluator, monkeypatch):
         monkeypatch.setenv(GUARD_ENV, "5")
         result = self.tiny_run(tiny_space, tiny_evaluator)
         with pytest.raises(GuardExceededError):
-            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context())
+            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result))
         monkeypatch.setenv(GUARD_ENV, "6")
         oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context()
+            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
         )
         assert oracle.evaluations == 6
 
@@ -97,7 +113,7 @@ class TestOracleSearch:
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
         monkeypatch.setattr(oc, "enumerate_configs", enumerate_logged)
-        oracle_search(tiny_space, "t", Logged(), TINY_WEIGHTS, result.context())
+        oracle_search(tiny_space, "t", Logged(), TINY_WEIGHTS, tiny_ctx(result))
         assert events == ["next", "evaluate"] * 6
 
     @pytest.mark.parametrize(
@@ -117,7 +133,7 @@ class TestOracleSearch:
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
         with pytest.raises(EvaluationError, match="benchmark 't'"):
-            oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, result.context())
+            oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, tiny_ctx(result))
 
 
 class TestCompare:
@@ -125,7 +141,7 @@ class TestCompare:
         cache = CachedEvaluator(tiny_evaluator)
         result = run(tiny_space, cache, TINY_WEIGHTS, 3)
         oracle = oracle_search(
-            tiny_space, "t", cache, TINY_WEIGHTS, result.context()
+            tiny_space, "t", cache, TINY_WEIGHTS, tiny_ctx(result)
         )
         report = compare(result, {"t": oracle})
         row = report.benchmarks["t"]
@@ -154,7 +170,7 @@ class TestCompare:
         result = run(tiny_space, Bumpy(), {"power": 1.0, "time": 0.0}, 1)
         bench = result.benchmarks["t"]
         oracle = oracle_search(
-            tiny_space, "t", Bumpy(), {"power": 1.0, "time": 0.0}, result.context()
+            tiny_space, "t", Bumpy(), {"power": 1.0, "time": 0.0}, tiny_ctx(result)
         )
         assert oracle.best_config == {"A": 1, "B": 200}
         report = compare(result, {"t": oracle})
@@ -166,7 +182,7 @@ class TestCompare:
     def test_rejects_unknown_or_failed_benchmarks(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
         oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context()
+            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
         )
         with pytest.raises(ValueError, match="no benchmark"):
             compare(result, {"other": oracle})
@@ -174,7 +190,7 @@ class TestCompare:
     def test_rejects_oracle_worse_than_log(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
         oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, result.context()
+            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
         )
         oracle.objective = result.benchmarks["t"].objective + 0.5
         with pytest.raises(DseError, match="not comparable"):
@@ -192,7 +208,7 @@ class TestCompare:
         evaluator = SepMonoEvaluator(tiny_space)
         result = run(tiny_space, evaluator, TINY_WEIGHTS, 3)
         oracle = oracle_search(
-            tiny_space, "t", evaluator, TINY_WEIGHTS, result.context()
+            tiny_space, "t", evaluator, TINY_WEIGHTS, tiny_ctx(result)
         )
         report = compare(result, {"t": oracle})
         assert report.benchmarks["t"].objective_gap_pct == 0.0

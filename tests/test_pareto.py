@@ -162,19 +162,19 @@ class TestParetoFront:
 class TestSelectTradeoff:
     def test_picks_minimum_objective(self):
         records = [record(0, 5.0, 1.0), record(1, 1.0, 5.0), record(2, 3.0, 3.0)]
-        ctx = build_context([("b", r.metrics) for r in records])
+        ctx = build_context([r.metrics for r in records])
         front = pareto_front(records)
         for w in (0.0, 0.1, 0.5, 0.9, 1.0):
             weights = {"power": w, "time": 1.0 - w}
             pick = select_tradeoff(front, ctx, weights)
             best = min(
-                objective(r.metrics, ctx, "b", weights) for r in front
+                objective(r.metrics, ctx, weights) for r in front
             )
-            assert objective(pick.metrics, ctx, "b", weights) == best
+            assert objective(pick.metrics, ctx, weights) == best
 
     def test_extreme_weights_pick_extreme_points(self):
         records = [record(0, 5.0, 1.0), record(1, 1.0, 5.0), record(2, 3.0, 3.0)]
-        ctx = build_context([("b", r.metrics) for r in records])
+        ctx = build_context([r.metrics for r in records])
         front = pareto_front(records)
         all_power = select_tradeoff(front, ctx, {"power": 1.0, "time": 0.0})
         assert all_power.metrics["power"] == 1.0
@@ -184,13 +184,13 @@ class TestSelectTradeoff:
     def test_tie_breaks_on_first_metric(self):
         # both points normalize to F = 1 under equal maxima
         records = [record(0, 4.0, 2.0), record(1, 2.0, 4.0)]
-        ctx = build_context([("b", r.metrics) for r in records])
+        ctx = build_context([r.metrics for r in records])
         front = pareto_front(records)
         pick = select_tradeoff(front, ctx, {"power": 0.5, "time": 0.5})
         assert pick.metrics["power"] == 2.0
 
     def test_empty_front_rejected(self):
-        ctx = build_context([("b", {"power": 1.0, "time": 1.0})])
+        ctx = build_context([{"power": 1.0, "time": 1.0}])
         with pytest.raises(ValueError):
             select_tradeoff([], ctx, {"power": 0.5, "time": 0.5})
 
@@ -199,15 +199,15 @@ class TestSelectTradeoff:
         records = [
             record(i, rng.uniform(1, 10), rng.uniform(1, 10)) for i in range(50)
         ]
-        ctx = build_context([("b", r.metrics) for r in records])
+        ctx = build_context([r.metrics for r in records])
         front = pareto_front(records)
         pick = select_tradeoff(front, ctx, {"power": 0.3, "time": 0.7})
         assert pick in front
         # the weighted minimum over the whole log lies on the front
         best_all = min(
-            objective(r.metrics, ctx, "b", {"power": 0.3, "time": 0.7})
+            objective(r.metrics, ctx, {"power": 0.3, "time": 0.7})
             for r in records
         )
         assert objective(
-            pick.metrics, ctx, "b", {"power": 0.3, "time": 0.7}
+            pick.metrics, ctx, {"power": 0.3, "time": 0.7}
         ) == pytest.approx(best_all, rel=1e-12)
