@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -42,13 +43,32 @@ COMPARE_JSON_FILE = "compare.json"
 COMPARE_TXT_FILE = "compare.txt"
 SWEEP_FILE = "sweep.csv"
 
+#: Manifest keys, with their JSON types, that ``oracle`` and ``compare`` read.
+_MANIFEST_KEYS = {"space_sha256": str, "weights": dict, "evaluator": str, "replay_hash": str}
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def _reading(path: Path | str):
+    """Report a missing key or a wrong shape in the document at ``path`` as
+    a ValueError that names the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: malformed: {exc}") from None
+
+
 def _load_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+    with _reading(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return payload
 
 
 def space_hash(space: DesignSpace) -> str:
@@ -219,13 +239,23 @@ def write_pareto_csv(
 
 
 def load_run(run_dir: Path) -> tuple[dict, RunResult]:
-    """Rebuild a RunResult (manifest, results, full log) from a run directory."""
-    manifest = _load_json(run_dir / MANIFEST_FILE)
+    """Rebuild a RunResult (manifest, results, full log) from a run directory.
+
+    A missing key or a wrong shape in one of its files is a ValueError that
+    names the file.
+    """
+    manifest_path = run_dir / MANIFEST_FILE
+    manifest = _load_json(manifest_path)
+    for key, kind in _MANIFEST_KEYS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{manifest_path}: {key!r} is missing or not a {kind.__name__}")
     space = load_space(run_dir / SPACE_FILE)
-    payload = _load_json(run_dir / RESULT_FILE)
+    result_path = run_dir / RESULT_FILE
+    payload = _load_json(result_path)
+    evals_path = run_dir / EVALS_FILE
 
     records: dict[str, list[EvalRecord]] = {}
-    with open(run_dir / EVALS_FILE, newline="", encoding="utf-8") as fh:
+    with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         params = [n for n in fields if n in set(space.names)]
@@ -250,38 +280,39 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             records.setdefault(record.benchmark, []).append(record)
 
     benchmarks: dict[str, BenchmarkResult] = {}
-    for name, entry in payload["benchmarks"].items():
-        part = entry.get("partition")
-        norm = entry["normalization"]
-        benchmarks[name] = BenchmarkResult(
-            benchmark=name,
-            best_config=entry["best_config"],
-            best_metrics=entry["best_metrics"],
-            objective=entry["objective"],
-            significance=entry["significance"],
-            partition=Partition(
-                exhaustive=tuple(part["exhaustive"]),
-                greedy=tuple(part["greedy"]),
-                oneshot=tuple(part["oneshot"]),
-                num_exhaustive=part["num_exhaustive"],
-                warnings=tuple(part["warnings"]),
+    with _reading(result_path):
+        for name, entry in payload["benchmarks"].items():
+            part = entry.get("partition")
+            norm = entry["normalization"]
+            benchmarks[name] = BenchmarkResult(
+                benchmark=name,
+                best_config=entry["best_config"],
+                best_metrics=entry["best_metrics"],
+                objective=entry["objective"],
+                significance=entry["significance"],
+                partition=Partition(
+                    exhaustive=tuple(part["exhaustive"]),
+                    greedy=tuple(part["greedy"]),
+                    oneshot=tuple(part["oneshot"]),
+                    num_exhaustive=part["num_exhaustive"],
+                    warnings=tuple(part["warnings"]),
+                )
+                if part
+                else None,
+                normalization=NormalizationContext(norm["maxima"], set(norm["degenerate"]))
+                if norm["maxima"]
+                else None,
+                unique_evaluations=entry["unique_evaluations"],
+                total_requests=entry["total_requests"],
+                records=records.get(name, []),
+                error=entry.get("error"),
             )
-            if part
-            else None,
-            normalization=NormalizationContext(norm["maxima"], set(norm["degenerate"]))
-            if norm["maxima"]
-            else None,
-            unique_evaluations=entry["unique_evaluations"],
-            total_requests=entry["total_requests"],
-            records=records.get(name, []),
-            error=entry.get("error"),
+        run = RunResult(
+            space=space,
+            weights={name: float(w) for name, w in payload["weights"].items()},
+            threshold=payload["threshold"],
+            benchmarks=benchmarks,
         )
-    run = RunResult(
-        space=space,
-        weights=payload["weights"],
-        threshold=payload["threshold"],
-        benchmarks=benchmarks,
-    )
     return manifest, run
 
 
@@ -318,16 +349,17 @@ def load_oracle(oracle_dir: Path) -> dict:
 
 
 def oracle_results_from_payload(payload: Mapping) -> dict[str, OracleResult]:
-    return {
-        name: OracleResult(
-            benchmark=name,
-            best_config=entry["best_config"],
-            best_metrics=entry["best_metrics"],
-            objective=entry["objective"],
-            evaluations=entry["evaluations"],
-        )
-        for name, entry in payload["benchmarks"].items()
-    }
+    with _reading(ORACLE_FILE):
+        return {
+            name: OracleResult(
+                benchmark=name,
+                best_config=entry["best_config"],
+                best_metrics=entry["best_metrics"],
+                objective=entry["objective"],
+                evaluations=entry["evaluations"],
+            )
+            for name, entry in payload["benchmarks"].items()
+        }
 
 
 def compare_payload(report: ComparisonReport) -> dict:

@@ -1,8 +1,11 @@
 """Command-line harness: validate, run, oracle, compare, sweep.
 
 Exit codes: 0 success, 1 validation problem, 2 evaluator failure, 3 I/O
-problem. Runs are addressed by their output directory — ``oracle`` and
-``compare`` read the manifest and artifacts a previous ``run`` wrote.
+problem. Commands raise and ``exit_code`` alone maps the failure to its
+code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
+``ValueError`` → 1. Runs are addressed by their output directory —
+``oracle`` and ``compare`` read the manifest and artifacts a previous
+``run`` wrote.
 """
 
 from __future__ import annotations
@@ -21,13 +24,7 @@ from .design_space import (
     validate,
     validation_warnings,
 )
-from .errors import (
-    DegenerateMetricError,
-    DseError,
-    EvaluationError,
-    GuardExceededError,
-    TableLoadError,
-)
+from .errors import DseError, EvaluationError
 from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_evaluator
 from .explorer import RunResult, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
@@ -40,36 +37,47 @@ EXIT_EVALUATOR = 2
 EXIT_IO = 3
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def exit_code(exc: BaseException) -> int | None:
+    """The exit code of a failure, or None for one that is a bug."""
+    if isinstance(exc, OSError):
+        return EXIT_IO
+    if isinstance(exc, EvaluationError):
+        return EXIT_EVALUATOR
+    if isinstance(exc, (DseError, ValueError)):
+        return EXIT_VALIDATION
+    return None
 
 
-def _resolve_space(spec: str) -> Path:
-    """A path to a space file, or the name of a shipped space."""
+class _Main(click.Group):
+    """The command group; a mapped failure prints ``error: ...`` and exits."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:
+            code = exit_code(exc)
+            if code is None:
+                raise
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(code)
+
+
+def _load_space(spec: str) -> tuple[DesignSpace, list[str]]:
+    """A space file path or shipped space name: the space and its violations."""
     path = Path(spec)
-    if path.exists():
-        return path
-    try:
-        return shipped_space_path(spec)
-    except FileNotFoundError:
-        _fail(EXIT_IO, f"space file not found: {spec}")
-        raise AssertionError  # unreachable
+    if not path.exists():
+        try:
+            path = shipped_space_path(spec)
+        except FileNotFoundError:
+            raise FileNotFoundError(f"space file not found: {spec}") from None
+    space = load_space(path)
+    return space, validate(space)
 
 
 def _load_valid_space(spec: str) -> DesignSpace:
-    path = _resolve_space(spec)
-    try:
-        space = load_space(path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read space file: {exc}")
-        raise
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise
-    violations = validate(space)
+    space, violations = _load_space(spec)
     if violations:
-        _fail(EXIT_VALIDATION, "invalid space: " + "; ".join(violations))
+        raise ValueError("invalid space: " + "; ".join(violations))
     for warning in validation_warnings(space):
         click.echo(f"warning: {warning}", err=True)
     return space
@@ -77,33 +85,15 @@ def _load_valid_space(spec: str) -> DesignSpace:
 
 def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str, float]:
     if (weights_text is None) == (profile is None):
-        _fail(EXIT_VALIDATION, "give exactly one of --weights or --profile")
+        raise ValueError("give exactly one of --weights or --profile")
     if profile is not None:
         return dict(WEIGHT_PROFILES[profile])
-    try:
-        return parse_weights(weights_text)  # type: ignore[arg-type]
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise AssertionError
-
-
-def _build_evaluator(spec: str, space: DesignSpace, timeout: float) -> Evaluator:
-    try:
-        return make_evaluator(spec, space, timeout=timeout)
-    except FileNotFoundError as exc:
-        _fail(EXIT_IO, str(exc))
-    except OSError as exc:
-        _fail(EXIT_IO, str(exc))
-    except TableLoadError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    raise AssertionError
+    return parse_weights(weights_text)  # type: ignore[arg-type]
 
 
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
-        _fail(EXIT_VALIDATION, "--jobs must be >= 1")
+        raise ValueError("--jobs must be >= 1")
 
 
 def _close_evaluator(evaluator: Evaluator) -> None:
@@ -134,6 +124,32 @@ def _fronts_and_choices(result: RunResult):
     return fronts, chosen
 
 
+def _run_threshold(
+    space: DesignSpace,
+    space_spec: str,
+    weights: dict[str, float],
+    evaluator: Evaluator,
+    evaluator_spec: str,
+    jobs: int,
+    threshold: int,
+    out: Path,
+) -> RunResult:
+    """One search at one threshold, written to its own run directory."""
+    result = run_search(space, evaluator, weights, threshold)
+    manifest = artifacts.build_manifest(
+        space,
+        space_file=space_spec,
+        threshold=threshold,
+        weights=weights,
+        evaluator_spec=evaluator_spec,
+        jobs=jobs,
+        out_dir=str(out),
+    )
+    fronts, chosen = _fronts_and_choices(result)
+    artifacts.write_run_dir(out, result, manifest, fronts, chosen)
+    return result
+
+
 def _echo_run_summary(result: RunResult) -> None:
     for name, bench in result.benchmarks.items():
         if bench.error is not None:
@@ -149,15 +165,7 @@ def _echo_run_summary(result: RunResult) -> None:
         )
 
 
-def _write_run_artifacts(out: Path, result: RunResult, manifest: dict) -> None:
-    try:
-        fronts, chosen = _fronts_and_choices(result)
-        artifacts.write_run_dir(out, result, manifest, fronts, chosen)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write run artifacts: {exc}")
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="dsekit")
 def main() -> None:
     """Design-space exploration for discrete black-box parameter tuning."""
@@ -167,16 +175,7 @@ def main() -> None:
 @click.argument("space_file")
 def validate_cmd(space_file: str) -> None:
     """Check a space definition file; exit 0 only if it is valid."""
-    path = _resolve_space(space_file)
-    try:
-        space = load_space(path)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot read space file: {exc}")
-        raise
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise
-    violations = validate(space)
+    space, violations = _load_space(space_file)
     for violation in violations:
         click.echo(f"violation: {violation}")
     for warning in validation_warnings(space):
@@ -211,32 +210,19 @@ def run_cmd(
     """Run the four-phase search and write run artifacts."""
     space = _load_valid_space(space_spec)
     if threshold < 1:
-        _fail(EXIT_VALIDATION, "threshold must be >= 1")
+        raise ValueError("threshold must be >= 1")
     weights = _resolve_weights(weights_text, profile)
-    evaluator = _build_evaluator(evaluator_spec, space, timeout)
+    evaluator = make_evaluator(evaluator_spec, space, timeout=timeout)
     _check_jobs(jobs)
-
     try:
-        result = run_search(space, evaluator, weights, threshold)
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise
+        result = _run_threshold(
+            space, space_spec, weights, evaluator, evaluator_spec, jobs, threshold, out_dir
+        )
     finally:
         _close_evaluator(evaluator)
-
-    manifest = artifacts.build_manifest(
-        space,
-        space_file=space_spec,
-        threshold=threshold,
-        weights=weights,
-        evaluator_spec=evaluator_spec,
-        jobs=jobs,
-        out_dir=str(out_dir),
-    )
-    _write_run_artifacts(out_dir, result, manifest)
     _echo_run_summary(result)
     if result.failed:
-        _fail(EXIT_EVALUATOR, f"evaluation failed for: {', '.join(result.failed)}")
+        raise EvaluationError(f"evaluation failed for: {', '.join(result.failed)}")
 
 
 @main.command(name="oracle")
@@ -246,24 +232,11 @@ def run_cmd(
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
     """Exhaustively search the space a run used, with the run's context."""
-    try:
-        manifest, run_result = artifacts.load_run(run_dir)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot load run directory: {exc}")
-        raise
-    except (KeyError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, f"malformed run directory: {exc}")
-        raise
-    try:
-        guard = enumeration_guard()
-    except ValueError as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise
+    manifest, run_result = artifacts.load_run(run_dir)
+    guard = enumeration_guard()
     space = run_result.space
-    evaluator = _build_evaluator(manifest["evaluator"], space, timeout)
+    evaluator = make_evaluator(manifest["evaluator"], space, timeout=timeout)
     _check_jobs(jobs)
-    out = out_dir if out_dir is not None else run_dir / "oracle"
-
     results = {}
     try:
         for benchmark, bench in run_result.benchmarks.items():
@@ -273,24 +246,16 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
                     err=True,
                 )
                 continue
-            results[benchmark] = oracle_search(
+            best = oracle_search(
                 space, benchmark, evaluator, run_result.weights, bench.normalization
             )
-            best = results[benchmark]
+            results[benchmark] = best
             config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
             click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
-    except (GuardExceededError, DegenerateMetricError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    except EvaluationError as exc:
-        _fail(EXIT_EVALUATOR, str(exc))
     finally:
         _close_evaluator(evaluator)
-
-    payload = artifacts.oracle_payload(manifest, guard, results)
-    try:
-        artifacts.write_oracle(out, payload)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write oracle artifacts: {exc}")
+    out = out_dir if out_dir is not None else run_dir / "oracle"
+    artifacts.write_oracle(out, artifacts.oracle_payload(manifest, guard, results))
 
 
 @main.command(name="compare")
@@ -299,36 +264,18 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None, help="Output directory (default: RUN_DIR).")
 def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
     """Report gaps, coverage, and speedup of a run against its oracle."""
-    try:
-        manifest, run_result = artifacts.load_run(run_dir)
-        oracle_doc = artifacts.load_oracle(oracle_dir)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot load inputs: {exc}")
-        raise
-    except (KeyError, ValueError) as exc:
-        _fail(EXIT_VALIDATION, f"malformed inputs: {exc}")
-        raise
-
+    manifest, run_result = artifacts.load_run(run_dir)
+    oracle_doc = artifacts.load_oracle(oracle_dir)
     for field in ("space_sha256", "weights", "evaluator"):
-        if oracle_doc.get(field) != manifest.get(field):
-            _fail(
-                EXIT_VALIDATION,
+        if oracle_doc.get(field) != manifest[field]:
+            raise ValueError(
                 f"oracle and run manifests disagree on {field}: "
-                f"{oracle_doc.get(field)!r} vs {manifest.get(field)!r}",
+                f"{oracle_doc.get(field)!r} vs {manifest[field]!r}"
             )
-
     oracle_results = artifacts.oracle_results_from_payload(oracle_doc)
-    try:
-        report = compare_runs(run_result, oracle_results)
-    except (ValueError, DseError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-        raise
-
+    report = compare_runs(run_result, oracle_results)
     out = out_dir if out_dir is not None else run_dir
-    try:
-        artifacts.write_compare(out, report, run_result.space)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write comparison: {exc}")
+    artifacts.write_compare(out, report, run_result.space)
     click.echo(artifacts.render_compare_text(report, run_result.space), nl=False)
 
 
@@ -355,16 +302,14 @@ def sweep_cmd(
     try:
         thresholds = [int(t) for t in thresholds_text.split(",") if t.strip()]
     except ValueError:
-        _fail(EXIT_VALIDATION, f"bad threshold list: {thresholds_text!r}")
-        raise
+        raise ValueError(f"bad threshold list: {thresholds_text!r}") from None
     if len(thresholds) < 2:
-        _fail(EXIT_VALIDATION, "sweep needs at least two thresholds (use run for one)")
+        raise ValueError("sweep needs at least two thresholds (use run for one)")
     if any(t < 1 for t in thresholds):
-        _fail(EXIT_VALIDATION, "thresholds must be >= 1")
-
+        raise ValueError("thresholds must be >= 1")
     space = _load_valid_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
-    evaluator = _build_evaluator(evaluator_spec, space, timeout)
+    evaluator = make_evaluator(evaluator_spec, space, timeout=timeout)
     _check_jobs(jobs)
 
     size = cardinality(space)
@@ -374,22 +319,10 @@ def sweep_cmd(
     try:
         for index, threshold in enumerate(thresholds, start=1):
             cache = CachedEvaluator(evaluator, memo=shared_memo)
-            try:
-                result = run_search(space, cache, weights, threshold)
-            except ValueError as exc:
-                _fail(EXIT_VALIDATION, str(exc))
-                raise
             subdir = out_dir / f"run{index:02d}-T{threshold}"
-            manifest = artifacts.build_manifest(
-                space,
-                space_file=space_spec,
-                threshold=threshold,
-                weights=weights,
-                evaluator_spec=evaluator_spec,
-                jobs=jobs,
-                out_dir=str(subdir),
+            result = _run_threshold(
+                space, space_spec, weights, cache, evaluator_spec, jobs, threshold, subdir
             )
-            _write_run_artifacts(subdir, result, manifest)
             for name, bench in result.benchmarks.items():
                 rows.append(
                     {
@@ -400,23 +333,20 @@ def sweep_cmd(
                         "explored_pct": 100.0 * bench.unique_evaluations / size,
                     }
                 )
-                if bench.error is not None:
-                    failed.append(f"{name} (T={threshold})")
+            failed += [f"{name} (T={threshold})" for name in result.failed]
+            del result  # free this log before the next threshold is searched
     finally:
         _close_evaluator(evaluator)
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        artifacts.write_sweep_csv(out_dir / artifacts.SWEEP_FILE, rows)
-    except OSError as exc:
-        _fail(EXIT_IO, f"cannot write sweep summary: {exc}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts.write_sweep_csv(out_dir / artifacts.SWEEP_FILE, rows)
     for row in rows:
         click.echo(
             f"T={row['threshold']} {row['benchmark']}: F={row['objective']} "
             f"({row['unique_evaluations']} unique, {row['explored_pct']:.4f}% explored)"
         )
     if failed:
-        _fail(EXIT_EVALUATOR, f"evaluation failed for: {', '.join(failed)}")
+        raise EvaluationError(f"evaluation failed for: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

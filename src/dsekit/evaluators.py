@@ -327,13 +327,16 @@ class ExternalEvaluator:
     id mismatches, and timeouts each raise a distinct error; after any of
     those the worker is discarded and a fresh one is spawned on the next
     call. An ``error`` response is an ordinary evaluation failure and leaves
-    the worker running.
+    the worker running. ``timeout`` bounds the wait for each response in
+    seconds; it must be finite and > 0.
     """
 
     def __init__(self, command: str | Sequence[str], timeout: float = 300.0):
         self._argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self._argv:
             raise ValueError("empty worker command")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout}")
         self.timeout = timeout
         self._worker: _Worker | None = None
         self._next_id = 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 import threading
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from dsekit.artifacts import (
     replay_hash,
     space_hash,
 )
-from dsekit import cli
+from dsekit import cli, errors
 from dsekit.cli import main
 
 from .conftest import tiny_metrics, write_tiny_csv
@@ -540,3 +541,91 @@ class TestVersion:
         result = invoke(runner, "--version")
         assert result.exit_code == 0
         assert __version__ in result.stdout
+
+
+#: The exit code of every failure class in ``errors.py``, plus the OS and
+#: value errors the commands let through.
+EXPECTED_EXIT_CODES = {
+    "DseError": 1,
+    "UnknownParameterError": 1,
+    "DegenerateMetricError": 1,
+    "EvaluationError": 2,
+    "UnknownBenchmarkError": 2,
+    "MissingTableRowError": 2,
+    "TableLoadError": 1,
+    "ProtocolError": 2,
+    "EvaluatorTerminatedError": 2,
+    "EvaluationTimeoutError": 2,
+    "GuardExceededError": 1,
+    "FileNotFoundError": 3,
+    "PermissionError": 3,
+    "ValueError": 1,
+}
+FAILURE_CLASSES = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception)
+] + [FileNotFoundError, PermissionError, ValueError]
+
+
+def without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+class TestExitCodePolicy:
+    @pytest.mark.parametrize("cls", FAILURE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_of_each_failure_class(self, cls):
+        assert cli.exit_code(cls("boom")) == EXPECTED_EXIT_CODES[cls.__name__]
+
+    def test_other_exceptions_are_not_mapped(self):
+        assert cli.exit_code(KeyError("x")) is None
+
+    def test_internal_dse_error_exits_1(self, runner, tmp_path, monkeypatch):
+        def worst_only(records):
+            return [max(records, key=lambda r: r.objective)]
+
+        monkeypatch.setattr(cli, "pareto_front", worst_only)
+        result, _ = do_run(runner, tmp_path)
+        assert result.exit_code == 1
+        assert "error: pareto front for 't' misses the minimum-objective point" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, document, corrupt",
+        [
+            pytest.param("oracle", MANIFEST_FILE, without("evaluator"), id="manifest-without-evaluator"),
+            pytest.param("oracle", MANIFEST_FILE, without("replay_hash"), id="manifest-without-replay-hash"),
+            pytest.param(
+                "oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, id="result-benchmarks-list"
+            ),
+            pytest.param("compare", ORACLE_FILE, without("benchmarks"), id="oracle-without-benchmarks"),
+            pytest.param("compare", ORACLE_FILE, lambda doc: [doc], id="oracle-is-a-list"),
+        ],
+    )
+    def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt):
+        _, run_dir = do_run(runner, tmp_path)
+        oracle_dir = run_dir / "oracle"
+        if command == "compare":
+            assert invoke(runner, "oracle", run_dir).exit_code == 0
+        path = (oracle_dir if document == ORACLE_FILE else run_dir) / document
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+        backend = TinyBackend()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: backend)
+        result = invoke(runner, command, run_dir, *([oracle_dir] if command == "compare" else []))
+        assert result.exit_code == 1
+        assert "error:" in result.stderr and document in result.stderr
+        if command == "oracle":
+            assert backend.threads == set()
+            assert not oracle_dir.exists()
+
+    @pytest.mark.parametrize("timeout", ["inf", "-1", "0"])
+    def test_exec_timeout_must_be_finite_and_positive(self, runner, tmp_path, timeout):
+        marker = tmp_path / "spawned"
+        worker = tmp_path / "worker.py"
+        worker.write_text(f"open({str(marker)!r}, 'w').close()\n", encoding="utf-8")
+        result, out_dir = do_run(
+            runner, tmp_path, **{"--evaluator": f"exec:{sys.executable} {worker}", "--timeout": timeout}
+        )
+        assert result.exit_code == 1
+        assert "error: timeout must be a finite number > 0" in result.stderr
+        assert not marker.exists()
+        assert not out_dir.exists()
