@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .design_space import DesignSpace, load_space, save_space, space_to_dict
+from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
 from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext
@@ -45,6 +45,15 @@ SWEEP_FILE = "sweep.csv"
 
 #: Manifest keys, with their JSON types, that ``oracle`` and ``compare`` read.
 _MANIFEST_KEYS = {"space_sha256": str, "weights": dict, "evaluator": str, "replay_hash": str}
+#: Per-benchmark ``result.json`` values that ``compare`` reads, with their JSON types.
+_RESULT_ENTRY_TYPES = {
+    "best_config": ((dict, type(None)), "an object or null"),
+    "best_metrics": ((dict, type(None)), "an object or null"),
+    "objective": ((int, float, type(None)), "a number or null"),
+    "significance": (dict, "an object"),
+    "unique_evaluations": (int, "an integer"),
+    "total_requests": (int, "an integer"),
+}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -176,27 +185,20 @@ def _partition_payload(part: Partition | None) -> dict | None:
 
 
 def write_evals_csv(path: Path, run: RunResult) -> None:
-    params = list(run.space.names)
+    params = run.space.names
     metrics = metric_order(run)
-    header = (
-        ["benchmark", "phase", "seq"]
-        + params
-        + metrics
-        + [f"norm_{m}" for m in metrics]
-        + ["objective"]
-    )
+    norm_names = [f"norm_{m}" for m in metrics]
+    param_values, metric_values = values_getter(params), values_getter(metrics)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for record in run.records():
-            normalized = record.normalized or {}
-            writer.writerow(
-                [record.benchmark, record.phase, record.seq]
-                + [record.config[p] for p in params]
-                + [record.metrics[m] for m in metrics]
-                + [normalized.get(m, "") for m in metrics]
-                + [record.objective if record.objective is not None else ""]
-            )
+        writer.writerow(["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"])
+        writer.writerows(
+            (record.benchmark, record.phase, record.seq, *param_values(record.config),
+             *metric_values(record.metrics),
+             *(metric_values(record.normalized) if record.normalized else [""] * len(metrics)),
+             "" if record.objective is None else record.objective)
+            for record in run.records()
+        )
 
 
 def write_significance_csv(path: Path, run: RunResult) -> None:
@@ -241,8 +243,8 @@ def write_pareto_csv(
 def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     """Rebuild a RunResult (manifest, results, full log) from a run directory.
 
-    A missing key or a wrong shape in one of its files is a ValueError that
-    names the file.
+    A missing key, a wrong shape or a wrong value type in one of its files is
+    a ValueError that names the file.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
@@ -282,6 +284,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     benchmarks: dict[str, BenchmarkResult] = {}
     with _reading(result_path):
         for name, entry in payload["benchmarks"].items():
+            for key, (kind, spelled) in _RESULT_ENTRY_TYPES.items():
+                if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+                    raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
             part = entry.get("partition")
             norm = entry["normalization"]
             benchmarks[name] = BenchmarkResult(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownParameterError
 
@@ -40,6 +41,11 @@ class Parameter:
         return self.settings[-1]
 
 
+def values_getter(names: Sequence) -> Callable[[Mapping], tuple]:
+    """The values of a mapping at ``names`` as a tuple, also for one name or none."""
+    return itemgetter(*names) if len(names) > 1 else lambda m: tuple(m[n] for n in names)
+
+
 @dataclass(frozen=True)
 class DesignSpace:
     """An ordered collection of parameters plus the benchmarks to tune for."""
@@ -47,7 +53,7 @@ class DesignSpace:
     parameters: tuple[Parameter, ...]
     benchmarks: tuple[str, ...]
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.parameters)
 
@@ -61,9 +67,11 @@ class DesignSpace:
         """Names of parameters with more than one setting, declaration order."""
         return tuple(p.name for p in self.parameters if len(p) > 1)
 
-    def config_key(self, config: Mapping[str, Setting]) -> tuple[Setting, ...]:
-        """Canonical hashable form: values in declaration order."""
-        return tuple(config[p.name] for p in self.parameters)
+    @cached_property
+    def config_key(self) -> Callable[[Mapping[str, Setting]], tuple[Setting, ...]]:
+        """Canonical hashable form, as a function built once per space: a
+        configuration's values in declaration order."""
+        return values_getter(self.names)
 
 
 def make_space(
@@ -156,8 +164,7 @@ def enumerate_configs(
     position = {name: i for i, name in enumerate([*free, *fixed_names])}
     order = [position[name] for name in names]
     fixed_values = tuple(fixed[name] for name in fixed_names)
-    # itemgetter of a single index returns the bare item, not a 1-tuple.
-    pick = itemgetter(*order) if len(order) > 1 else tuple
+    pick = values_getter(order)
     for combo in product(*(space.parameter(name).settings for name in free)):
         yield dict(zip(names, pick(combo + fixed_values)))
 

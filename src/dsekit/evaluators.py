@@ -1,8 +1,8 @@
 """Black-box evaluation backends and the memoizing evaluation cache.
 
-Every backend implements ``evaluate(config, benchmark) -> dict of metrics``
-and is deterministic: identical inputs produce bit-identical outputs. The
-built-in backends are:
+Every backend implements ``evaluate(config, benchmark) -> dict of metrics``,
+returns a new dict on each call and is deterministic: identical inputs
+produce bit-identical outputs. The built-in backends are:
 
 * ``SyntheticEvaluator`` — a closed-form analytic multicore model (Amdahl
   speedup, cache miss chain, dynamic power) with fixed constants, used for
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-from .design_space import Config, DesignSpace, Setting
+from .design_space import Config, DesignSpace, Setting, values_getter
 from .errors import (
     EvaluationError,
     EvaluationTimeoutError,
@@ -422,12 +422,15 @@ class ExternalEvaluator:
 
 
 class CachedEvaluator:
-    """Memoizes an inner backend, keyed by (benchmark, configuration).
+    """Memoizes an inner backend, keyed by ``(benchmark, names, values)``: the
+    sorted parameter names, one tuple learned once per key set, and the
+    configuration's values in that order.
 
     Passing a shared ``memo`` lets several runs reuse results (e.g. a
     threshold sweep); each run still counts every configuration it asked
     for as one of its own unique evaluations.
 
+    The memo keeps one copy per miss; every returned dict is the caller's.
     Safe under concurrent calls; concurrent requests for the same key reach
     the inner backend at most once. The first caller of a key marks it in
     flight; a ``Future`` is made only when a second caller arrives to wait
@@ -442,13 +445,18 @@ class CachedEvaluator:
         # None while only the owner is in flight; a Future once a caller waits.
         self._inflight: dict[tuple, Future | None] = {}
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(config: Config, benchmark: str) -> tuple:
-        return (benchmark, tuple(sorted(config.items())))
+        self._names = ((), values_getter(()))  # one attribute, so no thread mixes key sets
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
-        key = self._key(config, benchmark)
+        names, getter = self._names
+        try:
+            if len(config) != len(names):
+                raise KeyError(names)
+            key = (benchmark, names, getter(config))
+        except KeyError:  # another key set: learn its names and getter once
+            names = tuple(sorted(config))
+            names, getter = self._names = (names, values_getter(names))
+            key = (benchmark, names, getter(config))
         with self._lock:
             cached = self._memo.get(key)
             if cached is not None:
@@ -473,11 +481,11 @@ class CachedEvaluator:
                 future.set_exception(exc)
             raise
         with self._lock:
-            self._memo[key] = dict(result)
+            self._memo[key] = stored = dict(result)
             future = self._inflight.pop(key)
         if future is not None:
-            future.set_result(result)
-        return dict(result)
+            future.set_result(stored)
+        return result
 
 
 def make_evaluator(

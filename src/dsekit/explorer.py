@@ -162,7 +162,7 @@ class _Session:
         record = self._logged.get(key)
         if record is None:
             seq = len(self.records)
-            record = EvalRecord(self.benchmark, phase, seq, dict(config), dict(metrics))
+            record = EvalRecord(self.benchmark, phase, seq, dict(config), metrics)
             if self.ctx is not None:
                 check_metrics(self.benchmark, record.metrics, self.ctx.maxima.keys())
                 self._score(record)

@@ -572,6 +572,16 @@ def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
+def with_entry(key, value):
+    """Set one value of benchmark t's result.json entry."""
+
+    def corrupt(doc):
+        doc["benchmarks"]["t"][key] = value
+        return doc
+
+    return corrupt
+
+
 class TestExitCodePolicy:
     @pytest.mark.parametrize("cls", FAILURE_CLASSES, ids=lambda cls: cls.__name__)
     def test_exit_code_of_each_failure_class(self, cls):
@@ -597,6 +607,8 @@ class TestExitCodePolicy:
             pytest.param(
                 "oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, id="result-benchmarks-list"
             ),
+            pytest.param("compare", RESULT_FILE, with_entry("best_config", [1, 2]), id="result-best-config-list"),
+            pytest.param("compare", RESULT_FILE, with_entry("objective", "x"), id="result-objective-string"),
             pytest.param("compare", ORACLE_FILE, without("benchmarks"), id="oracle-without-benchmarks"),
             pytest.param("compare", ORACLE_FILE, lambda doc: [doc], id="oracle-is-a-list"),
         ],

@@ -49,6 +49,10 @@ class TestSpaceBasics:
     def test_config_key_is_declaration_ordered(self, tiny_space):
         assert tiny_space.config_key({"B": 200, "A": 1}) == (1, 200)
 
+    def test_config_key_on_one_parameter_space(self):
+        space = make_space([("A", [1, 2])], ["b"])
+        assert [space.config_key(c) for c in enumerate_configs(space)] == [(1,), (2,)]
+
 
 class TestValidate:
     def test_valid_space(self, tiny_space):

@@ -203,6 +203,17 @@ class TestTable:
             TableEvaluator.load(path, tiny_space)
 
 
+class Mirror:
+    """Returns the configuration itself as its metrics; counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, config, benchmark):
+        self.calls += 1
+        return {k: float(v) for k, v in config.items()}
+
+
 class TestCache:
     def test_counts_unique_and_total(self, tiny_space, tiny_evaluator):
         cache = CachedEvaluator(tiny_evaluator)
@@ -236,6 +247,34 @@ class TestCache:
         assert cache.evaluate({"A": 1}, "x") == {"m": 1.0}
         assert cache.evaluate({"A": 1}, "xy") == {"m": 2.0}
         assert echo.calls == 2
+
+    def test_one_parameter_config_hits(self):
+        backend = Mirror()
+        cache = CachedEvaluator(backend)
+        assert cache.evaluate({"A": 1}, "t") == {"A": 1.0}
+        assert cache.evaluate({"A": 1}, "t") == {"A": 1.0}
+        assert backend.calls == 1
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [({"A": 1, "B": 2}, {"A": 1, "C": 2}), ({"A": 1}, {"A": 1, "B": 2})],
+    )
+    def test_key_sets_sharing_a_memo_never_collide(self, first, second):
+        backend = Mirror()
+        memo = {}
+        for config in (first, second, first, second):
+            assert CachedEvaluator(backend, memo=memo).evaluate(config, "t") == {
+                k: float(v) for k, v in config.items()
+            }
+        assert backend.calls == 2
+
+    def test_switching_key_sets_keeps_earlier_entries(self):
+        backend = Mirror()
+        cache = CachedEvaluator(backend)
+        cache.evaluate({"A": 1, "B": 2}, "t")
+        cache.evaluate({"A": 1}, "t")
+        assert cache.evaluate({"B": 2, "A": 1}, "t") == {"A": 1.0, "B": 2.0}
+        assert backend.calls == 2
 
     def test_shared_memo_attributes_unique_per_run(self, tiny_space, tiny_evaluator):
         memo = {}
