@@ -11,7 +11,9 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -91,14 +93,18 @@ def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str,
     return parse_weights(weights_text)  # type: ignore[arg-type]
 
 
-def _check_jobs(jobs: int) -> None:
+@contextmanager
+def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
+    """The command's backend, built after its spec and checked before ``--jobs``;
+    an ``exec:`` worker is closed when the command ends, however it ends."""
+    evaluator = make_evaluator(spec, space, timeout=timeout)
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
-
-
-def _close_evaluator(evaluator: Evaluator) -> None:
-    if isinstance(evaluator, ExternalEvaluator):
-        evaluator.close()
+    try:
+        yield evaluator
+    finally:
+        if isinstance(evaluator, ExternalEvaluator):
+            evaluator.close()
 
 
 def _fronts_and_choices(result: RunResult):
@@ -212,14 +218,10 @@ def run_cmd(
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     weights = _resolve_weights(weights_text, profile)
-    evaluator = make_evaluator(evaluator_spec, space, timeout=timeout)
-    _check_jobs(jobs)
-    try:
+    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
         result = _run_threshold(
             space, space_spec, weights, evaluator, evaluator_spec, jobs, threshold, out_dir
         )
-    finally:
-        _close_evaluator(evaluator)
     _echo_run_summary(result)
     if result.failed:
         raise EvaluationError(f"evaluation failed for: {', '.join(result.failed)}")
@@ -235,10 +237,8 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
     manifest, run_result = artifacts.load_run(run_dir)
     guard = enumeration_guard()
     space = run_result.space
-    evaluator = make_evaluator(manifest["evaluator"], space, timeout=timeout)
-    _check_jobs(jobs)
     results = {}
-    try:
+    with _evaluator(manifest["evaluator"], space, timeout, jobs) as evaluator:
         for benchmark, bench in run_result.benchmarks.items():
             if bench.normalization is None:
                 click.echo(
@@ -252,8 +252,6 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
             results[benchmark] = best
             config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
             click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
-    finally:
-        _close_evaluator(evaluator)
     out = out_dir if out_dir is not None else run_dir / "oracle"
     artifacts.write_oracle(out, artifacts.oracle_payload(manifest, guard, results))
 
@@ -309,16 +307,12 @@ def sweep_cmd(
         raise ValueError("thresholds must be >= 1")
     space = _load_valid_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
-    evaluator = make_evaluator(evaluator_spec, space, timeout=timeout)
-    _check_jobs(jobs)
-
     size = cardinality(space)
-    shared_memo: dict = {}
     rows = []
     failed: list[str] = []
-    try:
+    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
+        cache = CachedEvaluator(evaluator)  # one cache: later thresholds reuse results
         for index, threshold in enumerate(thresholds, start=1):
-            cache = CachedEvaluator(evaluator, memo=shared_memo)
             subdir = out_dir / f"run{index:02d}-T{threshold}"
             result = _run_threshold(
                 space, space_spec, weights, cache, evaluator_spec, jobs, threshold, subdir
@@ -335,8 +329,6 @@ def sweep_cmd(
                 )
             failed += [f"{name} (T={threshold})" for name in result.failed]
             del result  # free this log before the next threshold is searched
-    finally:
-        _close_evaluator(evaluator)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_sweep_csv(out_dir / artifacts.SWEEP_FILE, rows)

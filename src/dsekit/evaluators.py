@@ -14,8 +14,8 @@ produce bit-identical outputs. The built-in backends are:
   line-delimited JSON protocol (one request and one response per line).
 
 ``CachedEvaluator`` wraps any backend with memoization, so a configuration
-requested again (by a later phase, or by another run sharing the memo) never
-reaches the backend twice. The search itself counts unique evaluations.
+requested again (by a later phase, or by another run given the same cache)
+never reaches the backend twice. The search itself counts unique evaluations.
 """
 
 from __future__ import annotations
@@ -218,12 +218,10 @@ class TableEvaluator:
         self,
         space: DesignSpace,
         rows: Mapping[tuple, dict[str, float]],
-        metric_names: Sequence[str],
         benchmarks: frozenset[str],
     ):
         self._space = space
         self._rows = dict(rows)
-        self._metric_names = tuple(metric_names)
         self._benchmarks = benchmarks
 
     @classmethod
@@ -258,7 +256,7 @@ class TableEvaluator:
                 except ValueError as exc:
                     raise TableLoadError(f"{path}: line {lineno}: {exc}") from None
                 benchmarks.add(row["benchmark"])
-        return cls(space, rows, metric_names, frozenset(benchmarks))
+        return cls(space, rows, frozenset(benchmarks))
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
         if benchmark not in self._benchmarks:
@@ -277,7 +275,8 @@ class TableEvaluator:
 
 
 class _Worker:
-    """One spawned worker process plus a thread pumping its stdout lines."""
+    """One spawned worker process plus a thread pumping its stdout lines as
+    bytes; the caller decodes them, so no byte can stop the thread."""
 
     def __init__(self, argv: Sequence[str]):
         try:
@@ -285,15 +284,12 @@ class _Worker:
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
             )
         except OSError as exc:
             raise EvaluatorTerminatedError(
                 f"evaluator terminated: cannot start worker: {exc}"
             ) from None
-        self.lines: queue.SimpleQueue[str | None] = queue.SimpleQueue()
+        self.lines: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
 
@@ -316,7 +312,8 @@ class _Worker:
 class ExternalEvaluator:
     """Evaluates by messaging a persistent worker subprocess.
 
-    Protocol (UTF-8, one JSON object per line, LF-terminated):
+    Protocol (UTF-8, one JSON object per line, LF-terminated; a response line
+    that is not valid UTF-8 is a malformed response):
 
         request:  {"id": <int>, "benchmark": <str>, "config": {...}}
         response: {"id": <int>, "metrics": {...}}  or  {"id": <int>, "error": <str>}
@@ -344,9 +341,14 @@ class ExternalEvaluator:
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
         with self._lock:
-            return self._evaluate_locked(config, benchmark)
+            try:
+                return self._exchange(config, benchmark)
+            except (EvaluatorTerminatedError, EvaluationTimeoutError, ProtocolError):
+                self._discard()
+                raise
 
-    def _evaluate_locked(self, config: Config, benchmark: str) -> dict[str, float]:
+    def _exchange(self, config: Config, benchmark: str) -> dict[str, float]:
+        """One request and its response; every failure raises, none discards."""
         if self._worker is None:
             self._worker = _Worker(self._argv)
         worker = self._worker
@@ -355,37 +357,35 @@ class ExternalEvaluator:
         request = {"id": request_id, "benchmark": benchmark, "config": dict(config)}
         try:
             assert worker.proc.stdin is not None
-            worker.proc.stdin.write(json.dumps(request) + "\n")
+            worker.proc.stdin.write(json.dumps(request).encode() + b"\n")
             worker.proc.stdin.flush()
         except (OSError, ValueError):
-            self._discard()
             raise EvaluatorTerminatedError(
                 f"evaluator terminated: worker pipe closed (exit {worker.proc.poll()})"
             ) from None
 
         try:
-            line = worker.lines.get(timeout=self.timeout)
+            raw = worker.lines.get(timeout=self.timeout)
         except queue.Empty:
-            self._discard()
             raise EvaluationTimeoutError(
                 f"no response from worker within {self.timeout} s"
             ) from None
-        if line is None:
-            self._discard()
+        if raw is None:
             raise EvaluatorTerminatedError(
                 f"evaluator terminated: worker closed stdout (exit {worker.proc.wait()})"
             )
 
         try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"response line is not UTF-8: {exc}") from None
+        try:
             response = json.loads(line)
         except json.JSONDecodeError as exc:
-            self._discard()
             raise ProtocolError(f"malformed response line: {exc}") from None
         if not isinstance(response, dict):
-            self._discard()
             raise ProtocolError(f"response is not a JSON object: {line.strip()}")
         if response.get("id") != request_id:
-            self._discard()
             raise ProtocolError(
                 f"response id {response.get('id')!r} does not match request id {request_id}"
             )
@@ -393,12 +393,10 @@ class ExternalEvaluator:
             raise EvaluationError(str(response["error"]))
         metrics = response.get("metrics")
         if not isinstance(metrics, dict):
-            self._discard()
             raise ProtocolError(f"response carries no metrics object: {line.strip()}")
         try:
             return {str(k): float(v) for k, v in metrics.items()}
         except (TypeError, ValueError):
-            self._discard()
             raise ProtocolError(f"non-numeric metric value in response: {line.strip()}") from None
 
     def _discard(self) -> None:
@@ -426,9 +424,10 @@ class CachedEvaluator:
     sorted parameter names, one tuple learned once per key set, and the
     configuration's values in that order.
 
-    Passing a shared ``memo`` lets several runs reuse results (e.g. a
-    threshold sweep); each run still counts every configuration it asked
-    for as one of its own unique evaluations.
+    The cache holds results only, no per-run state: to share results across
+    runs (e.g. a threshold sweep), pass them one cache instance. Each run
+    still counts every configuration it asked for as one of its own unique
+    evaluations.
 
     The memo keeps one copy per miss; every returned dict is the caller's.
     Safe under concurrent calls; concurrent requests for the same key reach
@@ -439,9 +438,9 @@ class CachedEvaluator:
     next request.
     """
 
-    def __init__(self, inner: Evaluator, memo: dict | None = None):
+    def __init__(self, inner: Evaluator):
         self.inner = inner
-        self._memo: dict[tuple, dict[str, float]] = memo if memo is not None else {}
+        self._memo: dict[tuple, dict[str, float]] = {}
         # None while only the owner is in flight; a Future once a caller waits.
         self._inflight: dict[tuple, Future | None] = {}
         self._lock = threading.Lock()

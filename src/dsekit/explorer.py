@@ -271,13 +271,12 @@ def partition(
 
 
 def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
-    """Phase 3: the strict-minimum record over the exhaustive set, earliest on ties."""
-    space = session.space
-    if not part.exhaustive:
-        # Nothing to enumerate, but the all-best configuration is evaluated
-        # once so the greedy phase starts from a defined objective.
-        return session.evaluate(best, PHASE_EXHAUSTIVE)
+    """Phase 3: the strict-minimum record over the exhaustive set, earliest on ties.
 
+    An empty set enumerates exactly one configuration, the all-best one, so
+    the greedy phase still starts from a defined objective.
+    """
+    space = session.space
     members = set(part.exhaustive)
     free = [name for name in space.names if name in members]
     fixed = {name: best[name] for name in space.names if name not in members}

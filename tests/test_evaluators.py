@@ -261,9 +261,9 @@ class TestCache:
     )
     def test_key_sets_sharing_a_memo_never_collide(self, first, second):
         backend = Mirror()
-        memo = {}
+        cache = CachedEvaluator(backend)
         for config in (first, second, first, second):
-            assert CachedEvaluator(backend, memo=memo).evaluate(config, "t") == {
+            assert cache.evaluate(config, "t") == {
                 k: float(v) for k, v in config.items()
             }
         assert backend.calls == 2
@@ -277,9 +277,9 @@ class TestCache:
         assert backend.calls == 2
 
     def test_shared_memo_attributes_unique_per_run(self, tiny_space, tiny_evaluator):
-        memo = {}
-        first = run(tiny_space, CachedEvaluator(tiny_evaluator, memo=memo), TINY_WEIGHTS, 3)
-        second = run(tiny_space, CachedEvaluator(tiny_evaluator, memo=memo), TINY_WEIGHTS, 3)
+        cache = CachedEvaluator(tiny_evaluator)
+        first = run(tiny_space, cache, TINY_WEIGHTS, 3)
+        second = run(tiny_space, cache, TINY_WEIGHTS, 3)
         assert tiny_evaluator.calls == 5
         for result in (first, second):
             assert result.benchmarks["t"].unique_evaluations == 5
