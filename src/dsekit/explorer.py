@@ -19,6 +19,10 @@ Each benchmark is optimized independently, in four phases:
    candidate that fails to strictly improve the best objective seen in this
    phase.
 
+The run returns the phase winner, unless the log holds a record with a
+strictly lower F (a one-shot record can beat both later phases); then it
+returns the first such minimum. On a tie the phase winner stays.
+
 The search is one sequential decision chain, so it runs serially: each
 benchmark gets one ``_Session``, the only code that evaluates. It counts
 requests and distinct configurations, validates each new response, and
@@ -352,6 +356,9 @@ def run(
             winner = _exhaustive(session, part, best)
             if part.greedy:
                 winner = _greedy(session, part, significance, winner.config)
+            logged = min(session.records, key=lambda r: r.objective)
+            if logged.objective < winner.objective:
+                winner = logged
         except (EvaluationError, DegenerateMetricError) as exc:
             results[benchmark] = session.result(None, significance, part, str(exc))
         else:

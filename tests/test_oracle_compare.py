@@ -159,10 +159,11 @@ class TestCompare:
         class Bumpy:
             def evaluate(self, config, benchmark):
                 a, b = config["A"], config["B"]
-                # global optimum hides at (1, 200); endpoints point elsewhere
+                # global optimum hides at (2, 100): the one-shot set, the
+                # all-best (4, 200) and the greedy walk on A never reach it
                 table = {
-                    (1, 100): 10.0, (1, 200): 1.0,
-                    (2, 100): 8.0, (2, 200): 6.0,
+                    (1, 100): 10.0, (1, 200): 8.0,
+                    (2, 100): 1.0, (2, 200): 6.0,
                     (4, 100): 4.0, (4, 200): 5.0,
                 }
                 return {"power": table[(a, b)], "time": 1.0}
@@ -172,7 +173,8 @@ class TestCompare:
         oracle = oracle_search(
             tiny_space, "t", Bumpy(), {"power": 1.0, "time": 0.0}, tiny_ctx(result)
         )
-        assert oracle.best_config == {"A": 1, "B": 200}
+        assert oracle.best_config == {"A": 2, "B": 100}
+        assert oracle.best_config not in [r.config for r in bench.records]
         report = compare(result, {"t": oracle})
         row = report.benchmarks["t"]
         assert row.objective_gap_pct is not None
