@@ -95,7 +95,7 @@ def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str,
 
 @contextmanager
 def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
-    """The command's backend, built after its spec and checked before ``--jobs``;
+    """The command's backend, built from its spec before ``--jobs`` is checked;
     an ``exec:`` worker is closed when the command ends, however it ends."""
     evaluator = make_evaluator(spec, space, timeout=timeout)
     if jobs < 1:

@@ -178,11 +178,23 @@ def space_to_dict(space: DesignSpace) -> dict:
     }
 
 
+def _settings(entry: Mapping) -> tuple[Setting, ...]:
+    """A parameter entry's settings: a JSON array of numbers and strings."""
+    settings = entry["settings"]
+    if not isinstance(settings, list) or not all(
+        isinstance(s, (int, float, str)) and not isinstance(s, bool) for s in settings
+    ):
+        raise ValueError(
+            f"malformed space definition: parameter {str(entry['name'])!r}: "
+            "settings must be a JSON array of numbers and strings"
+        )
+    return tuple(settings)
+
+
 def space_from_dict(data: Mapping) -> DesignSpace:
     try:
         parameters = tuple(
-            Parameter(str(entry["name"]), tuple(entry["settings"]))
-            for entry in data["parameters"]
+            Parameter(str(entry["name"]), _settings(entry)) for entry in data["parameters"]
         )
         benchmarks = tuple(str(b) for b in data["benchmarks"])
     except (KeyError, TypeError) as exc:

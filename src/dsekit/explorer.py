@@ -175,13 +175,18 @@ class _Session:
         return record
 
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
-        """Build the normalization context from the one-shot records; score them."""
+        """Build the normalization context from the one-shot records; score them.
+
+        The records are checked against each other before the weights are
+        checked against their metric names, so one malformed response fails
+        only this benchmark rather than reading as a weight error.
+        """
         names = records[0].metrics.keys()
+        for record in records:
+            check_metrics(self.benchmark, record.metrics, names)
         violations = validate_weights(self.weights, names)
         if violations:
             raise ValueError("invalid weights: " + "; ".join(violations))
-        for record in records:
-            check_metrics(self.benchmark, record.metrics, names)
         self.ctx = build_context(r.metrics for r in records)
         check_weights(self.benchmark, self.ctx, self.weights)
         for record in records:

@@ -109,6 +109,19 @@ class TestValidate:
         result = invoke(runner, "validate", bad)
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("settings", ['"abc"', "[[1], [2]]", "[null, 2]"])
+    def test_malformed_settings_exit_1(self, runner, tmp_path, settings):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"parameters": [{"name": "A", "settings": %s}], "benchmarks": ["b"]}' % settings,
+            encoding="utf-8",
+        )
+        result = invoke(runner, "validate", bad)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: ")
+        assert "'A'" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_descending_settings_warn_but_pass(self, runner, tmp_path):
         path = tmp_path / "desc.json"
         path.write_text(

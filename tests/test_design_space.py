@@ -183,6 +183,11 @@ class TestSerialization:
     def test_malformed_definitions(self, tmp_path):
         with pytest.raises(ValueError, match="malformed"):
             space_from_dict({"parameters": [{"name": "A"}], "benchmarks": []})
+        for settings in ("abc", [[1], [2]], [None, 2], [True, 2], {"a": 1}):
+            with pytest.raises(ValueError, match="malformed.*'A'.*settings"):
+                space_from_dict(
+                    {"parameters": [{"name": "A", "settings": settings}], "benchmarks": ["b"]}
+                )
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid JSON"):

@@ -520,3 +520,95 @@ class TestRunFindsSeparableOptimum:
         )
         if len(values) == 1 or values[1] - values[0] > 1e-9:
             assert found == best_cfg
+
+
+class Lookup:
+    """Metrics replayed from a drawn table keyed by (benchmark, config values)."""
+
+    def __init__(self, space, table):
+        self.space = space
+        self.table = table
+        self.calls = 0
+
+    def evaluate(self, config, benchmark):
+        self.calls += 1
+        return dict(self.table[benchmark, self.space.config_key(config)])
+
+
+class Faulty(Lookup):
+    """The table, except backend call number ``at`` gets one fault."""
+
+    def __init__(self, space, table, at, fault):
+        super().__init__(space, table)
+        self.at = at
+        self.fault = fault
+        self.faulted = None  # the benchmark the fault hit
+
+    def evaluate(self, config, benchmark):
+        metrics = super().evaluate(config, benchmark)
+        if self.calls - 1 == self.at:
+            self.faulted = benchmark
+            if self.fault == "raise":
+                raise EvaluationError("injected failure")
+            if self.fault == "nan":
+                metrics["time"] = math.nan
+            else:
+                del metrics[self.fault.removeprefix("drop-")]
+        return metrics
+
+
+def draw_search(data):
+    """A small space over two benchmarks, a metric table, weights and T.
+
+    Metric values are small integers, so the table has many exact ties.
+    """
+    n = data.draw(st.integers(1, 4))
+    sizes = [data.draw(st.integers(1, 3)) for _ in range(n)]
+    if all(s == 1 for s in sizes):
+        sizes[data.draw(st.integers(0, n - 1))] = 2
+    space = make_space([(f"p{i}", list(range(s))) for i, s in enumerate(sizes)], ["b0", "b1"])
+    value = st.integers(1, 20).map(float)
+    table = {
+        (benchmark, combo): {"power": data.draw(value), "time": data.draw(value)}
+        for benchmark in space.benchmarks
+        for combo in itertools.product(*(p.settings for p in space.parameters))
+    }
+    w = data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]))
+    threshold = data.draw(st.integers(1, 10))
+    return space, table, {"power": w, "time": 1.0 - w}, threshold
+
+
+class TestRunProperties:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_answer_is_the_minimum_of_its_log(self, data):
+        space, table, weights, threshold = draw_search(data)
+        result = run(space, Lookup(space, table), weights, threshold)
+        for bench in result.benchmarks.values():
+            assert bench.error is None
+            logged = min(bench.records, key=lambda r: r.objective)
+            assert bench.objective == logged.objective
+            matches = [r for r in bench.records if r.config == bench.best_config]
+            assert len(matches) == 1
+            assert matches[0].objective == bench.objective
+            assert matches[0].metrics == bench.best_metrics
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_fault_fails_only_its_benchmark(self, data):
+        space, table, weights, threshold = draw_search(data)
+        clean = run(space, Lookup(space, table), weights, threshold)
+        fault = data.draw(st.sampled_from(["raise", "nan", "drop-power", "drop-time"]))
+        faulty = Faulty(space, table, data.draw(st.integers(0, 40)), fault)
+        result = run(space, faulty, weights, threshold)
+        assert result.failed == ([] if faulty.faulted is None else [faulty.faulted])
+        for name, bench in result.benchmarks.items():
+            if name == faulty.faulted:
+                assert bench.error is not None
+                assert bench.best_config is None and bench.objective is None
+                continue
+            expected = clean.benchmarks[name]
+            assert bench.error is None
+            assert bench.best_config == expected.best_config
+            assert bench.objective == expected.objective
+            assert [r.config for r in bench.records] == [r.config for r in expected.records]

@@ -136,6 +136,21 @@ class TestErrorTaxonomy:
             with pytest.raises(ProtocolError, match="non-numeric"):
                 ev.evaluate({"A": 1}, "t")
 
+    def test_non_utf8_response_raises_protocol_error_and_respawns(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'if request["benchmark"] == "bad":\n'
+            '    sys.stdout.buffer.write(b"\\xff\\n")\n'
+            '    sys.stdout.flush()\n'
+            '    continue\n'
+            'print(json.dumps({"id": request["id"], "metrics": {"m": 1.0}}), flush=True)',
+        )
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                ev.evaluate({"A": 1}, "bad")
+            assert ev._worker is None
+            assert ev.evaluate({"A": 1}, "t") == {"m": 1.0}
+
     def test_empty_command_rejected(self):
         with pytest.raises(ValueError, match="empty worker command"):
             ExternalEvaluator("   ")
