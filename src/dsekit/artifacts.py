@@ -123,7 +123,10 @@ def build_manifest(
 
 
 def metric_order(run: RunResult) -> list[str]:
-    for result in run.benchmarks.values():
+    """The metric names of the first logged record, a completed benchmark's
+    if any completed: a failed one may have logged a malformed response."""
+    results = sorted(run.benchmarks.values(), key=lambda r: r.error is not None)
+    for result in results:
         if result.records:
             return list(result.records[0].metrics)
     return []
@@ -189,16 +192,23 @@ def write_evals_csv(path: Path, run: RunResult) -> None:
     metrics = metric_order(run)
     norm_names = [f"norm_{m}" for m in metrics]
     param_values, metric_values = values_getter(params), values_getter(metrics)
+
+    def some_values(values: Mapping[str, float]) -> list:
+        """A failed benchmark's metrics, with an empty cell for each one missing."""
+        return [values.get(m, "") for m in metrics]
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"])
-        writer.writerows(
-            (record.benchmark, record.phase, record.seq, *param_values(record.config),
-             *metric_values(record.metrics),
-             *(metric_values(record.normalized) if record.normalized else [""] * len(metrics)),
-             "" if record.objective is None else record.objective)
-            for record in run.records()
-        )
+        for result in run.benchmarks.values():
+            raw_values = metric_values if result.error is None else some_values
+            writer.writerows(
+                (record.benchmark, record.phase, record.seq, *param_values(record.config),
+                 *raw_values(record.metrics),
+                 *(metric_values(record.normalized) if record.normalized else [""] * len(metrics)),
+                 "" if record.objective is None else record.objective)
+                for record in result.records
+            )
 
 
 def write_significance_csv(path: Path, run: RunResult) -> None:
@@ -275,7 +285,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 phase=row["phase"],
                 seq=int(row["seq"]),
                 config={p: parse_cell(row[p]) for p in params},
-                metrics={m: float(row[m]) for m in metrics},
+                metrics={m: float(row[m]) for m in metrics if row[m]},
                 normalized=normalized or None,
                 objective=float(row["objective"]) if row["objective"] else None,
             )

@@ -10,6 +10,7 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -93,13 +94,33 @@ def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str,
     return parse_weights(weights_text)  # type: ignore[arg-type]
 
 
-@contextmanager
-def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
-    """The command's backend, built from its spec before ``--jobs`` is checked;
-    an ``exec:`` worker is closed when the command ends, however it ends."""
-    evaluator = make_evaluator(spec, space, timeout=timeout)
+def _resolve_jobs(ctx: click.Context, param: click.Parameter, jobs: int | None) -> int:
+    """``--jobs`` as given, else the CPUs this process may use."""
+    if jobs is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
+    return jobs
+
+
+_JOBS_OPTION = click.option(
+    "--jobs",
+    type=int,
+    default=None,
+    callback=_resolve_jobs,
+    help="Worker processes of an exec: evaluator [default: the CPUs available]; "
+    "in-process evaluators run serially. Results do not depend on it.",
+)
+
+
+@contextmanager
+def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
+    """The command's backend; ``exec:`` workers are closed when the command
+    ends, however it ends."""
+    evaluator = make_evaluator(spec, space, timeout=timeout, jobs=jobs)
     try:
         yield evaluator
     finally:
@@ -201,7 +222,7 @@ def validate_cmd(space_file: str) -> None:
 @click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory for run artifacts.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted and recorded in the manifest; evaluation is serial.")
+@_JOBS_OPTION
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def run_cmd(
     space_spec: str,
@@ -230,7 +251,7 @@ def run_cmd(
 @main.command(name="oracle")
 @click.argument("run_dir", type=click.Path(path_type=Path))
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None, help="Output directory (default: RUN_DIR/oracle).")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted for compatibility; evaluation is serial.")
+@_JOBS_OPTION
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
     """Exhaustively search the space a run used, with the run's context."""
@@ -284,7 +305,7 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
 @click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Accepted and recorded in the manifest; evaluation is serial.")
+@_JOBS_OPTION
 @click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
 def sweep_cmd(
     space_spec: str,

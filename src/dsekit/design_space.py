@@ -178,28 +178,35 @@ def space_to_dict(space: DesignSpace) -> dict:
     }
 
 
-def _settings(entry: Mapping) -> tuple[Setting, ...]:
-    """A parameter entry's settings: a JSON array of numbers and strings."""
+def _parameter(entry: Mapping) -> Parameter:
+    """A parameter entry: a string name and a JSON array of numbers and strings."""
+    name = entry["name"]
+    if not isinstance(name, str):
+        raise ValueError(
+            f"malformed space definition: parameter name {name!r} must be a string"
+        )
     settings = entry["settings"]
     if not isinstance(settings, list) or not all(
         isinstance(s, (int, float, str)) and not isinstance(s, bool) for s in settings
     ):
         raise ValueError(
-            f"malformed space definition: parameter {str(entry['name'])!r}: "
+            f"malformed space definition: parameter {name!r}: "
             "settings must be a JSON array of numbers and strings"
         )
-    return tuple(settings)
+    return Parameter(name, tuple(settings))
 
 
 def space_from_dict(data: Mapping) -> DesignSpace:
     try:
-        parameters = tuple(
-            Parameter(str(entry["name"]), _settings(entry)) for entry in data["parameters"]
-        )
-        benchmarks = tuple(str(b) for b in data["benchmarks"])
+        parameters = tuple(_parameter(entry) for entry in data["parameters"])
+        benchmarks = data["benchmarks"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed space definition: {exc}") from exc
-    return DesignSpace(parameters=parameters, benchmarks=benchmarks)
+    if not isinstance(benchmarks, list) or not all(isinstance(b, str) for b in benchmarks):
+        raise ValueError(
+            "malformed space definition: benchmarks must be a JSON array of strings"
+        )
+    return DesignSpace(parameters=parameters, benchmarks=tuple(benchmarks))
 
 
 def load_space(path: str | Path) -> DesignSpace:

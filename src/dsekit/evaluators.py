@@ -10,27 +10,35 @@ produce bit-identical outputs. The built-in backends are:
 * ``SepMonoEvaluator`` — metrics separable and strictly monotone per
   parameter, so the true optimum is known; used for optimality proofs.
 * ``TableEvaluator`` — replays metric values from a CSV file.
-* ``ExternalEvaluator`` — drives a persistent worker subprocess over a
-  line-delimited JSON protocol (one request and one response per line).
+* ``ExternalEvaluator`` — drives a pool of persistent worker subprocesses
+  over a line-delimited JSON protocol (one request and one response per
+  line).
 
 ``CachedEvaluator`` wraps any backend with memoization, so a configuration
 requested again (by a later phase, or by another run given the same cache)
 never reaches the backend twice. The search itself counts unique evaluations.
+
+Backends evaluate one request at a time, in the caller's order. A backend
+that can work ahead also has ``submit(config, benchmark) -> bool``, a hint
+that the caller will ask for that configuration later; ``look_ahead`` feeds
+it a stream of independent requests. Only ``ExternalEvaluator`` (and a cache
+around it) has one, so the in-process backends stay serial.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
+import os
+import selectors
 import shlex
 import subprocess
-import threading
-from concurrent.futures import Future
+import time
+from collections import deque
 from csv import DictReader
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .design_space import Config, DesignSpace, Setting, values_getter
 from .errors import (
@@ -273,10 +281,35 @@ class TableEvaluator:
 # ---------------------------------------------------------------------------
 # External worker subprocess backend
 
+#: Requests queued on one worker: the one it serves and the next one, which
+#: already waits in its pipe when it answers.
+IN_FLIGHT = 2
+
+
+class _Request:
+    """One request: its line on the wire, the worker holding it, its outcome.
+
+    ``outcome`` stays None until the response is in; it is then the metrics
+    or the EvaluationError to raise. ``worker`` is None while the request is
+    not queued on any worker.
+    """
+
+    __slots__ = ("benchmark", "config", "id", "line", "outcome", "worker")
+
+    def __init__(self, request_id: int, config: Config, benchmark: str):
+        self.id = request_id
+        self.benchmark = benchmark
+        self.config = config
+        request = {"id": request_id, "benchmark": benchmark, "config": dict(config)}
+        self.line = json.dumps(request).encode() + b"\n"
+        self.outcome: dict[str, float] | EvaluationError | None = None
+        self.worker: _Worker | None = None
+
 
 class _Worker:
-    """One spawned worker process plus a thread pumping its stdout lines as
-    bytes; the caller decodes them, so no byte can stop the thread."""
+    """One spawned worker process, the requests queued on it (oldest first,
+    the one it serves at the head) and the bytes of its stdout not yet split
+    into lines."""
 
     def __init__(self, argv: Sequence[str]):
         try:
@@ -289,28 +322,51 @@ class _Worker:
             raise EvaluatorTerminatedError(
                 f"evaluator terminated: cannot start worker: {exc}"
             ) from None
-        self.lines: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
-
-    def _pump(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.lines.put(line)
-        self.lines.put(None)
+        self.queued: deque[_Request] = deque()
+        self.since = 0.0  # when the head could start: its send or the previous response
+        self.unread = bytearray()
 
     def kill(self) -> None:
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait()
-        if self.proc.stdin:
-            self.proc.stdin.close()
-        if self.proc.stdout:
-            self.proc.stdout.close()
+        for pipe in (self.proc.stdin, self.proc.stdout):
+            try:
+                pipe.close()  # type: ignore[union-attr]
+            except BrokenPipeError:
+                pass  # stdin still held a line the dead worker never read
+
+
+def _parse_response(line: bytes, request_id: int) -> dict[str, float]:
+    """The metrics of one response line; an ``error`` response raises
+    EvaluationError and anything malformed raises ProtocolError."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"response line is not UTF-8: {exc}") from None
+    try:
+        response = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"malformed response line: {exc}") from None
+    if not isinstance(response, dict):
+        raise ProtocolError(f"response is not a JSON object: {text.strip()}")
+    if response.get("id") != request_id:
+        raise ProtocolError(
+            f"response id {response.get('id')!r} does not match request id {request_id}"
+        )
+    if "error" in response:
+        raise EvaluationError(str(response["error"]))
+    metrics = response.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ProtocolError(f"response carries no metrics object: {text.strip()}")
+    try:
+        return {str(k): float(v) for k, v in metrics.items()}
+    except (TypeError, ValueError):
+        raise ProtocolError(f"non-numeric metric value in response: {text.strip()}") from None
 
 
 class ExternalEvaluator:
-    """Evaluates by messaging a persistent worker subprocess.
+    """Evaluates by messaging a pool of persistent worker subprocesses.
 
     Protocol (UTF-8, one JSON object per line, LF-terminated; a response line
     that is not valid UTF-8 is a malformed response):
@@ -318,101 +374,230 @@ class ExternalEvaluator:
         request:  {"id": <int>, "benchmark": <str>, "config": {...}}
         response: {"id": <int>, "metrics": {...}}  or  {"id": <int>, "error": <str>}
 
-    One worker is spawned lazily and reused across evaluations; requests are
-    serialized over its single pipe. A command that cannot be started raises
-    EvaluatorTerminatedError on each call. Worker exit, malformed responses,
-    id mismatches, and timeouts each raise a distinct error; after any of
-    those the worker is discarded and a fresh one is spawned on the next
-    call. An ``error`` response is an ordinary evaluation failure and leaves
-    the worker running. ``timeout`` bounds the wait for each response in
-    seconds; it must be finite and > 0.
+    Up to ``jobs`` workers are spawned lazily and reused; each holds at most
+    ``IN_FLIGHT`` requests and answers them in the order it got them. One
+    thread multiplexes their pipes with ``selectors``. ``submit`` sends a
+    request ahead of its turn while a worker has a free slot; ``evaluate``
+    claims the oldest submitted request if it is the one asked for, and sends
+    the request itself otherwise. A submitted request that a later
+    ``evaluate`` passes over is abandoned: its response is dropped.
+
+    A command that cannot be started raises EvaluatorTerminatedError from
+    ``evaluate``. Worker exit, malformed responses, id mismatches and
+    timeouts each raise a distinct error for the request the worker was
+    serving; the worker is discarded, a fresh one is spawned when needed,
+    and the requests queued behind the failed one are sent again when
+    claimed. An ``error`` response is an ordinary evaluation failure and
+    leaves the worker running. ``timeout`` bounds each request in seconds,
+    counted from when its worker can start it: the later of its send and
+    the worker's previous response. It must be finite and > 0. Calls must
+    come from one thread.
     """
 
-    def __init__(self, command: str | Sequence[str], timeout: float = 300.0):
+    def __init__(
+        self, command: str | Sequence[str], timeout: float = 300.0, jobs: int = 1
+    ):
         self._argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self._argv:
             raise ValueError("empty worker command")
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"timeout must be a finite number > 0, got {timeout}")
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.timeout = timeout
-        self._worker: _Worker | None = None
+        self.jobs = jobs
+        self._workers: list[_Worker] = []
+        self._selector: selectors.BaseSelector | None = None
+        self._submitted: deque[_Request] = deque()  # not yet claimed, oldest first
         self._next_id = 1
-        self._lock = threading.Lock()
+
+    def submit(self, config: Config, benchmark: str) -> bool:
+        """Send a request that ``evaluate`` will ask for later, in submission
+        order. False when no worker slot is free (nothing is sent)."""
+        try:
+            worker = self._free_worker()
+        except EvaluatorTerminatedError:
+            return False  # evaluate reports it, at the request's turn
+        if worker is None:
+            return False
+        request = self._request(config, benchmark)
+        self._send(request, worker)
+        self._submitted.append(request)
+        return True
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
-        with self._lock:
-            try:
-                return self._exchange(config, benchmark)
-            except (EvaluatorTerminatedError, EvaluationTimeoutError, ProtocolError):
-                self._discard()
-                raise
+        request = self._claim(config, benchmark)
+        while request.outcome is None:
+            if request.worker is None:
+                worker = self._free_worker()
+                if worker is not None:
+                    self._send(request, worker)
+                    continue
+            self._pump()
+        if isinstance(request.outcome, EvaluationError):
+            raise request.outcome
+        return request.outcome
 
-    def _exchange(self, config: Config, benchmark: str) -> dict[str, float]:
-        """One request and its response; every failure raises, none discards."""
-        if self._worker is None:
-            self._worker = _Worker(self._argv)
-        worker = self._worker
-        request_id = self._next_id
+    def _claim(self, config: Config, benchmark: str) -> _Request:
+        submitted = self._submitted
+        while submitted:
+            request = submitted.popleft()
+            if request.benchmark == benchmark and request.config == config:
+                return request
+        return self._request(config, benchmark)
+
+    def _request(self, config: Config, benchmark: str) -> _Request:
+        request = _Request(self._next_id, config, benchmark)
         self._next_id += 1
-        request = {"id": request_id, "benchmark": benchmark, "config": dict(config)}
+        return request
+
+    def _free_worker(self) -> _Worker | None:
+        """An idle worker, else a new one while the pool is below ``jobs``,
+        else one with a free slot; None when every slot is taken."""
+        partial = None
+        for worker in self._workers:
+            if not worker.queued:
+                return worker
+            if partial is None and len(worker.queued) < IN_FLIGHT:
+                partial = worker
+        if len(self._workers) < self.jobs:
+            worker = _Worker(self._argv)
+            if self._selector is None:
+                self._selector = selectors.DefaultSelector()
+            self._selector.register(worker.proc.stdout, selectors.EVENT_READ, worker)
+            self._workers.append(worker)
+            return worker
+        return partial
+
+    def _send(self, request: _Request, worker: _Worker) -> None:
+        request.worker = worker
+        if not worker.queued:
+            worker.since = time.monotonic()
+        worker.queued.append(request)
         try:
             assert worker.proc.stdin is not None
-            worker.proc.stdin.write(json.dumps(request).encode() + b"\n")
+            worker.proc.stdin.write(request.line)
             worker.proc.stdin.flush()
-        except (OSError, ValueError):
-            raise EvaluatorTerminatedError(
-                f"evaluator terminated: worker pipe closed (exit {worker.proc.poll()})"
-            ) from None
+        except OSError:
+            pass  # the worker is gone; its closed stdout fails the request it took down
 
-        try:
-            raw = worker.lines.get(timeout=self.timeout)
-        except queue.Empty:
-            raise EvaluationTimeoutError(
-                f"no response from worker within {self.timeout} s"
-            ) from None
-        if raw is None:
-            raise EvaluatorTerminatedError(
-                f"evaluator terminated: worker closed stdout (exit {worker.proc.wait()})"
+    def _pump(self) -> None:
+        """Wait for responses until one arrives or the oldest head times out."""
+        assert self._selector is not None
+        busy = [worker for worker in self._workers if worker.queued]
+        deadline = min(worker.since for worker in busy) + self.timeout
+        for key, _ in self._selector.select(max(0.0, deadline - time.monotonic())):
+            self._read(key.data)
+        now = time.monotonic()
+        for worker in busy:
+            if worker.queued and now - worker.since >= self.timeout:
+                self._discard(
+                    worker,
+                    EvaluationTimeoutError(f"no response from worker within {self.timeout} s"),
+                )
+
+    def _read(self, worker: _Worker) -> None:
+        assert worker.proc.stdout is not None
+        data = os.read(worker.proc.stdout.fileno(), 1 << 16)
+        if not data:
+            try:
+                code = worker.proc.wait(timeout=1.0)
+            except subprocess.TimeoutExpired:
+                code = None
+            self._discard(
+                worker,
+                EvaluatorTerminatedError(
+                    f"evaluator terminated: worker closed stdout (exit {code})"
+                ),
             )
+            return
+        unread = worker.unread
+        unread += data
+        start = 0
+        while (end := unread.find(b"\n", start)) >= 0:
+            line = bytes(unread[start : end + 1])
+            start = end + 1
+            if not worker.queued:
+                self._discard(worker, ProtocolError("response line with no request pending"))
+                return
+            request = worker.queued[0]
+            try:
+                request.outcome = _parse_response(line, request.id)
+            except ProtocolError as exc:
+                self._discard(worker, exc)
+                return
+            except EvaluationError as exc:
+                request.outcome = exc
+            worker.queued.popleft()
+            worker.since = time.monotonic()
+        del unread[:start]
 
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"response line is not UTF-8: {exc}") from None
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"malformed response line: {exc}") from None
-        if not isinstance(response, dict):
-            raise ProtocolError(f"response is not a JSON object: {line.strip()}")
-        if response.get("id") != request_id:
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match request id {request_id}"
-            )
-        if "error" in response:
-            raise EvaluationError(str(response["error"]))
-        metrics = response.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ProtocolError(f"response carries no metrics object: {line.strip()}")
-        try:
-            return {str(k): float(v) for k, v in metrics.items()}
-        except (TypeError, ValueError):
-            raise ProtocolError(f"non-numeric metric value in response: {line.strip()}") from None
-
-    def _discard(self) -> None:
-        if self._worker is not None:
-            self._worker.kill()
-            self._worker = None
+    def _discard(self, worker: _Worker, exc: EvaluationError) -> None:
+        """Kill a worker: the request it was serving fails with ``exc``, the
+        ones queued behind it wait for another worker."""
+        assert self._selector is not None and worker.proc.stdout is not None
+        self._selector.unregister(worker.proc.stdout)
+        self._workers.remove(worker)
+        worker.kill()
+        if worker.queued:
+            worker.queued.popleft().outcome = exc
+        for request in worker.queued:
+            request.worker = None
+        worker.queued.clear()
 
     def close(self) -> None:
-        with self._lock:
-            self._discard()
+        """Kill every worker and drop every request not yet claimed."""
+        while self._workers:
+            self._discard(self._workers[-1], EvaluatorTerminatedError("evaluator closed"))
+        self._submitted.clear()
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
 
     def __enter__(self) -> "ExternalEvaluator":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmark: str) -> Iterable[Config]:
+    """``configs`` in order, for the caller to evaluate one by one; each is
+    first handed to ``evaluator.submit`` ahead of its turn while the backend
+    takes it.
+
+    Backends without ``submit`` (the in-process ones) get ``configs`` back
+    untouched. A refused configuration waits until the next turn, so no more
+    than one configuration is pulled beyond those the backend holds.
+    """
+    submit = getattr(evaluator, "submit", None)
+    if submit is None:
+        return configs
+    return _submitted_ahead(submit, iter(configs), benchmark)
+
+
+def _submitted_ahead(
+    submit: Callable[[Config, str], bool], configs: Iterator[Config], benchmark: str
+) -> Iterator[Config]:
+    ahead: deque[Config] = deque()
+    held: Config | None = None  # pulled, refused by the last submit
+    while True:
+        while True:
+            if held is None:
+                held = next(configs, None)
+                if held is None:
+                    break
+            if not submit(held, benchmark):
+                break
+            ahead.append(held)
+            held = None
+        if ahead:
+            yield ahead.popleft()
+        elif held is not None:
+            yield held
+            held = None
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -430,72 +615,56 @@ class CachedEvaluator:
     evaluations.
 
     The memo keeps one copy per miss; every returned dict is the caller's.
-    Safe under concurrent calls; concurrent requests for the same key reach
-    the inner backend at most once. The first caller of a key marks it in
-    flight; a ``Future`` is made only when a second caller arrives to wait
-    on it, so serial misses allocate none. Waiters re-raise the owner's
-    exception. Errors are never cached: a failed key is re-evaluated on the
-    next request.
+    Errors are never cached: a failed key is re-evaluated on the next
+    request. It has ``submit`` exactly when the inner backend has: the hint
+    is forwarded for memo misses only, and a hit reports that nothing was
+    sent. Calls must come from one thread.
     """
 
     def __init__(self, inner: Evaluator):
         self.inner = inner
         self._memo: dict[tuple, dict[str, float]] = {}
-        # None while only the owner is in flight; a Future once a caller waits.
-        self._inflight: dict[tuple, Future | None] = {}
-        self._lock = threading.Lock()
-        self._names = ((), values_getter(()))  # one attribute, so no thread mixes key sets
+        self._names: tuple[str, ...] = ()
+        self._getter = values_getter(())
+        if hasattr(inner, "submit"):
+            self.submit = self._submit
+
+    def _key(self, config: Config, benchmark: str) -> tuple:
+        try:
+            if len(config) != len(self._names):
+                raise KeyError(self._names)
+            return (benchmark, self._names, self._getter(config))
+        except KeyError:  # another key set: learn its names and getter once
+            self._names = tuple(sorted(config))
+            self._getter = values_getter(self._names)
+            return (benchmark, self._names, self._getter(config))
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
-        names, getter = self._names
-        try:
-            if len(config) != len(names):
-                raise KeyError(names)
-            key = (benchmark, names, getter(config))
-        except KeyError:  # another key set: learn its names and getter once
-            names = tuple(sorted(config))
-            names, getter = self._names = (names, values_getter(names))
-            key = (benchmark, names, getter(config))
-        with self._lock:
-            cached = self._memo.get(key)
-            if cached is not None:
-                return dict(cached)
-            waiting = key in self._inflight
-            if waiting:
-                future = self._inflight[key]
-                if future is None:
-                    future = self._inflight[key] = Future()
-            else:
-                self._inflight[key] = None
-
-        if waiting:
-            return dict(future.result())
-
-        try:
-            result = self.inner.evaluate(config, benchmark)
-        except BaseException as exc:
-            with self._lock:
-                future = self._inflight.pop(key)
-            if future is not None:
-                future.set_exception(exc)
-            raise
-        with self._lock:
-            self._memo[key] = stored = dict(result)
-            future = self._inflight.pop(key)
-        if future is not None:
-            future.set_result(stored)
+        key = self._key(config, benchmark)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return dict(cached)
+        result = self.inner.evaluate(config, benchmark)
+        self._memo[key] = dict(result)
         return result
+
+    def _submit(self, config: Config, benchmark: str) -> bool:
+        return self._key(config, benchmark) not in self._memo and self.inner.submit(
+            config, benchmark
+        )
 
 
 def make_evaluator(
     spec: str,
     space: DesignSpace,
     timeout: float = 300.0,
+    jobs: int = 1,
 ) -> Evaluator:
     """Build a backend from its command-line specification.
 
     Grammar: ``synthetic`` | ``synthetic:<profile>`` | ``sepmono`` |
-    ``table:<csv path>`` | ``exec:<command line>``.
+    ``table:<csv path>`` | ``exec:<command line>``. ``jobs`` sizes the
+    worker pool of ``exec:``; the in-process backends are serial.
     """
     kind, _, arg = spec.partition(":")
     if kind == "synthetic":
@@ -511,5 +680,5 @@ def make_evaluator(
     if kind == "exec":
         if not arg:
             raise ValueError("exec evaluator needs a command line: exec:<command>")
-        return ExternalEvaluator(arg, timeout=timeout)
+        return ExternalEvaluator(arg, timeout=timeout, jobs=jobs)
     raise ValueError(f"unknown evaluator spec {spec!r}")

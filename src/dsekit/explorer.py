@@ -23,14 +23,18 @@ The run returns the phase winner, unless the log holds a record with a
 strictly lower F (a one-shot record can beat both later phases); then it
 returns the first such minimum. On a tie the phase winner stays.
 
-The search is one sequential decision chain, so it runs serially: each
-benchmark gets one ``_Session``, the only code that evaluates. It counts
-requests and distinct configurations, validates each new response, and
-normalizes and scores it once. It builds its benchmark's normalization
-context from the one-shot records, checks the weights against it once and
-returns it as ``BenchmarkResult.normalization``. The log keeps one record
-per distinct configuration per benchmark, tagged with the phase that first
-requested it, so its length is exactly the unique-evaluation count that
+Each benchmark gets one ``_Session``, the only code that evaluates; it
+asks for one configuration at a time, in the order above. The one-shot set
+and the exhaustive product do not depend on their own results, so each is
+also handed to the backend ahead of its turn (``look_ahead``), which lets a
+worker pool evaluate them in parallel; the greedy walk decides each step
+from the last one and stays sequential. The session counts requests and
+distinct configurations, validates each new response, and normalizes and
+scores it once. It builds its benchmark's normalization context from the
+one-shot records, checks the weights against it once and returns it as
+``BenchmarkResult.normalization``. The log keeps one record per distinct
+configuration per benchmark, tagged with the phase that first requested
+it, so its length is exactly the unique-evaluation count that
 percent-explored reporting is based on.
 """
 
@@ -42,7 +46,7 @@ from typing import Mapping, Sequence
 
 from .design_space import Config, DesignSpace, enumerate_configs, validate
 from .errors import DegenerateMetricError, EvaluationError
-from .evaluators import CachedEvaluator, Evaluator
+from .evaluators import CachedEvaluator, Evaluator, look_ahead
 from .objective import (  # noqa: F401 -- objective: see map_ordered
     NormalizationContext,
     WeightVector,
@@ -122,13 +126,6 @@ class RunResult:
     weights: dict[str, float]
     threshold: int
     benchmarks: dict[str, BenchmarkResult]
-
-    def records(self) -> list[EvalRecord]:
-        """All logs concatenated in benchmark run order."""
-        out: list[EvalRecord] = []
-        for result in self.benchmarks.values():
-            out.extend(result.records)
-        return out
 
     @property
     def failed(self) -> list[str]:
@@ -224,7 +221,10 @@ def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     base = {p.name: p.first for p in space.parameters}
     multi = [space.parameter(name) for name in space.multi_setting_names()]
     configs = [base] + [{**base, p.name: p.last} for p in multi]
-    records = [session.evaluate(config, PHASE_ONESHOT) for config in configs]
+    records = [
+        session.evaluate(config, PHASE_ONESHOT)
+        for config in look_ahead(session.evaluator, configs, session.benchmark)
+    ]
     session.calibrate(records)
 
     f_base = records[0].objective
@@ -290,7 +290,8 @@ def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
     free = [name for name in space.names if name in members]
     fixed = {name: best[name] for name in space.names if name not in members}
     winner: EvalRecord | None = None
-    for config in enumerate_configs(space, free=free, fixed=fixed):
+    configs = enumerate_configs(space, free=free, fixed=fixed)
+    for config in look_ahead(session.evaluator, configs, session.benchmark):
         record = session.evaluate(config, PHASE_EXHAUSTIVE)
         if winner is None or record.objective < winner.objective:
             winner = record

@@ -9,14 +9,17 @@ stdin and writes one JSON response per line on stdout:
 Two metric models are available. ``tiny`` (the default) expects parameters
 named A and B and computes power = 0.5*A + 0.002*B, time = 24/A + 200/B;
 ``synthetic`` runs the analytic multicore model, resolving the profile from
-the benchmark name. The misbehavior flags exist so protocol error handling
-can be exercised end to end: a worker can be told to answer a specific
-benchmark with an error response, with a wrong response id, or with silence.
+the benchmark name. The misbehavior flags exist so error handling can be
+exercised end to end: a worker can be told to answer a specific benchmark
+with an error response, with a wrong response id, with silence, with a NaN
+``time``, or without ``time`` on every even request id. Every flag depends
+only on the request, so a pool of these workers answers as one worker does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
@@ -53,7 +56,21 @@ def _synthetic_metrics(config: dict, benchmark: str) -> dict[str, float]:
 @click.option("--error-on", default=None, help="Answer this benchmark with an error response.")
 @click.option("--skew-id-on", default=None, help="Answer this benchmark with a wrong response id.")
 @click.option("--hang-on", default=None, help="Never answer this benchmark.")
-def main(model: str, error_on: str | None, skew_id_on: str | None, hang_on: str | None) -> None:
+@click.option("--nan-on", default=None, help="Answer this benchmark with a NaN time.")
+@click.option(
+    "--drop-metric-on",
+    default=None,
+    help="Answer this benchmark without its time metric on even request ids, "
+    "so any two consecutive requests disagree.",
+)
+def main(
+    model: str,
+    error_on: str | None,
+    skew_id_on: str | None,
+    hang_on: str | None,
+    nan_on: str | None,
+    drop_metric_on: str | None,
+) -> None:
     """Serve evaluation requests from stdin until EOF."""
     for line in sys.stdin:
         if not line.strip():
@@ -78,6 +95,10 @@ def main(model: str, error_on: str | None, skew_id_on: str | None, hang_on: str 
                     metrics = _tiny_metrics(config)
                 else:
                     metrics = _synthetic_metrics(config, benchmark)
+                if benchmark == nan_on:
+                    metrics["time"] = math.nan
+                if benchmark == drop_metric_on and request_id % 2 == 0:
+                    del metrics["time"]
                 response = {"id": request_id, "metrics": metrics}
             except EvaluationError as exc:
                 response = {"id": request_id, "error": str(exc)}

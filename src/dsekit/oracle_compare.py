@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
-from .evaluators import Evaluator
+from .evaluators import Evaluator, look_ahead
 from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
 from .objective import (
     NormalizationContext,
@@ -79,7 +79,7 @@ def oracle_search(
     best_config: Config | None = None
     best_metrics: dict[str, float] | None = None
     best_value = math.inf
-    for config in enumerate_configs(space):
+    for config in look_ahead(evaluator, enumerate_configs(space), benchmark):
         metrics = evaluator.evaluate(config, benchmark)
         check_metrics(benchmark, metrics, names)
         value = objective(metrics, ctx, weights)

@@ -363,7 +363,7 @@ class TestOracle:
             def evaluate(self, config, benchmark):
                 return {**tiny_metrics(config["A"], config["B"]), "power": 0.0}
 
-        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: ZeroPower())
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: ZeroPower())
         result, run_dir = do_run(runner, tmp_path)
         assert result.exit_code == 2
         payload = json.loads((run_dir / RESULT_FILE).read_text(encoding="utf-8"))
@@ -510,6 +510,37 @@ class TestExecBackend:
         assert "error: evaluator terminated: cannot start worker" in result.stderr
 
 
+    @pytest.mark.parametrize("flag", ["--error-on", "--nan-on", "--drop-metric-on"])
+    def test_worker_fault_fails_only_its_benchmark(self, runner, tmp_path, flag):
+        space_file = tmp_path / "two.json"
+        space_file.write_text(
+            json.dumps(
+                {
+                    "parameters": [
+                        {"name": "A", "settings": [1, 2, 4]},
+                        {"name": "B", "settings": [100, 200]},
+                    ],
+                    "benchmarks": ["t", "u"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        worker = f"exec:{sys.executable} -m dsekit.mock_worker {flag} u"
+        outputs = []
+        for jobs in (1, 3):
+            result, out_dir = do_run(
+                runner, tmp_path, out=f"jobs{jobs}",
+                **{"--space": space_file, "--evaluator": worker, "--jobs": jobs},
+            )
+            assert result.exit_code == 2
+            assert "u: FAILED: " in result.stdout
+            payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
+            assert payload["benchmarks"]["t"]["error"] is None
+            assert payload["benchmarks"]["u"]["error"] is not None
+            outputs.append([(out_dir / name).read_bytes() for name in (EVALS_FILE, RESULT_FILE)])
+        assert outputs[0] == outputs[1]
+
+
 class TinyBackend:
     """The tiny model; records the thread of every call and may emit NaN."""
 
@@ -525,7 +556,7 @@ class TinyBackend:
 
 class TestSerialEvaluation:
     def use_backend(self, monkeypatch, backend):
-        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: backend)
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
 
     def test_run_and_oracle_evaluate_on_the_main_thread(self, runner, tmp_path, monkeypatch):
         backend = TinyBackend()
@@ -634,7 +665,7 @@ class TestExitCodePolicy:
         path = (oracle_dir if document == ORACLE_FILE else run_dir) / document
         path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
         backend = TinyBackend()
-        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout: backend)
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, command, run_dir, *([oracle_dir] if command == "compare" else []))
         assert result.exit_code == 1
         assert "error:" in result.stderr and document in result.stderr
@@ -654,3 +685,54 @@ class TestExitCodePolicy:
         assert "error: timeout must be a finite number > 0" in result.stderr
         assert not marker.exists()
         assert not out_dir.exists()
+
+
+class TestJobs:
+    """An exec: pool of any size writes the bytes one worker writes."""
+
+    def test_outputs_do_not_depend_on_jobs(self, runner, tmp_path):
+        space_file = tmp_path / "synth.json"
+        space_file.write_text(
+            json.dumps(
+                {
+                    "parameters": [
+                        {"name": "cores", "settings": [2, 4, 8]},
+                        {"name": "freq", "settings": [1700, 2800]},
+                        {"name": "l1i", "settings": [16, 32]},
+                        {"name": "l1d", "settings": [16, 32]},
+                        {"name": "l2", "settings": [256, 512]},
+                        {"name": "l3", "settings": [2048, 4096]},
+                    ],
+                    "benchmarks": ["synth-blk", "synth-fluid"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        common = [
+            "--space", space_file, "--weights", "power=0.3,time=0.7",
+            "--evaluator", f"exec:{sys.executable} -m dsekit.mock_worker --model synthetic",
+        ]
+        run_files = (EVALS_FILE, RESULT_FILE, SIGNIFICANCE_FILE, PARETO_FILE)
+        outputs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            stdouts = []
+            for args in (
+                ["run", *common, "-T", 8, "--out", out / "run", "--jobs", jobs],
+                ["oracle", out / "run", "--out", out / "oracle", "--jobs", jobs],
+                ["sweep", *common, "--thresholds", "1,8,32", "--out", out / "sweep",
+                 "--jobs", jobs],
+            ):
+                result = invoke(runner, *args)
+                assert result.exit_code == 0, result.output
+                stdouts.append(result.stdout)
+            manifest = json.loads((out / "run" / MANIFEST_FILE).read_text(encoding="utf-8"))
+            assert manifest["jobs"] == jobs
+            files = [out / "run" / name for name in run_files]
+            files.append(out / "oracle" / ORACLE_FILE)
+            files.append(out / "sweep" / SWEEP_FILE)
+            for sub in sorted((out / "sweep").glob("run*")):
+                files += [sub / name for name in run_files]
+            outputs.append((stdouts, [(f.relative_to(out), f.read_bytes()) for f in files]))
+        assert len(outputs[0][1]) == 3 * 4 + 4 + 2
+        assert outputs[0] == outputs[1]

@@ -188,6 +188,15 @@ class TestSerialization:
                 space_from_dict(
                     {"parameters": [{"name": "A", "settings": settings}], "benchmarks": ["b"]}
                 )
+        with pytest.raises(ValueError, match="malformed.*parameter name None"):
+            space_from_dict(
+                {"parameters": [{"name": None, "settings": [1, 2]}], "benchmarks": ["b"]}
+            )
+        for benchmarks in ("abc", [1, "b"], None):
+            with pytest.raises(ValueError, match="malformed.*benchmarks"):
+                space_from_dict(
+                    {"parameters": [{"name": "A", "settings": [1, 2]}], "benchmarks": benchmarks}
+                )
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid JSON"):

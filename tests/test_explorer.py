@@ -394,7 +394,8 @@ class TestRunTiny:
         traces = [
             [
                 (r.benchmark, r.phase, r.seq, tuple(r.config.items()), r.objective)
-                for r in result.records()
+                for bench in result.benchmarks.values()
+                for r in bench.records
             ]
             for result in results
         ]

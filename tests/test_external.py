@@ -1,4 +1,4 @@
-"""External worker protocol: round trips, error taxonomy, worker lifecycle."""
+"""External worker protocol: round trips, error taxonomy, worker lifecycle, pool."""
 
 import json
 import sys
@@ -11,9 +11,11 @@ from dsekit import (
     EvaluatorTerminatedError,
     ExternalEvaluator,
     ProtocolError,
+    make_space,
+    run,
 )
 
-from .conftest import tiny_metrics
+from .conftest import TINY_WEIGHTS, TinyEvaluator, tiny_metrics
 
 WORKER = [sys.executable, "-m", "dsekit.mock_worker"]
 
@@ -83,9 +85,9 @@ class TestErrorTaxonomy:
         with ExternalEvaluator(command, timeout=30.0) as ev:
             with pytest.raises(EvaluationError, match="injected failure"):
                 ev.evaluate({"A": 1, "B": 100}, "bad")
-            worker_before = ev._worker
+            worker_before = ev._workers[0]
             assert ev.evaluate({"A": 1, "B": 100}, "t") == tiny_metrics(1, 100)
-            assert ev._worker is worker_before  # same process kept serving
+            assert ev._workers == [worker_before]  # same process kept serving
 
     def test_worker_exit_raises_terminated(self, tmp_path):
         command = [sys.executable, "-c", "pass"]  # exits immediately
@@ -110,7 +112,7 @@ class TestErrorTaxonomy:
         with ExternalEvaluator(command, timeout=0.4) as ev:
             with pytest.raises(EvaluationTimeoutError, match="0.4"):
                 ev.evaluate({"A": 1, "B": 100}, "slow")
-            assert ev._worker is None
+            assert ev._workers == []
 
     def test_non_object_response(self, tmp_path):
         command = script_worker(tmp_path, 'print(json.dumps([1, 2]), flush=True)')
@@ -148,7 +150,7 @@ class TestErrorTaxonomy:
         with ExternalEvaluator(command, timeout=30.0) as ev:
             with pytest.raises(ProtocolError, match="not UTF-8"):
                 ev.evaluate({"A": 1}, "bad")
-            assert ev._worker is None
+            assert ev._workers == []
             assert ev.evaluate({"A": 1}, "t") == {"m": 1.0}
 
     def test_empty_command_rejected(self):
@@ -177,8 +179,21 @@ for line in sys.stdin:
         with ExternalEvaluator(command, timeout=30.0) as ev:
             with pytest.raises(EvaluatorTerminatedError):
                 ev.evaluate({"A": 1}, "t")
-            assert ev._worker is None
+            assert ev._workers == []
             assert ev.evaluate({"A": 1}, "t") == {"m": 1.0}
+
+    def test_worker_gone_between_requests_fails_the_next_one(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'print(json.dumps({"id": request["id"], "metrics": {"m": 1.0}}), flush=True)\n'
+            "break",
+        )
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            assert ev.evaluate({"A": 1}, "t") == {"m": 1.0}
+            ev._workers[0].proc.wait(timeout=30)
+            with pytest.raises(EvaluatorTerminatedError, match="exit 0"):
+                ev.evaluate({"A": 2}, "t")  # its line can no longer be sent
+            assert ev.evaluate({"A": 3}, "t") == {"m": 1.0}
 
     def test_ids_keep_increasing_across_respawns(self, tmp_path):
         command = script_worker(
@@ -194,15 +209,15 @@ for line in sys.stdin:
     def test_close_kills_the_worker(self):
         ev = ExternalEvaluator(worker_command(), timeout=30.0)
         ev.evaluate({"A": 1, "B": 100}, "t")
-        proc = ev._worker.proc
+        proc = ev._workers[0].proc
         ev.close()
         assert proc.poll() is not None
-        assert ev._worker is None
+        assert ev._workers == []
 
     def test_context_manager_closes(self):
         with ExternalEvaluator(worker_command(), timeout=30.0) as ev:
             ev.evaluate({"A": 1, "B": 100}, "t")
-            proc = ev._worker.proc
+            proc = ev._workers[0].proc
         assert proc.poll() is not None
 
 
@@ -241,3 +256,80 @@ class TestMockWorkerDirect:
         responses = self.run_worker([json.dumps(request)])
         assert responses[0]["id"] == 2
         assert "error" in responses[0]
+
+
+class TestPool:
+    """Three workers, each holding up to two requests."""
+
+    def test_hung_benchmark_fails_alone(self):
+        space = make_space([("A", [1, 2, 4]), ("B", [100, 200])], ["t", "slow", "u"])
+        command = worker_command("--hang-on", "slow")
+        with ExternalEvaluator(command, timeout=2.0, jobs=3) as ev:
+            result = run(space, ev, TINY_WEIGHTS, 3)
+        expected = run(space, TinyEvaluator(), TINY_WEIGHTS, 3)
+        assert result.failed == ["slow"]
+        assert "no response from worker within 2.0 s" in result.benchmarks["slow"].error
+        assert result.benchmarks["slow"].records == []
+        for name in ("t", "u"):
+            assert result.benchmarks[name].records == expected.benchmarks[name].records
+
+    def test_worker_exit_fails_only_the_request_it_served(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'if request["config"]["A"] == 1:\n'
+            '    import time\n'
+            '    time.sleep(0.5)\n'
+            '    sys.exit(3)\n'
+            'print(json.dumps({"id": request["id"],'
+            ' "metrics": {"m": float(request["config"]["A"])}}), flush=True)',
+        )
+        configs = [{"A": a} for a in range(1, 7)]
+        with ExternalEvaluator(command, timeout=30.0, jobs=3) as ev:
+            assert all(ev.submit(config, "t") for config in configs)
+            assert not ev.submit({"A": 7}, "t")  # all six slots are taken
+            first = ev._workers[0]
+            assert [request.id for request in first.queued] == [1, 4]
+            behind = first.queued[1]
+            with pytest.raises(EvaluatorTerminatedError, match="exit 3"):
+                ev.evaluate(configs[0], "t")
+            for config in configs[1:]:
+                assert ev.evaluate(config, "t") == {"m": float(config["A"])}
+            assert first not in ev._workers
+            assert behind.worker is not None and behind.worker is not first
+            assert ev._next_id == 7  # request 4 was sent again, not replaced
+
+    def test_timeout_starts_when_the_worker_can_start(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'import time\n'
+            'time.sleep(request["config"]["sleep"])\n'
+            'print(json.dumps({"id": request["id"], "metrics": {"m": 1.0}}), flush=True)',
+        )
+        with ExternalEvaluator(command, timeout=1.0, jobs=1) as ev:
+            ev.evaluate({"sleep": 0}, "t")  # the worker is up
+            assert ev.submit({"sleep": 0.6}, "t")
+            assert ev.submit({"sleep": 0.61}, "t")
+            assert ev.evaluate({"sleep": 0.6}, "t") == {"m": 1.0}
+            # about 1.2 s after it was sent, but 0.6 s after the worker could start it
+            assert ev.evaluate({"sleep": 0.61}, "t") == {"m": 1.0}
+
+    def test_close_leaves_no_worker_alive(self):
+        ev = ExternalEvaluator(worker_command(), timeout=30.0, jobs=3)
+        for a in (1, 2, 4):
+            for b in (100, 200):
+                assert ev.submit({"A": a, "B": b}, "t")
+        assert ev.evaluate({"A": 1, "B": 100}, "t") == tiny_metrics(1, 100)
+        procs = [worker.proc for worker in ev._workers]
+        assert len(procs) == 3
+        ev.close()
+        assert all(proc.poll() is not None for proc in procs)
+        assert ev._workers == []
+
+    def test_passed_over_requests_are_abandoned(self):
+        with ExternalEvaluator(worker_command(), timeout=30.0, jobs=2) as ev:
+            assert ev.submit({"A": 1, "B": 100}, "t")
+            assert ev.submit({"A": 2, "B": 100}, "t")
+            # asked out of order: the first submitted request is dropped
+            assert ev.evaluate({"A": 2, "B": 100}, "t") == tiny_metrics(2, 100)
+            assert ev.evaluate({"A": 1, "B": 100}, "t") == tiny_metrics(1, 100)
+            assert ev._next_id == 4
