@@ -54,6 +54,13 @@ _RESULT_ENTRY_TYPES = {
     "unique_evaluations": (int, "an integer"),
     "total_requests": (int, "an integer"),
 }
+#: Per-benchmark ``oracle.json`` values that ``compare`` reads, with their JSON types.
+_ORACLE_ENTRY_TYPES = {
+    "best_config": (dict, "an object"),
+    "best_metrics": (dict, "an object"),
+    "objective": ((int, float), "a number"),
+    "evaluations": (int, "an integer"),
+}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -78,6 +85,16 @@ def _load_json(path: Path) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
     return payload
+
+
+def _check_entries(path: Path, payload: Mapping, types: Mapping) -> None:
+    """Each benchmark entry of the document at ``path`` holds ``types``' keys
+    with their JSON types (never a boolean); else a ValueError naming it."""
+    with _reading(path):
+        for name, entry in payload["benchmarks"].items():
+            for key, (kind, spelled) in types.items():
+                if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+                    raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
 
 
 def space_hash(space: DesignSpace) -> str:
@@ -123,10 +140,9 @@ def build_manifest(
 
 
 def metric_order(run: RunResult) -> list[str]:
-    """The metric names of the first logged record, a completed benchmark's
-    if any completed: a failed one may have logged a malformed response."""
-    results = sorted(run.benchmarks.values(), key=lambda r: r.error is not None)
-    for result in results:
+    """The metric names of the first logged record, in the evaluator's order;
+    every logged record carries exactly these, the names the weights give."""
+    for result in run.benchmarks.values():
         if result.records:
             return list(result.records[0].metrics)
     return []
@@ -192,19 +208,13 @@ def write_evals_csv(path: Path, run: RunResult) -> None:
     metrics = metric_order(run)
     norm_names = [f"norm_{m}" for m in metrics]
     param_values, metric_values = values_getter(params), values_getter(metrics)
-
-    def some_values(values: Mapping[str, float]) -> list:
-        """A failed benchmark's metrics, with an empty cell for each one missing."""
-        return [values.get(m, "") for m in metrics]
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"])
         for result in run.benchmarks.values():
-            raw_values = metric_values if result.error is None else some_values
             writer.writerows(
                 (record.benchmark, record.phase, record.seq, *param_values(record.config),
-                 *raw_values(record.metrics),
+                 *metric_values(record.metrics),
                  *(metric_values(record.normalized) if record.normalized else [""] * len(metrics)),
                  "" if record.objective is None else record.objective)
                 for record in result.records
@@ -244,7 +254,7 @@ def write_pareto_csv(
                 writer.writerow(
                     [benchmark]
                     + [record.metrics[m] for m in metrics]
-                    + [record.objective if record.objective is not None else ""]
+                    + [record.objective]
                     + [record.config[p] for p in params]
                     + [1 if record is pick else 0]
                 )
@@ -291,12 +301,10 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             )
             records.setdefault(record.benchmark, []).append(record)
 
+    _check_entries(result_path, payload, _RESULT_ENTRY_TYPES)
     benchmarks: dict[str, BenchmarkResult] = {}
     with _reading(result_path):
         for name, entry in payload["benchmarks"].items():
-            for key, (kind, spelled) in _RESULT_ENTRY_TYPES.items():
-                if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
-                    raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
             part = entry.get("partition")
             norm = entry["normalization"]
             benchmarks[name] = BenchmarkResult(
@@ -360,21 +368,26 @@ def write_oracle(out: Path, payload: dict) -> None:
 
 
 def load_oracle(oracle_dir: Path) -> dict:
-    return _load_json(oracle_dir / ORACLE_FILE)
+    """The oracle document; a missing key or a wrong value type in a benchmark
+    entry is a ValueError that names the file."""
+    path = oracle_dir / ORACLE_FILE
+    payload = _load_json(path)
+    _check_entries(path, payload, _ORACLE_ENTRY_TYPES)
+    return payload
 
 
 def oracle_results_from_payload(payload: Mapping) -> dict[str, OracleResult]:
-    with _reading(ORACLE_FILE):
-        return {
-            name: OracleResult(
-                benchmark=name,
-                best_config=entry["best_config"],
-                best_metrics=entry["best_metrics"],
-                objective=entry["objective"],
-                evaluations=entry["evaluations"],
-            )
-            for name, entry in payload["benchmarks"].items()
-        }
+    """The entries of a document ``load_oracle`` returned."""
+    return {
+        name: OracleResult(
+            benchmark=name,
+            best_config=entry["best_config"],
+            best_metrics=entry["best_metrics"],
+            objective=entry["objective"],
+            evaluations=entry["evaluations"],
+        )
+        for name, entry in payload["benchmarks"].items()
+    }
 
 
 def compare_payload(report: ComparisonReport) -> dict:

@@ -137,13 +137,13 @@ def _fronts_and_choices(result: RunResult):
     fronts = {}
     chosen = {}
     for name, bench in result.benchmarks.items():
-        if bench.error is not None or not bench.records:
+        if bench.error is not None:
             continue
         front = pareto_front(bench.records)
         fronts[name] = front
         chosen[name] = select_tradeoff(front, bench.normalization, result.weights)
-        min_all = min(r.objective for r in bench.records if r.objective is not None)
-        min_front = min(r.objective for r in front if r.objective is not None)
+        min_all = min(r.objective for r in bench.records)
+        min_front = min(r.objective for r in front)
         if min_front != min_all:
             raise DseError(
                 f"pareto front for {name!r} misses the minimum-objective point"

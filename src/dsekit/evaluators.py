@@ -567,8 +567,9 @@ def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmark: str) 
     takes it.
 
     Backends without ``submit`` (the in-process ones) get ``configs`` back
-    untouched. A refused configuration waits until the next turn, so no more
-    than one configuration is pulled beyond those the backend holds.
+    untouched. A memo hit takes no slot and does not stop the hand-off. A
+    refused configuration waits until the next turn, so beyond those the
+    backend holds and the hits among them, at most one is pulled.
     """
     submit = getattr(evaluator, "submit", None)
     if submit is None:
@@ -617,8 +618,8 @@ class CachedEvaluator:
     The memo keeps one copy per miss; every returned dict is the caller's.
     Errors are never cached: a failed key is re-evaluated on the next
     request. It has ``submit`` exactly when the inner backend has: the hint
-    is forwarded for memo misses only, and a hit reports that nothing was
-    sent. Calls must come from one thread.
+    is forwarded for memo misses only, and a hit is accepted at once, since
+    nothing needs sending. Calls must come from one thread.
     """
 
     def __init__(self, inner: Evaluator):
@@ -649,7 +650,7 @@ class CachedEvaluator:
         return result
 
     def _submit(self, config: Config, benchmark: str) -> bool:
-        return self._key(config, benchmark) not in self._memo and self.inner.submit(
+        return self._key(config, benchmark) in self._memo or self.inner.submit(
             config, benchmark
         )
 

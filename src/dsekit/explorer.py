@@ -29,9 +29,10 @@ and the exhaustive product do not depend on their own results, so each is
 also handed to the backend ahead of its turn (``look_ahead``), which lets a
 worker pool evaluate them in parallel; the greedy walk decides each step
 from the last one and stays sequential. The session counts requests and
-distinct configurations, validates each new response, and normalizes and
-scores it once. It builds its benchmark's normalization context from the
-one-shot records, checks the weights against it once and returns it as
+distinct configurations. It checks each new response on arrival against
+the weights, which name the metrics, then normalizes and scores it once.
+It builds its benchmark's normalization context from the one-shot records,
+checks the weights against it once and returns it as
 ``BenchmarkResult.normalization``. The log keeps one record per distinct
 configuration per benchmark, tagged with the phase that first requested
 it, so its length is exactly the unique-evaluation count that
@@ -135,9 +136,9 @@ class RunResult:
 class _Session:
     """One benchmark's search: the log, the request count and the scoring.
 
-    Every evaluation of the search goes through ``evaluate``. A record is
-    created, validated, normalized and scored once, on the first request of
-    its configuration; later requests return the same record.
+    Every evaluation of the search goes through ``evaluate``. A response is
+    checked, logged, normalized and scored once, on the first request of its
+    configuration; later requests return the same record.
     """
 
     def __init__(
@@ -162,28 +163,18 @@ class _Session:
         key = self.space.config_key(config)
         record = self._logged.get(key)
         if record is None:
+            check_metrics(self.benchmark, metrics, self.weights.keys())
             seq = len(self.records)
             record = EvalRecord(self.benchmark, phase, seq, dict(config), metrics)
             if self.ctx is not None:
-                check_metrics(self.benchmark, record.metrics, self.ctx.maxima.keys())
                 self._score(record)
             self._logged[key] = record
             self.records.append(record)
         return record
 
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
-        """Build the normalization context from the one-shot records; score them.
-
-        The records are checked against each other before the weights are
-        checked against their metric names, so one malformed response fails
-        only this benchmark rather than reading as a weight error.
-        """
-        names = records[0].metrics.keys()
-        for record in records:
-            check_metrics(self.benchmark, record.metrics, names)
-        violations = validate_weights(self.weights, names)
-        if violations:
-            raise ValueError("invalid weights: " + "; ".join(violations))
+        """Build the normalization context from the one-shot records, refuse
+        weight on its degenerate metrics, then score the records."""
         self.ctx = build_context(r.metrics for r in records)
         check_weights(self.benchmark, self.ctx, self.weights)
         for record in records:
@@ -337,16 +328,22 @@ def run(
     """Run all four phases for every benchmark.
 
     The evaluator is wrapped in a memoizing cache unless it already is one.
-    An evaluation failure, including a response with the wrong metric names
-    or a non-finite value, aborts only the affected benchmark — its result
-    records the error and the remaining benchmarks still complete. Identical
-    inputs produce identical results, including log order.
+    Weights out of range or not summing to 1 raise before any evaluation.
+    An evaluation failure, including a response whose metric names are not
+    the weights' or that holds a non-finite value, aborts only the affected
+    benchmark — its result records the error and the remaining benchmarks
+    still complete. Identical inputs produce identical results, including
+    log order.
     """
     violations = validate(space)
     if violations:
         raise ValueError("invalid space: " + "; ".join(violations))
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
+    # The weights name the metrics, so only range and sum can fail here.
+    violations = validate_weights(weights, weights)
+    if violations:
+        raise ValueError("invalid weights: " + "; ".join(violations))
     if benchmarks is None:
         benchmarks = space.benchmarks
     cache = evaluator if isinstance(evaluator, CachedEvaluator) else CachedEvaluator(evaluator)

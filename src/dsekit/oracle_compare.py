@@ -62,8 +62,8 @@ def oracle_search(
 
     `ctx` is the benchmark's context from the methodology run. A nonzero
     weight on one of its degenerate metrics raises DegenerateMetricError
-    before anything is evaluated. Each response is checked against the
-    context's metric names and must be finite; a violation raises
+    before anything is evaluated. Each response must carry exactly the
+    metrics the weights name, all finite, as in the run; a violation raises
     EvaluationError.
     """
     limit = enumeration_guard()
@@ -75,7 +75,7 @@ def oracle_search(
         )
 
     check_weights(benchmark, ctx, weights)
-    names = ctx.maxima.keys()
+    names = weights.keys()
     best_config: Config | None = None
     best_metrics: dict[str, float] | None = None
     best_value = math.inf

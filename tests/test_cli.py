@@ -77,6 +77,17 @@ def do_run(runner, tmp_path, out="run", threshold=3, **overrides):
     return invoke(runner, *flat), out_dir
 
 
+def two_benchmark_space(tmp_path):
+    """The tiny space file with benchmarks t and u."""
+    path = tmp_path / "two.json"
+    space = {
+        "parameters": [{"name": "A", "settings": [1, 2, 4]}, {"name": "B", "settings": [100, 200]}],
+        "benchmarks": ["t", "u"],
+    }
+    path.write_text(json.dumps(space), encoding="utf-8")
+    return path
+
+
 class TestValidate:
     def test_valid_file(self, runner, tiny_space_file):
         result = invoke(runner, "validate", tiny_space_file)
@@ -242,6 +253,17 @@ class TestRun:
     def test_weights_required(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, **{"--weights": None})
         assert result.exit_code == 1
+
+    def test_weights_naming_other_metrics_fail_every_benchmark(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: TinyBackend())
+        result, out_dir = do_run(
+            runner, tmp_path, **{"--space": two_benchmark_space(tmp_path), "--weights": "power=1.0"}
+        )
+        assert result.exit_code == 2
+        payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
+        for name in ("t", "u"):
+            assert f"{name}: FAILED: " in result.stdout
+            assert "expected ['power']" in payload["benchmarks"][name]["error"]
 
     def test_bad_threshold(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, threshold=0)
@@ -541,6 +563,19 @@ class TestExecBackend:
         assert outputs[0] == outputs[1]
 
 
+    def test_dropped_metric_is_never_logged(self, runner, tmp_path):
+        worker = f"exec:{sys.executable} -m dsekit.mock_worker --drop-metric-on u"
+        result, out_dir = do_run(
+            runner, tmp_path, **{"--space": two_benchmark_space(tmp_path), "--evaluator": worker}
+        )
+        assert result.exit_code == 2
+        error = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))["benchmarks"]["u"]["error"]
+        assert "evaluator returned metrics ['power'], expected ['power', 'time']" in error
+        with open(out_dir / EVALS_FILE, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["benchmark"] == "u"]
+        assert all(row["time"] for row in rows)
+
+
 class TinyBackend:
     """The tiny model; records the thread of every call and may emit NaN."""
 
@@ -617,7 +652,7 @@ def without(key):
 
 
 def with_entry(key, value):
-    """Set one value of benchmark t's result.json entry."""
+    """Set one value of benchmark t's entry in result.json or oracle.json."""
 
     def corrupt(doc):
         doc["benchmarks"]["t"][key] = value
@@ -655,6 +690,8 @@ class TestExitCodePolicy:
             pytest.param("compare", RESULT_FILE, with_entry("objective", "x"), id="result-objective-string"),
             pytest.param("compare", ORACLE_FILE, without("benchmarks"), id="oracle-without-benchmarks"),
             pytest.param("compare", ORACLE_FILE, lambda doc: [doc], id="oracle-is-a-list"),
+            pytest.param("compare", ORACLE_FILE, with_entry("best_config", [1, 2]), id="oracle-best-config-list"),
+            pytest.param("compare", ORACLE_FILE, with_entry("objective", "0.5"), id="oracle-objective-string"),
         ],
     )
     def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt):

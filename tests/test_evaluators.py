@@ -20,7 +20,7 @@ from dsekit.errors import (
     TableLoadError,
     UnknownBenchmarkError,
 )
-from dsekit.evaluators import SYNTHETIC_PROFILES, synthetic_evaluate
+from dsekit.evaluators import SYNTHETIC_PROFILES, look_ahead, synthetic_evaluate
 
 from .bruteforce import sepmono_metrics, synthetic_metrics
 from .conftest import TINY_WEIGHTS, tiny_metrics
@@ -320,9 +320,39 @@ class TestCache:
         backend = Hinted()
         cache = CachedEvaluator(backend)
         cache.evaluate({"A": 1}, "t")
-        assert cache.submit({"A": 1}, "t") is False  # a hit: nothing sent
+        assert cache.submit({"A": 1}, "t") is True  # a hit: accepted, nothing sent
         assert cache.submit({"A": 2}, "t") is True
         assert backend.submitted == [{"A": 2}]
+
+    def test_look_ahead_submits_past_a_hit(self):
+        class TwoSlots:
+            """Holds up to two submitted requests; logs submissions and evaluations."""
+
+            def __init__(self):
+                self.held = []
+                self.events = []
+
+            def submit(self, config, benchmark):
+                if len(self.held) == 2:
+                    return False
+                self.held.append(config["A"])
+                self.events.append(("submit", config["A"]))
+                return True
+
+            def evaluate(self, config, benchmark):
+                if config["A"] in self.held:
+                    self.held.remove(config["A"])
+                self.events.append(("evaluate", config["A"]))
+                return {"m": float(config["A"])}
+
+        backend = TwoSlots()
+        cache = CachedEvaluator(backend)
+        cache.evaluate({"A": 2}, "t")
+        backend.events.clear()
+        for config in look_ahead(cache, [{"A": a} for a in (1, 2, 3)], "t"):
+            cache.evaluate(config, "t")
+        # the hit takes no slot, so the miss behind it is sent before A=1 is evaluated
+        assert backend.events == [("submit", 1), ("submit", 3), ("evaluate", 1), ("evaluate", 3)]
 
     @given(
         st.lists(

@@ -26,7 +26,7 @@ from .bruteforce import (
     sepmono_metrics,
     weighted_objective,
 )
-from .conftest import TINY_WEIGHTS, tiny_metrics
+from .conftest import TINY_PARAMS, TINY_WEIGHTS, tiny_metrics
 
 TINY_D_A = -0.554895104895105
 TINY_D_B = -0.025524475524475565
@@ -122,9 +122,25 @@ class TestOneShot:
         assert all(r.config["S"] == 9 for r in bench.records)
         assert len(phase_configs(bench, PHASE_ONESHOT)) == 3
 
-    def test_invalid_weights_rejected(self, tiny_space, tiny_evaluator):
+    def test_invalid_weights_rejected(self, tiny_evaluator):
+        # The weights name the metrics: a response carrying others fails its
+        # benchmark, every benchmark here, and nothing malformed is logged.
+        space = make_space(TINY_PARAMS, ["t", "u"])
+        result = run(space, tiny_evaluator, {"power": 1.0}, 3)
+        assert result.failed == ["t", "u"]
+        for bench in result.benchmarks.values():
+            assert "returned metrics ['power', 'time'], expected ['power']" in bench.error
+            assert bench.records == []
+
+    @pytest.mark.parametrize(
+        "weights",
+        [{"power": 1.5, "time": -0.5}, {"power": 0.5, "time": 0.6}],
+        ids=["out-of-range", "bad-sum"],
+    )
+    def test_weight_values_rejected_before_any_evaluation(self, tiny_space, tiny_evaluator, weights):
         with pytest.raises(ValueError, match="invalid weights"):
-            run(tiny_space, tiny_evaluator, {"power": 1.0}, 3)
+            run(tiny_space, tiny_evaluator, weights, 3)
+        assert tiny_evaluator.calls == 0
 
     def test_maxima_come_only_from_oneshot_records(self, tiny_space, tiny_evaluator):
         bench = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3).benchmarks["t"]
@@ -442,6 +458,18 @@ class TestRunIsolation:
         assert good.error is None
         assert good.best_config == {"A": 4, "B": 200}
 
+    def test_lone_oneshot_response_fails_only_its_benchmark(self):
+        # Single-setting parameters: the one-shot phase is one response.
+        space = make_space([("A", [1]), ("B", [100])], ["t", "u"])
+        corrupt = Corrupt((1, 100), lambda m: {"power": m["power"]})
+        result = run(space, corrupt, TINY_WEIGHTS, 3)
+        assert result.failed == ["t"]
+        assert "returned metrics ['power'], expected ['power', 'time']" in result.benchmarks["t"].error
+        assert result.benchmarks["t"].records == []
+        good = result.benchmarks["u"]
+        assert good.error is None
+        assert good.best_config == {"A": 1, "B": 100}
+
     def test_failing_benchmark_does_not_poison_the_rest(self, tiny_space, tiny_evaluator):
         class Partial:
             def evaluate(self, config, benchmark):
@@ -565,8 +593,6 @@ def draw_search(data):
     """
     n = data.draw(st.integers(1, 4))
     sizes = [data.draw(st.integers(1, 3)) for _ in range(n)]
-    if all(s == 1 for s in sizes):
-        sizes[data.draw(st.integers(0, n - 1))] = 2
     space = make_space([(f"p{i}", list(range(s))) for i, s in enumerate(sizes)], ["b0", "b1"])
     value = st.integers(1, 20).map(float)
     table = {
