@@ -60,7 +60,7 @@ from .objective import (  # noqa: E402
     validate_weights,
 )
 from .oracle_compare import ComparisonReport, OracleResult, compare, oracle_search  # noqa: E402
-from .pareto import dominates, pareto_front, select_tradeoff  # noqa: E402
+from .pareto import pareto_front, select_tradeoff  # noqa: E402
 
 __all__ = [
     "__version__",
@@ -106,7 +106,6 @@ __all__ = [
     "OracleResult",
     "compare",
     "oracle_search",
-    "dominates",
     "pareto_front",
     "select_tradeoff",
 ]

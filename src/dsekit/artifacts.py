@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,7 +30,7 @@ from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
 from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
-from .objective import NormalizationContext
+from .objective import NormalizationContext, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -87,14 +88,35 @@ def _load_json(path: Path) -> dict:
     return payload
 
 
-def _check_entries(path: Path, payload: Mapping, types: Mapping) -> None:
+def _check_entries(
+    path: Path, payload: Mapping, types: Mapping, space: DesignSpace, weights: Mapping
+) -> None:
     """Each benchmark entry of the document at ``path`` holds ``types``' keys
-    with their JSON types (never a boolean); else a ValueError naming it."""
+    with their JSON types (never a boolean), a best configuration of ``space``
+    and best metrics of ``weights``, unless null; else a ValueError naming it."""
     with _reading(path):
         for name, entry in payload["benchmarks"].items():
             for key, (kind, spelled) in types.items():
                 if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
                     raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
+            config = entry["best_config"]
+            if config is not None and (
+                config.keys() != set(space.names)
+                or any(value not in space.parameter(p).settings for p, value in config.items())
+            ):
+                raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
+            if entry["best_metrics"] is not None:
+                _check_metrics(f"benchmark {name!r}: 'best_metrics'", entry["best_metrics"], weights)
+
+
+def _check_metrics(what: str, values: Mapping, weights: Mapping) -> None:
+    """``values`` holds a finite number for exactly the metrics the weights
+    name; else a ValueError that starts with ``what``."""
+    if values.keys() != weights.keys():
+        raise ValueError(f"{what} names {sorted(values)}, not the weights' {sorted(weights)}")
+    for metric, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{what}: {metric!r} is {value!r}, not a finite number")
 
 
 def space_hash(space: DesignSpace) -> str:
@@ -264,7 +286,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     """Rebuild a RunResult (manifest, results, full log) from a run directory.
 
     A missing key, a wrong shape or a wrong value type in one of its files is
-    a ValueError that names the file.
+    a ValueError that names the file. So are weights that are invalid or not
+    the manifest's, and maxima or best points that are not of those weights
+    and the space.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
@@ -301,12 +325,21 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             )
             records.setdefault(record.benchmark, []).append(record)
 
-    _check_entries(result_path, payload, _RESULT_ENTRY_TYPES)
+    with _reading(result_path):
+        weights = {name: float(w) for name, w in payload["weights"].items()}
+        violations = validate_weights(weights)
+        if weights != manifest["weights"]:
+            violations.append(f"{MANIFEST_FILE} has {manifest['weights']}")
+        if violations:
+            raise ValueError(f"weights {weights}: " + "; ".join(violations))
+    _check_entries(result_path, payload, _RESULT_ENTRY_TYPES, space, weights)
     benchmarks: dict[str, BenchmarkResult] = {}
     with _reading(result_path):
         for name, entry in payload["benchmarks"].items():
             part = entry.get("partition")
-            norm = entry["normalization"]
+            maxima = entry["normalization"]["maxima"]
+            if maxima:  # empty when the benchmark failed before calibration
+                _check_metrics(f"benchmark {name!r}: normalization maxima", maxima, weights)
             benchmarks[name] = BenchmarkResult(
                 benchmark=name,
                 best_config=entry["best_config"],
@@ -322,9 +355,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 )
                 if part
                 else None,
-                normalization=NormalizationContext(norm["maxima"], set(norm["degenerate"]))
-                if norm["maxima"]
-                else None,
+                normalization=NormalizationContext(maxima) if maxima else None,
                 unique_evaluations=entry["unique_evaluations"],
                 total_requests=entry["total_requests"],
                 records=records.get(name, []),
@@ -332,7 +363,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             )
         run = RunResult(
             space=space,
-            weights={name: float(w) for name, w in payload["weights"].items()},
+            weights=weights,
             threshold=payload["threshold"],
             benchmarks=benchmarks,
         )
@@ -367,12 +398,19 @@ def write_oracle(out: Path, payload: dict) -> None:
     _write_json(out / ORACLE_FILE, payload)
 
 
-def load_oracle(oracle_dir: Path) -> dict:
-    """The oracle document; a missing key or a wrong value type in a benchmark
-    entry is a ValueError that names the file."""
+def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict:
+    """The oracle document of the run ``load_run`` returned as ``manifest``
+    and ``run``. A space, weights or evaluator other than the manifest's is a
+    ValueError, and so is an entry ``_check_entries`` refuses."""
     path = oracle_dir / ORACLE_FILE
     payload = _load_json(path)
-    _check_entries(path, payload, _ORACLE_ENTRY_TYPES)
+    for field in ("space_sha256", "weights", "evaluator"):
+        if payload.get(field) != manifest[field]:
+            raise ValueError(
+                f"oracle and run manifests disagree on {field}: "
+                f"{payload.get(field)!r} vs {manifest[field]!r}"
+            )
+    _check_entries(path, payload, _ORACLE_ENTRY_TYPES, run.space, run.weights)
     return payload
 
 

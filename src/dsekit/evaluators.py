@@ -568,37 +568,25 @@ def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmark: str) 
 
     Backends without ``submit`` (the in-process ones) get ``configs`` back
     untouched. A memo hit takes no slot and does not stop the hand-off. A
-    refused configuration waits until the next turn, so beyond those the
-    backend holds and the hits among them, at most one is pulled.
+    refused configuration waits for the next turn, so beyond the
+    configurations the backend holds and the memo hits, at most one is
+    pulled ahead of its turn.
     """
     submit = getattr(evaluator, "submit", None)
     if submit is None:
         return configs
-    return _submitted_ahead(submit, iter(configs), benchmark)
+    return _submitted_ahead(submit, configs, benchmark)
 
 
 def _submitted_ahead(
-    submit: Callable[[Config, str], bool], configs: Iterator[Config], benchmark: str
+    submit: Callable[[Config, str], bool], configs: Iterable[Config], benchmark: str
 ) -> Iterator[Config]:
     ahead: deque[Config] = deque()
-    held: Config | None = None  # pulled, refused by the last submit
-    while True:
-        while True:
-            if held is None:
-                held = next(configs, None)
-                if held is None:
-                    break
-            if not submit(held, benchmark):
-                break
-            ahead.append(held)
-            held = None
-        if ahead:
+    for config in configs:
+        while not submit(config, benchmark) and ahead:
             yield ahead.popleft()
-        elif held is not None:
-            yield held
-            held = None
-        else:
-            return
+        ahead.append(config)
+    yield from ahead
 
 
 # ---------------------------------------------------------------------------

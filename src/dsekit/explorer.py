@@ -340,8 +340,7 @@ def run(
         raise ValueError("invalid space: " + "; ".join(violations))
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    # The weights name the metrics, so only range and sum can fail here.
-    violations = validate_weights(weights, weights)
+    violations = validate_weights(weights)
     if violations:
         raise ValueError("invalid weights: " + "; ".join(violations))
     if benchmarks is None:

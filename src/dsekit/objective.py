@@ -31,26 +31,19 @@ WEIGHT_PROFILES: dict[str, dict[str, float]] = {
 }
 
 
-def validate_weights(weights: WeightVector, metrics: Iterable[str]) -> list[str]:
+def validate_weights(weights: WeightVector) -> list[str]:
     """Return all weight-vector violations; empty list means valid.
 
-    Checks each weight lies in [0, 1], the weights sum to 1 (within
-    tolerance), and the weight keys exactly match the metric keys.
+    Checks each weight lies in [0, 1] and the weights sum to 1 (within
+    tolerance). The weights name the metrics, so their keys cannot be wrong.
     """
     violations = []
-    metric_set = set(metrics)
     for name, w in weights.items():
         if not (0.0 <= w <= 1.0):
             violations.append(f"weight {name!r} = {w} outside [0, 1]")
     total = sum(weights.values())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         violations.append(f"weights sum to {total}, expected 1")
-    missing = metric_set - set(weights)
-    extra = set(weights) - metric_set
-    if missing:
-        violations.append(f"missing weights for metrics: {sorted(missing)}")
-    if extra:
-        violations.append(f"weights for unknown metrics: {sorted(extra)}")
     return violations
 
 
@@ -85,18 +78,19 @@ class NormalizationContext:
     ``check_weights`` can refuse to weight it.
     """
 
-    maxima: dict[str, float] = field(default_factory=dict)
-    degenerate: set[str] = field(default_factory=set)
+    maxima: dict[str, float]
+    degenerate: frozenset[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.degenerate = frozenset(name for name, m in self.maxima.items() if m == 0)
 
     def normalize(self, metrics: MetricVector) -> dict[str, float]:
         """Scale a raw metric vector by the recorded maxima."""
         maxima, degenerate = self.maxima, self.degenerate
-        normalized = {}
-        for name, value in metrics.items():
-            if name not in maxima:
-                raise KeyError(f"no maximum recorded for metric {name!r}")
-            normalized[name] = 0.0 if name in degenerate else value / maxima[name]
-        return normalized
+        return {
+            name: 0.0 if name in degenerate else value / maxima[name]
+            for name, value in metrics.items()
+        }
 
 
 def build_context(phase1_metrics: Iterable[MetricVector]) -> NormalizationContext:
@@ -108,7 +102,7 @@ def build_context(phase1_metrics: Iterable[MetricVector]) -> NormalizationContex
                 maxima[name] = value
     if not maxima:
         raise ValueError("no one-shot records to build a normalization context")
-    return NormalizationContext(maxima, {name for name, m in maxima.items() if m == 0})
+    return NormalizationContext(maxima)
 
 
 def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVector) -> None:

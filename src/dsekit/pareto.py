@@ -10,24 +10,10 @@ point of the objective line swept across the front.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .explorer import EvalRecord
 from .objective import NormalizationContext, WeightVector, objective
-
-
-def dominates(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
-    """True iff a is componentwise <= b with at least one strict <."""
-    if set(a) != set(b):
-        raise ValueError(f"metric key sets differ: {sorted(a)} vs {sorted(b)}")
-    strict = False
-    for name, value in a.items():
-        other = b[name]
-        if value > other:
-            return False
-        if value < other:
-            strict = True
-    return strict
 
 
 def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:

@@ -651,14 +651,32 @@ def without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-def with_entry(key, value):
-    """Set one value of benchmark t's entry in result.json or oracle.json."""
+#: The value ``with_entry`` deletes its key for.
+DROP = object()
+
+
+def with_entry(path, value):
+    """Set one value of benchmark t's entry in result.json or oracle.json, or
+    delete it for ``DROP``; ``path`` names nested keys with dots."""
+    *parents, last = path.split(".")
 
     def corrupt(doc):
-        doc["benchmarks"]["t"][key] = value
+        entry = doc["benchmarks"]["t"]
+        for key in parents:
+            entry = entry[key]
+        if value is DROP:
+            del entry[last]
+        else:
+            entry[last] = value
         return doc
 
     return corrupt
+
+
+def case(command, document, corrupt, id, names=None):
+    """A malformed-document case; the error line names ``names``, by default
+    the document."""
+    return pytest.param(command, document, corrupt, names or document, id=id)
 
 
 class TestExitCodePolicy:
@@ -679,22 +697,39 @@ class TestExitCodePolicy:
         assert "error: pareto front for 't' misses the minimum-objective point" in result.stderr
 
     @pytest.mark.parametrize(
-        "command, document, corrupt",
+        "command, document, corrupt, names",
         [
-            pytest.param("oracle", MANIFEST_FILE, without("evaluator"), id="manifest-without-evaluator"),
-            pytest.param("oracle", MANIFEST_FILE, without("replay_hash"), id="manifest-without-replay-hash"),
-            pytest.param(
-                "oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, id="result-benchmarks-list"
+            case("oracle", MANIFEST_FILE, without("evaluator"), "manifest-without-evaluator"),
+            case("oracle", MANIFEST_FILE, without("replay_hash"), "manifest-without-replay-hash"),
+            case("oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, "result-benchmarks-list"),
+            case("compare", RESULT_FILE, with_entry("best_config", [1, 2]), "result-best-config-list"),
+            case("compare", RESULT_FILE, with_entry("objective", "x"), "result-objective-string"),
+            case("compare", ORACLE_FILE, without("benchmarks"), "oracle-without-benchmarks"),
+            case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
+            case("compare", ORACLE_FILE, with_entry("best_config", [1, 2]), "oracle-best-config-list"),
+            case("compare", ORACLE_FILE, with_entry("objective", "0.5"), "oracle-objective-string"),
+            case(
+                "oracle", RESULT_FILE, lambda doc: {**doc, "weights": {"power": 0.5, "time": 0.5}},
+                "result-weights-not-the-manifests",
             ),
-            pytest.param("compare", RESULT_FILE, with_entry("best_config", [1, 2]), id="result-best-config-list"),
-            pytest.param("compare", RESULT_FILE, with_entry("objective", "x"), id="result-objective-string"),
-            pytest.param("compare", ORACLE_FILE, without("benchmarks"), id="oracle-without-benchmarks"),
-            pytest.param("compare", ORACLE_FILE, lambda doc: [doc], id="oracle-is-a-list"),
-            pytest.param("compare", ORACLE_FILE, with_entry("best_config", [1, 2]), id="oracle-best-config-list"),
-            pytest.param("compare", ORACLE_FILE, with_entry("objective", "0.5"), id="oracle-objective-string"),
+            case(
+                "oracle", RESULT_FILE, lambda doc: {**doc, "weights": {"power": 2.0, "time": -1.0}},
+                "result-weights-out-of-range", names="weight 'power' = 2.0 outside [0, 1]",
+            ),
+            case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", DROP), "result-maxima-without-time"),
+            case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", "x"), "result-maxima-time-string"),
+            # The maxima alone decide degeneracy, whatever the stored list says.
+            case(
+                "oracle", RESULT_FILE, with_entry("normalization.maxima.time", 0.0), "result-maxima-time-zero",
+                names="metric 'time' is 0 in every one-shot record",
+            ),
+            case("compare", ORACLE_FILE, with_entry("best_metrics.area", 1.0), "oracle-best-metrics-extra"),
+            case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
+            case("compare", ORACLE_FILE, with_entry("best_metrics.time", DROP), "oracle-best-metrics-without-time"),
+            case("compare", ORACLE_FILE, with_entry("best_config.A", DROP), "oracle-best-config-without-parameter"),
         ],
     )
-    def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt):
+    def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt, names):
         _, run_dir = do_run(runner, tmp_path)
         oracle_dir = run_dir / "oracle"
         if command == "compare":
@@ -705,7 +740,7 @@ class TestExitCodePolicy:
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, command, run_dir, *([oracle_dir] if command == "compare" else []))
         assert result.exit_code == 1
-        assert "error:" in result.stderr and document in result.stderr
+        assert "error:" in result.stderr and names in result.stderr
         if command == "oracle":
             assert backend.threads == set()
             assert not oracle_dir.exists()

@@ -25,24 +25,18 @@ def metric_vectors(names=("power", "time"), min_value=0.0):
 class TestValidateWeights:
     def test_profiles_are_valid(self):
         for profile in WEIGHT_PROFILES.values():
-            assert validate_weights(profile, ["power", "time"]) == []
+            assert validate_weights(profile) == []
 
     def test_out_of_range(self):
-        violations = validate_weights({"power": 1.5, "time": -0.5}, ["power", "time"])
+        violations = validate_weights({"power": 1.5, "time": -0.5})
         assert sum("outside [0, 1]" in v for v in violations) == 2
 
     def test_sum_must_be_one(self):
-        violations = validate_weights({"power": 0.5, "time": 0.4}, ["power", "time"])
+        violations = validate_weights({"power": 0.5, "time": 0.4})
         assert any("sum to" in v for v in violations)
         # within tolerance is fine
         weights = {"power": 0.1 + 1e-12, "time": 0.9}
-        assert validate_weights(weights, ["power", "time"]) == []
-
-    def test_key_mismatch(self):
-        violations = validate_weights({"power": 1.0}, ["power", "time"])
-        assert any("missing weights" in v for v in violations)
-        violations = validate_weights({"power": 0.5, "area": 0.5}, ["power"])
-        assert any("unknown metrics" in v for v in violations)
+        assert validate_weights(weights) == []
 
 
 class TestParseWeights:
