@@ -10,6 +10,7 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -111,8 +112,26 @@ _JOBS_OPTION = click.option(
     type=int,
     default=None,
     callback=_resolve_jobs,
-    help="Worker processes of an exec: evaluator [default: the CPUs available]; "
-    "in-process evaluators run serially. Results do not depend on it.",
+    help="Worker processes of an exec: evaluator, or forked children that split "
+    "the oracle's enumeration for an in-process one [default: the CPUs "
+    "available]. Results do not depend on it.",
+)
+
+
+def _check_timeout(ctx: click.Context, param: click.Parameter, timeout: float) -> float:
+    """``--timeout``, refused unless finite and positive, whatever the backend."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError("--timeout must be a finite number > 0")
+    return timeout
+
+
+_TIMEOUT_OPTION = click.option(
+    "--timeout",
+    type=float,
+    default=300.0,
+    show_default=True,
+    callback=_check_timeout,
+    help="Per-evaluation timeout for exec evaluators (seconds).",
 )
 
 
@@ -223,7 +242,7 @@ def validate_cmd(space_file: str) -> None:
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory for run artifacts.")
 @_JOBS_OPTION
-@click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
+@_TIMEOUT_OPTION
 def run_cmd(
     space_spec: str,
     threshold: int,
@@ -252,7 +271,7 @@ def run_cmd(
 @click.argument("run_dir", type=click.Path(path_type=Path))
 @click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None, help="Output directory (default: RUN_DIR/oracle).")
 @_JOBS_OPTION
-@click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
+@_TIMEOUT_OPTION
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
     """Exhaustively search the space a run used, with the run's context."""
     manifest, run_result = artifacts.load_run(run_dir)
@@ -268,7 +287,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
                 )
                 continue
             best = oracle_search(
-                space, benchmark, evaluator, run_result.weights, bench.normalization
+                space, benchmark, evaluator, run_result.weights, bench.normalization, jobs
             )
             results[benchmark] = best
             config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
@@ -300,7 +319,7 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
 @click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory.")
 @_JOBS_OPTION
-@click.option("--timeout", type=float, default=300.0, show_default=True, help="Per-evaluation timeout for exec evaluators (seconds).")
+@_TIMEOUT_OPTION
 def sweep_cmd(
     space_spec: str,
     thresholds_text: str,

@@ -22,7 +22,9 @@ Backends evaluate one request at a time, in the caller's order. A backend
 that can work ahead also has ``submit(config, benchmark) -> bool``, a hint
 that the caller will ask for that configuration later; ``look_ahead`` feeds
 it a stream of independent requests. Only ``ExternalEvaluator`` (and a cache
-around it) has one, so the in-process backends stay serial.
+around it) has one, so the search evaluates the in-process backends one
+request at a time; only the oracle spreads them over forked processes
+(``oracle_compare``).
 """
 
 from __future__ import annotations

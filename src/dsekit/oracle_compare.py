@@ -6,14 +6,22 @@ numbers a designer cares about: per-metric and objective gaps, the fraction
 of the space the methodology actually evaluated, and the resulting speedup
 over full enumeration. The oracle reuses the normalization context of the
 methodology run's benchmark, so objective values are directly comparable.
+
+An in-process backend is enumerated on several CPUs: with ``jobs`` > 1 the
+space is cut into contiguous slices in enumeration order, each scored by
+the same loop in a forked child, and the slices' winners are merged in
+order, so the serial loop's answer (and first error) comes out unchanged.
+An ``exec:`` backend keeps one serial loop that feeds its worker pool ahead.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain, product
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
@@ -57,6 +65,7 @@ def oracle_search(
     evaluator: Evaluator,
     weights: WeightVector,
     ctx: NormalizationContext,
+    jobs: int = 1,
 ) -> OracleResult:
     """Evaluate every configuration; strict-minimum F wins, earliest on ties.
 
@@ -65,6 +74,16 @@ def oracle_search(
     before anything is evaluated. Each response must carry exactly the
     metrics the weights name, all finite, as in the run; a violation raises
     EvaluationError.
+
+    With `jobs` > 1 and a backend without ``submit`` (an in-process one),
+    the enumeration is cut into up to `jobs` contiguous slices, each scored
+    in a child made with ``os.fork`` (POSIX only, as the ``exec:`` pool is).
+    The slices' winners are merged in enumeration order, so the result, and
+    the error raised on a failure, are those of the serial loop. The
+    children read a ``CachedEvaluator`` passed in but do not fill it. Fork
+    only from a process that runs no other threads. An ``exec:`` backend is
+    never forked: it evaluates serially in this process and gets the
+    enumeration ahead of its turn, for its worker pool.
     """
     limit = enumeration_guard()
     size = cardinality(space)
@@ -75,18 +94,16 @@ def oracle_search(
         )
 
     check_weights(benchmark, ctx, weights)
-    names = weights.keys()
-    best_config: Config | None = None
-    best_metrics: dict[str, float] | None = None
-    best_value = math.inf
-    for config in look_ahead(evaluator, enumerate_configs(space), benchmark):
-        metrics = evaluator.evaluate(config, benchmark)
-        check_metrics(benchmark, metrics, names)
-        value = objective(metrics, ctx, weights)
-        if value < best_value:
-            best_value = value
-            best_config = config
-            best_metrics = metrics
+
+    def best_of(configs: Iterable[Config]) -> _Best:
+        return _best_of(configs, benchmark, evaluator, weights, ctx)
+
+    slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
+    if len(slices) > 1:
+        outcomes = _forked(best_of, slices)
+    else:
+        outcomes = [("ok", best_of(enumerate_configs(space)))]
+    best_value, best_config, best_metrics = _merge(outcomes)
     assert best_config is not None and best_metrics is not None
     return OracleResult(
         benchmark=benchmark,
@@ -95,6 +112,140 @@ def oracle_search(
         objective=best_value,
         evaluations=size,
     )
+
+
+_Best = tuple[float, Optional[Config], Optional[dict[str, float]]]
+#: Leading-parameter prefixes wanted per job, so slices come out near-equal.
+_PREFIXES_PER_JOB = 8
+
+
+def _best_of(
+    configs: Iterable[Config],
+    benchmark: str,
+    evaluator: Evaluator,
+    weights: WeightVector,
+    ctx: NormalizationContext,
+) -> _Best:
+    """The strict-minimum F of `configs`, earliest on ties, with its
+    configuration and metrics; ``(inf, None, None)`` if none beats inf.
+    A backend with ``submit`` gets `configs` ahead of their turn."""
+    names = weights.keys()
+    best: _Best = (math.inf, None, None)
+    for config in look_ahead(evaluator, configs, benchmark):
+        metrics = evaluator.evaluate(config, benchmark)
+        check_metrics(benchmark, metrics, names)
+        value = objective(metrics, ctx, weights)
+        if value < best[0]:
+            best = (value, config, metrics)
+    return best
+
+
+def _merge(outcomes: Iterable[tuple[str, object]]) -> _Best:
+    """Slice outcomes in enumeration order: the first error, else the
+    strict minimum, earliest on ties."""
+    best: _Best = (math.inf, None, None)
+    for kind, payload in outcomes:
+        if kind == "error":
+            raise payload  # type: ignore[misc]
+        if payload[0] < best[0]:  # type: ignore[index]
+            best = payload  # type: ignore[assignment]
+    return best
+
+
+def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]]]:
+    """Up to `jobs` contiguous slices of the enumeration, each a function
+    that streams its configurations in the global order.
+
+    Leading parameters are fixed, in declaration order, until their
+    combinations (prefixes) number at least ``_PREFIXES_PER_JOB * jobs`` or
+    the parameters run out; each slice takes a contiguous run of prefixes
+    and enumerates the remaining parameters under each.
+    """
+    lead = 0
+    count = 1
+    while lead < len(space.parameters) and count < _PREFIXES_PER_JOB * jobs:
+        count *= len(space.parameters[lead])
+        lead += 1
+    names = space.names
+    free = names[lead:]
+    prefixes = list(product(*(p.settings for p in space.parameters[:lead])))
+    parts = min(jobs, len(prefixes))
+
+    def configs(group: list[tuple]) -> Callable[[], Iterator[Config]]:
+        return lambda: chain.from_iterable(
+            enumerate_configs(space, free=free, fixed=dict(zip(names, prefix)))
+            for prefix in group
+        )
+
+    return [
+        configs(prefixes[len(prefixes) * i // parts : len(prefixes) * (i + 1) // parts])
+        for i in range(parts)
+    ]
+
+
+def _forked(
+    best_of: Callable[[Iterable[Config]], _Best],
+    slices: Sequence[Callable[[], Iterator[Config]]],
+) -> list[tuple[str, object]]:
+    """Score each slice in its own forked child; outcomes in slice order,
+    up to the first error.
+
+    A child sends one pickled ``("ok", best)`` or ``("error", exception)``
+    down a pipe and leaves with ``os._exit``, so it never unwinds this
+    stack, runs exit handlers or flushes inherited stdio buffers. Every
+    child is killed and reaped before this returns or raises.
+    """
+    import pickle
+
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for configs in slices:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(_pickled_outcome(best_of, configs))
+                finally:
+                    os._exit(0)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+            os.close(write_fd)
+        outcomes = []
+        for pid, pipe in children:
+            data = pipe.read()
+            outcomes.append(
+                pickle.loads(data)
+                if data
+                else ("error", DseError(f"oracle slice process {pid} ended without a result"))
+            )
+            if outcomes[-1][0] == "error":
+                break
+        return outcomes
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+            os.waitpid(pid, 0)
+
+
+def _pickled_outcome(
+    best_of: Callable[[Iterable[Config]], _Best], configs: Callable[[], Iterator[Config]]
+) -> bytes:
+    """A child's outcome, pickled; an exception that does not survive a
+    pickle round trip becomes a RuntimeError naming its type and text."""
+    import pickle
+
+    try:
+        return pickle.dumps(("ok", best_of(configs())))
+    except BaseException as exc:  # an interrupt too: the parent re-raises it
+        try:
+            data = pickle.dumps(("error", exc))
+            pickle.loads(data)
+            return data
+        except Exception:
+            error = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+            return pickle.dumps(("error", error))
 
 
 @dataclass

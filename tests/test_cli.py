@@ -598,7 +598,7 @@ class TestSerialEvaluation:
         self.use_backend(monkeypatch, backend)
         result, out_dir = do_run(runner, tmp_path, **{"--jobs": None})
         assert result.exit_code == 0
-        assert invoke(runner, "oracle", out_dir).exit_code == 0
+        assert invoke(runner, "oracle", out_dir, "--jobs", 1).exit_code == 0
         assert backend.threads == {threading.main_thread().ident}
 
     def test_non_finite_oracle_response_exits_2(self, runner, tmp_path, monkeypatch):
@@ -613,6 +613,15 @@ class TestSerialEvaluation:
         result, _ = do_run(runner, tmp_path, **{"--jobs": 0})
         assert result.exit_code == 1
         assert "--jobs must be >= 1" in result.stderr
+
+    @pytest.mark.parametrize("timeout", ["-5", "0", "nan", "inf"])
+    def test_timeout_must_be_finite_and_positive_for_every_backend(self, runner, tmp_path, timeout):
+        result, out_dir = do_run(
+            runner, tmp_path, **{"--evaluator": "synthetic:synth-fluid", "--timeout": timeout}
+        )
+        assert result.exit_code == 1
+        assert "error: --timeout must be a finite number > 0" in result.stderr
+        assert not out_dir.exists()
 
 
 class TestVersion:
@@ -754,13 +763,14 @@ class TestExitCodePolicy:
             runner, tmp_path, **{"--evaluator": f"exec:{sys.executable} {worker}", "--timeout": timeout}
         )
         assert result.exit_code == 1
-        assert "error: timeout must be a finite number > 0" in result.stderr
+        assert "error: --timeout must be a finite number > 0" in result.stderr
         assert not marker.exists()
         assert not out_dir.exists()
 
 
 class TestJobs:
-    """An exec: pool of any size writes the bytes one worker writes."""
+    """An exec: pool of any size writes the bytes one worker writes, and an
+    oracle split over forked children writes the bytes of a serial one."""
 
     def test_outputs_do_not_depend_on_jobs(self, runner, tmp_path):
         space_file = tmp_path / "synth.json"
@@ -808,3 +818,14 @@ class TestJobs:
             outputs.append((stdouts, [(f.relative_to(out), f.read_bytes()) for f in files]))
         assert len(outputs[0][1]) == 3 * 4 + 4 + 2
         assert outputs[0] == outputs[1]
+
+        synthetic = ["--evaluator", "synthetic"]
+        result = invoke(runner, "run", *common[:4], *synthetic, "-T", 8, "--out", tmp_path / "synth")
+        assert result.exit_code == 0, result.output
+        oracles = []
+        for jobs in (1, 3):
+            out = tmp_path / f"synth-oracle{jobs}"
+            result = invoke(runner, "oracle", tmp_path / "synth", "--out", out, "--jobs", jobs)
+            assert result.exit_code == 0, result.output
+            oracles.append((result.stdout, (out / ORACLE_FILE).read_bytes()))
+        assert oracles[0] == oracles[1]

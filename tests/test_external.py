@@ -157,6 +157,11 @@ class TestErrorTaxonomy:
         with pytest.raises(ValueError, match="empty worker command"):
             ExternalEvaluator("   ")
 
+    @pytest.mark.parametrize("timeout", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
+            ExternalEvaluator(WORKER, timeout=timeout)
+
 
 class TestLifecycle:
     def test_fatal_error_respawns_on_next_call(self, tmp_path):

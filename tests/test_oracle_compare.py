@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import pytest
 
@@ -12,12 +14,16 @@ from dsekit import (
     oracle_search,
     run,
 )
+from dsekit.design_space import enumerate_configs, load_shipped_space, make_space
 from dsekit.errors import DseError
-from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, enumeration_guard
+from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, _slices, enumeration_guard
 
 from .conftest import TINY_WEIGHTS, tiny_metrics
 
 TINY_BEST_F = 0.3513986013986014
+#: Oracle job counts each search case runs at: serial, and 2, 3 and 6 slices
+#: of the tiny space's six configurations.
+JOBS = (1, 2, 3, 8)
 
 
 def tiny_ctx(result):
@@ -40,19 +46,44 @@ class TestEnumerationGuard:
             enumeration_guard()
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children ``os.fork`` made in this process, in order."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 class TestOracleSearch:
     def tiny_run(self, tiny_space, tiny_evaluator, threshold=3):
         return run(tiny_space, tiny_evaluator, TINY_WEIGHTS, threshold)
 
-    def test_finds_global_optimum(self, tiny_space, tiny_evaluator):
+    def test_finds_global_optimum(self, tiny_space, tiny_evaluator, forks):
         result = self.tiny_run(tiny_space, tiny_evaluator)
-        oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
-        )
-        assert oracle.best_config == {"A": 4, "B": 200}
-        assert oracle.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
-        assert oracle.best_metrics == {"power": 2.4, "time": 7.0}
-        assert oracle.evaluations == 6
+        for jobs in JOBS:
+            oracle = oracle_search(
+                tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), jobs
+            )
+            assert oracle.best_config == {"A": 4, "B": 200}, jobs
+            assert oracle.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
+            assert oracle.best_metrics == {"power": 2.4, "time": 7.0}
+            assert oracle.evaluations == 6
+        assert len(forks) == 2 + 3 + 6
+        assert_reaped(forks)
 
     def test_earliest_config_wins_ties(self, tiny_space):
         class Flat:
@@ -60,16 +91,23 @@ class TestOracleSearch:
                 return {"power": 1.0, "time": 1.0}
 
         ctx_run = run(tiny_space, Flat(), TINY_WEIGHTS, 3)
-        oracle = oracle_search(tiny_space, "t", Flat(), TINY_WEIGHTS, tiny_ctx(ctx_run))
-        assert oracle.best_config == {"A": 1, "B": 100}
+        for jobs in JOBS:
+            oracle = oracle_search(
+                tiny_space, "t", Flat(), TINY_WEIGHTS, tiny_ctx(ctx_run), jobs
+            )
+            assert oracle.best_config == {"A": 1, "B": 100}, jobs
 
-    def test_guard_blocks_large_spaces(self, tiny_space, tiny_evaluator, monkeypatch):
+    def test_guard_blocks_large_spaces(self, tiny_space, tiny_evaluator, monkeypatch, forks):
         result = self.tiny_run(tiny_space, tiny_evaluator)
         monkeypatch.setenv(GUARD_ENV, "5")
-        with pytest.raises(GuardExceededError, match="enumeration guard 5"):
-            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result))
+        for jobs in JOBS:
+            with pytest.raises(GuardExceededError, match="enumeration guard 5"):
+                oracle_search(
+                    tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), jobs
+                )
+        assert forks == []
 
-    def test_weighted_degenerate_metric_raises_before_evaluating(self, tiny_space):
+    def test_weighted_degenerate_metric_raises_before_evaluating(self, tiny_space, forks):
         class NoPower:
             calls = 0
 
@@ -80,9 +118,11 @@ class TestOracleSearch:
         result = self.tiny_run(tiny_space, NoPower())
         assert result.benchmarks["t"].error is not None
         NoPower.calls = 0
-        with pytest.raises(DegenerateMetricError, match="benchmark 't'"):
-            oracle_search(tiny_space, "t", NoPower(), TINY_WEIGHTS, tiny_ctx(result))
+        for jobs in JOBS:
+            with pytest.raises(DegenerateMetricError, match="benchmark 't'"):
+                oracle_search(tiny_space, "t", NoPower(), TINY_WEIGHTS, tiny_ctx(result), jobs)
         assert NoPower.calls == 0
+        assert forks == []
 
     def test_environment_guard_applies(self, tiny_space, tiny_evaluator, monkeypatch):
         monkeypatch.setenv(GUARD_ENV, "5")
@@ -125,15 +165,107 @@ class TestOracleSearch:
         ],
         ids=["nan", "extra-key", "missing-key"],
     )
-    def test_malformed_response_raises_evaluation_error(self, tiny_space, tiny_evaluator, corrupt):
+    def test_malformed_response_raises_evaluation_error(
+        self, tiny_space, tiny_evaluator, corrupt, forks
+    ):
+        # (2, 200) is the fourth configuration: in the second or a later slice
         class Corrupt:
             def evaluate(self, config, benchmark):
                 metrics = tiny_metrics(config["A"], config["B"])
                 return corrupt(metrics) if config == {"A": 2, "B": 200} else metrics
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
-        with pytest.raises(EvaluationError, match="benchmark 't'"):
-            oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, tiny_ctx(result))
+        for jobs in JOBS:
+            with pytest.raises(EvaluationError, match="benchmark 't'"):
+                oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, tiny_ctx(result), jobs)
+        assert forks
+        assert_reaped(forks)
+
+    def test_earliest_failing_slice_raises(self, tiny_space, tiny_evaluator, forks):
+        # (1, 200) and (4, 100), the second and fifth configurations, fall
+        # in different slices at every job count above 1.
+        class TwoFaults:
+            def evaluate(self, config, benchmark):
+                if config == {"A": 1, "B": 200}:
+                    raise EvaluationError("first fault")
+                if config == {"A": 4, "B": 100}:
+                    raise EvaluationError("second fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        for jobs in JOBS:
+            with pytest.raises(EvaluationError, match="^first fault$"):
+                oracle_search(tiny_space, "t", TwoFaults(), TINY_WEIGHTS, tiny_ctx(result), jobs)
+        assert_reaped(forks)
+
+    def test_failure_does_not_wait_for_later_slices(self, tiny_space, tiny_evaluator, forks):
+        class SlowTail:
+            def evaluate(self, config, benchmark):
+                if config == {"A": 1, "B": 100}:
+                    raise EvaluationError("first fault")
+                if config["A"] == 4:  # the last of three slices
+                    time.sleep(30)
+                return tiny_metrics(config["A"], config["B"])
+
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        start = time.monotonic()
+        with pytest.raises(EvaluationError, match="first fault"):
+            oracle_search(tiny_space, "t", SlowTail(), TINY_WEIGHTS, tiny_ctx(result), 3)
+        assert time.monotonic() - start < 10
+        assert_reaped(forks)
+
+    def test_unpicklable_error_is_named_in_a_runtime_error(self, tiny_space, tiny_evaluator):
+        class Unpicklable(Exception):
+            pass
+
+        class Failing:
+            def evaluate(self, config, benchmark):
+                raise Unpicklable("boom")
+
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        with pytest.raises(RuntimeError, match="Unpicklable: boom"):
+            oracle_search(tiny_space, "t", Failing(), TINY_WEIGHTS, tiny_ctx(result), 2)
+
+    def test_interrupt_while_forking_reaps_every_child(
+        self, tiny_space, tiny_evaluator, monkeypatch
+    ):
+        pids = []
+        fork = os.fork
+
+        def interrupted():
+            if len(pids) == 2:
+                raise KeyboardInterrupt
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        monkeypatch.setattr(os, "fork", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), 3)
+        assert len(pids) == 2
+        assert_reaped(pids)
+
+
+class TestSlices:
+    @pytest.mark.parametrize(
+        "space",
+        [
+            make_space([("A", [1, 2, 4]), ("B", [100, 200])], ["t"]),
+            make_space([("one", [1]), ("A", [1, 2, 4]), ("B", [7])], ["t"]),
+            load_shipped_space("parsec-small"),
+        ],
+        ids=["tiny", "single-settings", "parsec-small"],
+    )
+    def test_slices_concatenate_to_the_enumeration(self, space):
+        # items, not dicts: the key order is written out too
+        whole = [list(c.items()) for c in enumerate_configs(space)]
+        for jobs in range(2, 9):
+            slices = [[list(c.items()) for c in configs()] for configs in _slices(space, jobs)]
+            assert 1 <= len(slices) <= jobs
+            assert all(slices)
+            assert [c for part in slices for c in part] == whole
 
 
 class TestCompare:
