@@ -13,21 +13,29 @@ oracle and compare commands can address runs by path:
 The replay hash covers everything that determines results (space content,
 threshold, weights, evaluator, tool version) and deliberately excludes the
 timestamp and output path, so two runs of the same experiment hash alike.
+
+A run directory is written from parts: ``render_part`` renders the entries
+and CSV rows of some benchmarks (a group that may have been searched in
+another process), and ``write_run_dir`` writes the headers and the parts
+in benchmark order.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
+from .errors import DseError
 from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, validate_weights
@@ -170,40 +178,104 @@ def metric_order(run: RunResult) -> list[str]:
     return []
 
 
-def write_run_dir(
-    out: Path,
+@dataclass
+class RunPart:
+    """Some benchmarks' share of one run directory, rendered: their
+    ``result.json`` entries, and their rows of ``evals.csv``,
+    ``significance.csv`` and ``pareto.csv`` as CSV text, in benchmark order.
+    ``metrics`` is the order the rows give the metrics in, the first logged
+    record's (``metric_order``); it is empty when nothing was logged."""
+
+    metrics: list[str]
+    entries: dict[str, dict]
+    evals: str
+    significance: str
+    pareto: str
+
+
+def render_part(
     run: RunResult,
-    manifest: dict,
     fronts: Mapping[str, Sequence[EvalRecord]],
     chosen: Mapping[str, EvalRecord],
+) -> RunPart:
+    """The run's benchmarks, rendered as their part of a run directory."""
+    metrics = metric_order(run)
+    return RunPart(
+        metrics=metrics,
+        entries={name: _result_entry(result) for name, result in run.benchmarks.items()},
+        evals=_csv_text(_evals_rows(run, metrics)),
+        significance=_csv_text(_significance_rows(run)),
+        pareto=_csv_text(_pareto_rows(run, metrics, fronts, chosen)),
+    )
+
+
+def write_run_dir(
+    out: Path, manifest: dict, space: DesignSpace, parts: Sequence[RunPart]
 ) -> None:
+    """Write the run directory of ``manifest``'s threshold and weights from
+    its parts, in benchmark order. The headers name the metrics in the
+    parts' one order; parts that disagree on it are a DseError, raised
+    before anything is written."""
+    metrics = next((part.metrics for part in parts if part.metrics), [])
+    for part in parts:
+        if part.metrics and part.metrics != metrics:
+            raise DseError(
+                f"run parts give the metrics in different orders: {metrics}, {part.metrics}"
+            )
+    params = list(space.names)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / MANIFEST_FILE, manifest)
-    save_space(run.space, out / SPACE_FILE)
-    _write_json(out / RESULT_FILE, result_payload(run))
-    write_evals_csv(out / EVALS_FILE, run)
-    write_significance_csv(out / SIGNIFICANCE_FILE, run)
-    write_pareto_csv(out / PARETO_FILE, run, fronts, chosen)
+    save_space(space, out / SPACE_FILE)
+    _write_json(
+        out / RESULT_FILE,
+        {
+            "threshold": manifest["threshold"],
+            "weights": manifest["weights"],
+            "benchmarks": {name: entry for part in parts for name, entry in part.entries.items()},
+        },
+    )
+    norm_names = [f"norm_{m}" for m in metrics]
+    _write_csv(
+        out / EVALS_FILE,
+        ["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"],
+        [part.evals for part in parts],
+    )
+    _write_csv(
+        out / SIGNIFICANCE_FILE,
+        ["benchmark", "parameter", "significance"],
+        [part.significance for part in parts],
+    )
+    _write_csv(
+        out / PARETO_FILE,
+        ["benchmark", *metrics, "objective", *params, "chosen"],
+        [part.pareto for part in parts],
+    )
 
 
-def result_payload(run: RunResult) -> dict:
-    benchmarks = {}
-    for name, result in run.benchmarks.items():
-        benchmarks[name] = {
-            "best_config": result.best_config,
-            "best_metrics": result.best_metrics,
-            "objective": result.objective,
-            "significance": result.significance,
-            "partition": _partition_payload(result.partition),
-            "normalization": _normalization_payload(result.normalization),
-            "unique_evaluations": result.unique_evaluations,
-            "total_requests": result.total_requests,
-            "error": result.error,
-        }
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[str]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(rows)
+
+
+def _csv_text(rows: Iterable[Sequence]) -> str:
+    """``rows`` as the text a ``csv.writer`` writes for them."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def _result_entry(result: BenchmarkResult) -> dict:
     return {
-        "threshold": run.threshold,
-        "weights": run.weights,
-        "benchmarks": benchmarks,
+        "best_config": result.best_config,
+        "best_metrics": result.best_metrics,
+        "objective": result.objective,
+        "significance": result.significance,
+        "partition": _partition_payload(result.partition),
+        "normalization": _normalization_payload(result.normalization),
+        "unique_evaluations": result.unique_evaluations,
+        "total_requests": result.total_requests,
+        "error": result.error,
     }
 
 
@@ -225,61 +297,48 @@ def _partition_payload(part: Partition | None) -> dict | None:
     }
 
 
-def write_evals_csv(path: Path, run: RunResult) -> None:
-    params = run.space.names
-    metrics = metric_order(run)
-    norm_names = [f"norm_{m}" for m in metrics]
-    param_values, metric_values = values_getter(params), values_getter(metrics)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"])
-        for result in run.benchmarks.values():
-            writer.writerows(
-                (record.benchmark, record.phase, record.seq, *param_values(record.config),
-                 *metric_values(record.metrics),
-                 *(metric_values(record.normalized) if record.normalized else [""] * len(metrics)),
-                 "" if record.objective is None else record.objective)
-                for record in result.records
+def _evals_rows(run: RunResult, metrics: Sequence[str]) -> Iterator[tuple]:
+    param_values, metric_values = values_getter(run.space.names), values_getter(metrics)
+    blank = [""] * len(metrics)
+    for result in run.benchmarks.values():
+        for record in result.records:
+            yield (
+                record.benchmark, record.phase, record.seq, *param_values(record.config),
+                *metric_values(record.metrics),
+                *(metric_values(record.normalized) if record.normalized else blank),
+                "" if record.objective is None else record.objective,
             )
 
 
-def write_significance_csv(path: Path, run: RunResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["benchmark", "parameter", "significance"])
-        for name, result in run.benchmarks.items():
-            for parameter, value in result.significance.items():
-                writer.writerow([name, parameter, value])
+def _significance_rows(run: RunResult) -> Iterator[list]:
+    for name, result in run.benchmarks.items():
+        for parameter, value in result.significance.items():
+            yield [name, parameter, value]
 
 
-def write_pareto_csv(
-    path: Path,
+def _pareto_rows(
     run: RunResult,
+    metrics: Sequence[str],
     fronts: Mapping[str, Sequence[EvalRecord]],
     chosen: Mapping[str, EvalRecord],
-) -> None:
+) -> Iterator[list]:
     """Front members per benchmark; chosen = 1 marks the trade-off point.
 
     Columns: benchmark, raw metrics, objective, parameters, chosen. The
     benchmark column is first so multi-benchmark runs stay one flat,
     plot-ready file.
     """
-    params = list(run.space.names)
-    metrics = metric_order(run)
-    header = ["benchmark"] + metrics + ["objective"] + params + ["chosen"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for benchmark, front in fronts.items():
-            pick = chosen.get(benchmark)
-            for record in front:
-                writer.writerow(
-                    [benchmark]
-                    + [record.metrics[m] for m in metrics]
-                    + [record.objective]
-                    + [record.config[p] for p in params]
-                    + [1 if record is pick else 0]
-                )
+    params = run.space.names
+    for benchmark, front in fronts.items():
+        pick = chosen.get(benchmark)
+        for record in front:
+            yield (
+                [benchmark]
+                + [record.metrics[m] for m in metrics]
+                + [record.objective]
+                + [record.config[p] for p in params]
+                + [1 if record is pick else 0]
+            )
 
 
 def load_run(run_dir: Path) -> tuple[dict, RunResult]:

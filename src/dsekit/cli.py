@@ -6,6 +6,11 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 ``ValueError`` → 1. Runs are addressed by their output directory —
 ``oracle`` and ``compare`` read the manifest and artifacts a previous
 ``run`` wrote.
+
+``run`` is a ``sweep`` of one threshold: both search contiguous groups of
+the benchmarks (``_search``), in forked children for an in-process
+backend, and write every run directory in this process from the parts
+the groups rendered (``_search_and_write``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import click
 
@@ -30,10 +35,10 @@ from .design_space import (
 )
 from .errors import DseError, EvaluationError
 from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_evaluator
-from .explorer import RunResult, run as run_search
+from .explorer import RunResult, check_inputs, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
 from .oracle_compare import compare as compare_runs
-from .oracle_compare import enumeration_guard, oracle_search
+from .oracle_compare import _forked, enumeration_guard, oracle_search
 from .pareto import pareto_front, select_tradeoff
 
 EXIT_VALIDATION = 1
@@ -113,8 +118,8 @@ _JOBS_OPTION = click.option(
     default=None,
     callback=_resolve_jobs,
     help="Worker processes of an exec: evaluator, or forked children that split "
-    "the oracle's enumeration for an in-process one [default: the CPUs "
-    "available]. Results do not depend on it.",
+    "the benchmarks of run and sweep, or the oracle's enumeration, for an "
+    "in-process one [default: the CPUs available]. Results do not depend on it.",
 )
 
 
@@ -147,8 +152,9 @@ def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iter
             evaluator.close()
 
 
-def _fronts_and_choices(result: RunResult):
-    """Pareto front and trade-off point per completed benchmark.
+def _rendered(result: RunResult) -> artifacts.RunPart:
+    """A search's part of its run directory, with the Pareto front and
+    trade-off point of each completed benchmark.
 
     Also cross-checks that the minimum logged objective is attained on the
     front — a weighted sum can never prefer a dominated point.
@@ -167,47 +173,113 @@ def _fronts_and_choices(result: RunResult):
             raise DseError(
                 f"pareto front for {name!r} misses the minimum-objective point"
             )
-    return fronts, chosen
+    return artifacts.render_part(result, fronts, chosen)
 
 
-def _run_threshold(
+def _search(
+    space: DesignSpace,
+    weights: dict[str, float],
+    evaluator: Evaluator,
+    thresholds: list[int],
+    benchmarks: Sequence[str],
+) -> Iterator[artifacts.RunPart]:
+    """One group of benchmarks searched at each threshold in turn, through
+    one cache, so a configuration reaches the backend at most once; yields
+    the part of each threshold as soon as it is searched."""
+    cache = CachedEvaluator(evaluator)
+    for threshold in thresholds:
+        yield _rendered(run_search(space, cache, weights, threshold, benchmarks))
+
+
+def _drained(parts: Iterator[artifacts.RunPart]) -> tuple[list, BaseException | None]:
+    """What a forked group sends back: the parts ``parts`` yielded, and the
+    exception that stopped them, if one did."""
+    done = []
+    try:
+        for part in parts:
+            done.append(part)
+    except BaseException as exc:  # an interrupt too: the parts before it are still written
+        return done, exc
+    return done, None
+
+
+def _replayed(done: list, error: BaseException | None) -> Iterator[artifacts.RunPart]:
+    """A drained group's parts, then its exception, as ``_search`` gave them."""
+    yield from done
+    if error is not None:
+        raise error
+
+
+def _search_and_write(
     space: DesignSpace,
     space_spec: str,
     weights: dict[str, float],
     evaluator: Evaluator,
     evaluator_spec: str,
     jobs: int,
-    threshold: int,
-    out: Path,
-) -> RunResult:
-    """One search at one threshold, written to its own run directory."""
-    result = run_search(space, evaluator, weights, threshold)
-    manifest = artifacts.build_manifest(
-        space,
-        space_file=space_spec,
-        threshold=threshold,
-        weights=weights,
-        evaluator_spec=evaluator_spec,
-        jobs=jobs,
-        out_dir=str(out),
-    )
-    fronts, chosen = _fronts_and_choices(result)
-    artifacts.write_run_dir(out, result, manifest, fronts, chosen)
-    return result
+    thresholds: list[int],
+    outs: list[Path],
+) -> list[dict[str, dict]]:
+    """Search at each threshold and write its run directory to the matching
+    ``outs`` entry; returns each threshold's ``result.json`` entries.
+
+    A backend without ``submit`` (an in-process one) has the benchmarks cut
+    into up to `jobs` contiguous groups, each searched by ``_search`` in a
+    forked child; otherwise one group is searched in this process, and each
+    directory is written as soon as its threshold is searched. Either way
+    the directories are written in threshold order from the groups' parts,
+    up to the first threshold a group did not finish, where the earliest
+    such group's exception is raised. So the files written and the error
+    raised are those of one serial loop over the thresholds.
+    """
+    for threshold in thresholds:
+        check_inputs(space, weights, threshold)
+    names = space.benchmarks
+    count = 1 if hasattr(evaluator, "submit") else min(jobs, len(names))
+    bounds = [-(-len(names) * i // count) for i in range(count + 1)]
+    groups = [names[start:end] for start, end in zip(bounds, bounds[1:])]
+
+    def search(group: Sequence[str]) -> Iterator[artifacts.RunPart]:
+        return _search(space, weights, evaluator, thresholds, group)
+
+    if len(groups) > 1:
+        drained = _forked(lambda group: _drained(search(group)), groups)
+        streams = [_replayed(done, error) for done, error in drained]
+    else:
+        streams = [search(groups[0])]
+    entries = []
+    for threshold, out in zip(thresholds, outs):
+        parts = [next(stream) for stream in streams]
+        manifest = artifacts.build_manifest(
+            space,
+            space_file=space_spec,
+            threshold=threshold,
+            weights=weights,
+            evaluator_spec=evaluator_spec,
+            jobs=jobs,
+            out_dir=str(out),
+        )
+        artifacts.write_run_dir(out, manifest, space, parts)
+        entries.append({name: entry for part in parts for name, entry in part.entries.items()})
+    return entries
 
 
-def _echo_run_summary(result: RunResult) -> None:
-    for name, bench in result.benchmarks.items():
-        if bench.error is not None:
-            click.echo(f"{name}: FAILED: {bench.error}")
+def _failed(entries: dict[str, dict]) -> list[str]:
+    return [name for name, entry in entries.items() if entry["error"] is not None]
+
+
+def _echo_run_summary(entries: dict[str, dict]) -> None:
+    for name, entry in entries.items():
+        if entry["error"] is not None:
+            click.echo(f"{name}: FAILED: {entry['error']}")
             continue
-        if bench.partition is not None:
-            for warning in bench.partition.warnings:
+        if entry["partition"] is not None:
+            for warning in entry["partition"]["warnings"]:
                 click.echo(f"warning: {name}: {warning}", err=True)
-        config = " ".join(f"{k}={v}" for k, v in (bench.best_config or {}).items())
+        config = " ".join(f"{k}={v}" for k, v in (entry["best_config"] or {}).items())
         click.echo(
-            f"{name}: F={bench.objective:.6g} [{config}] "
-            f"({bench.unique_evaluations} unique evaluations)"
+            f"{name}: F={entry['objective']:.6g} [{config}] "
+            f"({entry['unique_evaluations']} unique evaluations)"
         )
 
 
@@ -259,12 +331,13 @@ def run_cmd(
         raise ValueError("threshold must be >= 1")
     weights = _resolve_weights(weights_text, profile)
     with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
-        result = _run_threshold(
-            space, space_spec, weights, evaluator, evaluator_spec, jobs, threshold, out_dir
+        [entries] = _search_and_write(
+            space, space_spec, weights, evaluator, evaluator_spec, jobs, [threshold], [out_dir]
         )
-    _echo_run_summary(result)
-    if result.failed:
-        raise EvaluationError(f"evaluation failed for: {', '.join(result.failed)}")
+    _echo_run_summary(entries)
+    failed = _failed(entries)
+    if failed:
+        raise EvaluationError(f"evaluation failed for: {', '.join(failed)}")
 
 
 @main.command(name="oracle")
@@ -341,28 +414,26 @@ def sweep_cmd(
         raise ValueError("thresholds must be >= 1")
     space = _load_valid_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
+    outs = [out_dir / f"run{index:02d}-T{t}" for index, t in enumerate(thresholds, start=1)]
+    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
+        runs = _search_and_write(
+            space, space_spec, weights, evaluator, evaluator_spec, jobs, thresholds, outs
+        )
     size = cardinality(space)
     rows = []
     failed: list[str] = []
-    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
-        cache = CachedEvaluator(evaluator)  # one cache: later thresholds reuse results
-        for index, threshold in enumerate(thresholds, start=1):
-            subdir = out_dir / f"run{index:02d}-T{threshold}"
-            result = _run_threshold(
-                space, space_spec, weights, cache, evaluator_spec, jobs, threshold, subdir
+    for threshold, entries in zip(thresholds, runs):
+        for name, entry in entries.items():
+            rows.append(
+                {
+                    "benchmark": name,
+                    "threshold": threshold,
+                    "objective": "" if entry["objective"] is None else entry["objective"],
+                    "unique_evaluations": entry["unique_evaluations"],
+                    "explored_pct": 100.0 * entry["unique_evaluations"] / size,
+                }
             )
-            for name, bench in result.benchmarks.items():
-                rows.append(
-                    {
-                        "benchmark": name,
-                        "threshold": threshold,
-                        "objective": "" if bench.objective is None else bench.objective,
-                        "unique_evaluations": bench.unique_evaluations,
-                        "explored_pct": 100.0 * bench.unique_evaluations / size,
-                    }
-                )
-            failed += [f"{name} (T={threshold})" for name in result.failed]
-            del result  # free this log before the next threshold is searched
+        failed += [f"{name} (T={threshold})" for name in _failed(entries)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_sweep_csv(out_dir / artifacts.SWEEP_FILE, rows)

@@ -22,9 +22,10 @@ Backends evaluate one request at a time, in the caller's order. A backend
 that can work ahead also has ``submit(config, benchmark) -> bool``, a hint
 that the caller will ask for that configuration later; ``look_ahead`` feeds
 it a stream of independent requests. Only ``ExternalEvaluator`` (and a cache
-around it) has one, so the search evaluates the in-process backends one
-request at a time; only the oracle spreads them over forked processes
-(``oracle_compare``).
+around it) has one, so a search evaluates the in-process backends one
+request at a time. The CLI spreads them over forked processes instead:
+``run`` and ``sweep`` by groups of benchmarks (``cli``), the oracle by
+slices of the enumeration (``oracle_compare``).
 """
 
 from __future__ import annotations
@@ -147,7 +148,9 @@ class SyntheticEvaluator:
 
     With an explicit profile, every benchmark is evaluated under it. Without
     one, the benchmark name must itself be a built-in profile name
-    (synth-blk, synth-fluid, synth-ocean).
+    (synth-blk, synth-fluid, synth-ocean). A setting the model cannot take,
+    such as 0 cores or a string where it needs a number, is an
+    EvaluationError that names the configuration.
     """
 
     def __init__(self, profile: str | None = None):
@@ -166,7 +169,12 @@ class SyntheticEvaluator:
                 f"unknown benchmark {benchmark!r}: no synthetic profile of that "
                 f"name; pass an explicit profile to map all benchmarks onto one"
             )
-        return synthetic_evaluate(config, profile)
+        try:
+            return synthetic_evaluate(config, profile)
+        except (ArithmeticError, TypeError, ValueError) as exc:  # a setting outside the model
+            raise EvaluationError(
+                f"synthetic model cannot evaluate configuration {dict(config)}: {exc}"
+            ) from exc
 
 
 # ---------------------------------------------------------------------------

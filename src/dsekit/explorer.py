@@ -318,6 +318,19 @@ def _greedy(
     return winner
 
 
+def check_inputs(space: DesignSpace, weights: WeightVector, threshold: int) -> None:
+    """The checks ``run`` makes before any evaluation: a ValueError unless
+    the space, the threshold and the weights are valid."""
+    violations = validate(space)
+    if violations:
+        raise ValueError("invalid space: " + "; ".join(violations))
+    if threshold < 1:
+        raise ValueError("threshold must be >= 1")
+    violations = validate_weights(weights)
+    if violations:
+        raise ValueError("invalid weights: " + "; ".join(violations))
+
+
 def run(
     space: DesignSpace,
     evaluator: Evaluator,
@@ -335,14 +348,7 @@ def run(
     still complete. Identical inputs produce identical results, including
     log order.
     """
-    violations = validate(space)
-    if violations:
-        raise ValueError("invalid space: " + "; ".join(violations))
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    violations = validate_weights(weights)
-    if violations:
-        raise ValueError("invalid weights: " + "; ".join(violations))
+    check_inputs(space, weights, threshold)
     if benchmarks is None:
         benchmarks = space.benchmarks
     cache = evaluator if isinstance(evaluator, CachedEvaluator) else CachedEvaluator(evaluator)

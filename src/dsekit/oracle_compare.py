@@ -12,6 +12,7 @@ space is cut into contiguous slices in enumeration order, each scored by
 the same loop in a forked child, and the slices' winners are merged in
 order, so the serial loop's answer (and first error) comes out unchanged.
 An ``exec:`` backend keeps one serial loop that feeds its worker pool ahead.
+The fork helper, ``_forked``, also runs the CLI's groups of benchmarks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import signal
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
@@ -100,10 +101,11 @@ def oracle_search(
 
     slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
     if len(slices) > 1:
-        outcomes = _forked(best_of, slices)
+        bests = _forked(lambda configs: best_of(configs()), slices)
     else:
-        outcomes = [("ok", best_of(enumerate_configs(space)))]
-    best_value, best_config, best_metrics = _merge(outcomes)
+        bests = [best_of(enumerate_configs(space))]
+    # the strict minimum, earliest on ties, as in one serial loop
+    best_value, best_config, best_metrics = min(bests, key=lambda best: best[0])
     assert best_config is not None and best_metrics is not None
     return OracleResult(
         benchmark=benchmark,
@@ -115,6 +117,8 @@ def oracle_search(
 
 
 _Best = tuple[float, Optional[Config], Optional[dict[str, float]]]
+_Item = TypeVar("_Item")
+_Value = TypeVar("_Value")
 #: Leading-parameter prefixes wanted per job, so slices come out near-equal.
 _PREFIXES_PER_JOB = 8
 
@@ -137,18 +141,6 @@ def _best_of(
         value = objective(metrics, ctx, weights)
         if value < best[0]:
             best = (value, config, metrics)
-    return best
-
-
-def _merge(outcomes: Iterable[tuple[str, object]]) -> _Best:
-    """Slice outcomes in enumeration order: the first error, else the
-    strict minimum, earliest on ties."""
-    best: _Best = (math.inf, None, None)
-    for kind, payload in outcomes:
-        if kind == "error":
-            raise payload  # type: ignore[misc]
-        if payload[0] < best[0]:  # type: ignore[index]
-            best = payload  # type: ignore[assignment]
     return best
 
 
@@ -183,61 +175,85 @@ def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]
     ]
 
 
-def _forked(
-    best_of: Callable[[Iterable[Config]], _Best],
-    slices: Sequence[Callable[[], Iterator[Config]]],
-) -> list[tuple[str, object]]:
-    """Score each slice in its own forked child; outcomes in slice order,
-    up to the first error.
+def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item]) -> list[_Value]:
+    """``[fn(item) for item in items]``, each call made in its own forked
+    child; the first exception in item order is raised, as a serial loop
+    would raise it, without waiting for the children after it.
 
-    A child sends one pickled ``("ok", best)`` or ``("error", exception)``
+    A child sends one pickled ``("ok", value)`` or ``("error", exception)``
     down a pipe and leaves with ``os._exit``, so it never unwinds this
     stack, runs exit handlers or flushes inherited stdio buffers. Every
-    child is killed and reaped before this returns or raises.
+    child is killed and reaped before this returns or raises. The default
+    SIGTERM action would end this process without unwinding it, so while
+    it is in force a SIGTERM first kills and reaps the children, then ends
+    this process by SIGTERM as before. SIGINT and SIGTERM are held while
+    children are forked or reaped, so none is missed or reaped twice.
     """
     import pickle
 
     children: list[tuple[int, BinaryIO]] = []
+    held = {signal.SIGINT, signal.SIGTERM}
+
+    def reap() -> None:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+            os.waitpid(pid, 0)
+
+    def terminate(signum, frame) -> None:
+        reap()  # not the pipes: this may run inside a read of one
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+    if default:
+        signal.signal(signal.SIGTERM, terminate)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, held)
     try:
-        for configs in slices:
+        for item in items:
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 try:
+                    if default:
+                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(_pickled_outcome(best_of, configs))
+                        pipe.write(_pickled_outcome(fn, item))
                 finally:
                     os._exit(0)
             children.append((pid, os.fdopen(read_fd, "rb")))
             os.close(write_fd)
-        outcomes = []
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        values = []
         for pid, pipe in children:
             data = pipe.read()
-            outcomes.append(
+            kind, payload = (
                 pickle.loads(data)
                 if data
-                else ("error", DseError(f"oracle slice process {pid} ended without a result"))
+                else ("error", DseError(f"forked process {pid} ended without a result"))
             )
-            if outcomes[-1][0] == "error":
-                break
-        return outcomes
+            if kind == "error":
+                raise payload
+            values.append(payload)
+        return values
     finally:
-        for pid, pipe in children:
+        signal.pthread_sigmask(signal.SIG_BLOCK, held)
+        for _, pipe in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
-            os.waitpid(pid, 0)
+        reap()
+        if default:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _pickled_outcome(
-    best_of: Callable[[Iterable[Config]], _Best], configs: Callable[[], Iterator[Config]]
-) -> bytes:
+def _pickled_outcome(fn: Callable[[_Item], _Value], item: _Item) -> bytes:
     """A child's outcome, pickled; an exception that does not survive a
     pickle round trip becomes a RuntimeError naming its type and text."""
     import pickle
 
     try:
-        return pickle.dumps(("ok", best_of(configs())))
+        return pickle.dumps(("ok", fn(item)))
     except BaseException as exc:  # an interrupt too: the parent re-raises it
         try:
             data = pickle.dumps(("error", exc))

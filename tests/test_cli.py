@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,9 @@ from dsekit.artifacts import (
 )
 from dsekit import cli, errors
 from dsekit.cli import main
+from dsekit.evaluators import SyntheticEvaluator
+from dsekit.explorer import run as run_search
+from dsekit.pareto import pareto_front
 
 from .conftest import tiny_metrics, write_tiny_csv
 
@@ -86,6 +93,40 @@ def two_benchmark_space(tmp_path):
     }
     path.write_text(json.dumps(space), encoding="utf-8")
     return path
+
+
+#: The six parameters the synthetic model needs, two or three settings each.
+SYNTH_PARAMETERS = {
+    "cores": [2, 4, 8],
+    "freq": [1700, 2800],
+    "l1i": [16, 32],
+    "l1d": [16, 32],
+    "l2": [256, 512],
+    "l3": [2048, 4096],
+}
+SYNTH_BENCHMARKS = ["synth-blk", "synth-fluid", "synth-ocean"]
+
+
+def synthetic_space(tmp_path, benchmarks=SYNTH_BENCHMARKS, **settings):
+    """A space file of the synthetic model's parameters, ``settings``
+    replacing or adding some, over ``benchmarks``."""
+    path = tmp_path / "synth.json"
+    parameters = {**SYNTH_PARAMETERS, **settings}
+    space = {
+        "parameters": [{"name": name, "settings": values} for name, values in parameters.items()],
+        "benchmarks": list(benchmarks),
+    }
+    path.write_text(json.dumps(space), encoding="utf-8")
+    return path
+
+
+def tree(root):
+    """Every file under ``root`` but the manifests, as (path, bytes) pairs."""
+    return [
+        (path.relative_to(root), path.read_bytes())
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != MANIFEST_FILE
+    ]
 
 
 class TestValidate:
@@ -302,6 +343,23 @@ class TestRun:
         assert payload["benchmarks"]["t"]["error"]
         assert "t: FAILED" in result.stdout
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{"cores": [0, 2]}, {"cores": ["a", "b"]}, {"width": [0, 2]}],
+        ids=["zero-cores", "string-cores", "zero-width"],
+    )
+    def test_synthetic_setting_outside_the_model_fails_its_benchmarks(self, runner, tmp_path, settings):
+        space_file = synthetic_space(tmp_path, SYNTH_BENCHMARKS[:2], **settings)
+        out_dir = tmp_path / "run"
+        result = invoke(
+            runner, "run", "--space", space_file, "-T", 4, "--profile", "lowpower",
+            "--evaluator", "synthetic", "--jobs", 1, "--out", out_dir,
+        )
+        assert result.exit_code == 2
+        assert ": FAILED: synthetic model cannot evaluate configuration" in result.stdout
+        payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
+        assert all(entry["error"] for entry in payload["benchmarks"].values())
+
     def test_partition_warning_reaches_stderr(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, threshold=2)
         assert result.exit_code == 0
@@ -457,6 +515,26 @@ class TestSweep:
         assert rows[1]["unique_evaluations"] == "6"
         assert float(rows[1]["explored_pct"]) == pytest.approx(100.0)
 
+    def test_each_directory_is_written_before_the_next_threshold_is_searched(
+        self, runner, tmp_path, tiny_space_file, tiny_csv, monkeypatch
+    ):
+        # so a sweep that is killed keeps every threshold it finished
+        out = tmp_path / "sweep"
+        written = []
+
+        def search(*args):
+            written.append(sorted(path.name for path in out.glob("run*")))
+            return run_search(*args)
+
+        monkeypatch.setattr(cli, "run_search", search)
+        result = invoke(
+            runner, "sweep", "--space", tiny_space_file, "--thresholds", "2,6,3",
+            "--weights", "power=0.1,time=0.9", "--evaluator", f"table:{tiny_csv}",
+            "--out", out, "--jobs", 1,
+        )
+        assert result.exit_code == 0
+        assert written == [[], ["run01-T2"], ["run01-T2", "run02-T6"]]
+
     def test_shared_memo_attributes_unique_per_run(self, runner, tmp_path, tiny_space_file, tiny_csv):
         out = tmp_path / "sweep"
         result = invoke(
@@ -596,7 +674,7 @@ class TestSerialEvaluation:
     def test_run_and_oracle_evaluate_on_the_main_thread(self, runner, tmp_path, monkeypatch):
         backend = TinyBackend()
         self.use_backend(monkeypatch, backend)
-        result, out_dir = do_run(runner, tmp_path, **{"--jobs": None})
+        result, out_dir = do_run(runner, tmp_path, **{"--jobs": 1})
         assert result.exit_code == 0
         assert invoke(runner, "oracle", out_dir, "--jobs", 1).exit_code == 0
         assert backend.threads == {threading.main_thread().ident}
@@ -769,27 +847,12 @@ class TestExitCodePolicy:
 
 
 class TestJobs:
-    """An exec: pool of any size writes the bytes one worker writes, and an
-    oracle split over forked children writes the bytes of a serial one."""
+    """An exec: pool of any size writes the bytes one worker writes, and a
+    search or oracle split over forked children writes the bytes of a
+    serial one."""
 
     def test_outputs_do_not_depend_on_jobs(self, runner, tmp_path):
-        space_file = tmp_path / "synth.json"
-        space_file.write_text(
-            json.dumps(
-                {
-                    "parameters": [
-                        {"name": "cores", "settings": [2, 4, 8]},
-                        {"name": "freq", "settings": [1700, 2800]},
-                        {"name": "l1i", "settings": [16, 32]},
-                        {"name": "l1d", "settings": [16, 32]},
-                        {"name": "l2", "settings": [256, 512]},
-                        {"name": "l3", "settings": [2048, 4096]},
-                    ],
-                    "benchmarks": ["synth-blk", "synth-fluid"],
-                }
-            ),
-            encoding="utf-8",
-        )
+        space_file = synthetic_space(tmp_path)
         common = [
             "--space", space_file, "--weights", "power=0.3,time=0.7",
             "--evaluator", f"exec:{sys.executable} -m dsekit.mock_worker --model synthetic",
@@ -819,13 +882,134 @@ class TestJobs:
         assert len(outputs[0][1]) == 3 * 4 + 4 + 2
         assert outputs[0] == outputs[1]
 
-        synthetic = ["--evaluator", "synthetic"]
-        result = invoke(runner, "run", *common[:4], *synthetic, "-T", 8, "--out", tmp_path / "synth")
-        assert result.exit_code == 0, result.output
+        synthetic = [*common[:4], "--evaluator", "synthetic"]
+        searches = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"synth{jobs}"
+            stdouts = []
+            for args in (
+                ["run", *synthetic, "-T", 8, "--out", out / "run"],
+                ["sweep", *synthetic, "--thresholds", "1,8,32", "--out", out / "sweep"],
+            ):
+                result = invoke(runner, *args, "--jobs", jobs)
+                assert result.exit_code == 0, result.output
+                stdouts.append(result.stdout)
+            searches.append((stdouts, tree(out)))
+        assert len(searches[0][1]) == 5 + 1 + 3 * 5
+        assert searches[0] == searches[1] == searches[2]
+
         oracles = []
         for jobs in (1, 3):
             out = tmp_path / f"synth-oracle{jobs}"
-            result = invoke(runner, "oracle", tmp_path / "synth", "--out", out, "--jobs", jobs)
+            result = invoke(runner, "oracle", tmp_path / "synth1" / "run", "--out", out, "--jobs", jobs)
             assert result.exit_code == 0, result.output
             oracles.append((result.stdout, (out / ORACLE_FILE).read_bytes()))
         assert oracles[0] == oracles[1]
+
+    def test_failure_of_the_last_benchmark_does_not_depend_on_jobs(self, runner, tmp_path, monkeypatch):
+        class NoOcean(SyntheticEvaluator):
+            def evaluate(self, config, benchmark):
+                if benchmark == "synth-ocean":
+                    raise errors.EvaluationError("no model of synth-ocean")
+                return super().evaluate(config, benchmark)
+
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: NoOcean())
+        common = ["--space", synthetic_space(tmp_path), "--profile", "lowpower", "--evaluator", "synthetic"]
+        outputs = []
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            printed = []
+            for args in (
+                ["run", *common, "-T", 8, "--out", out / "run"],
+                ["sweep", *common, "--thresholds", "1,8", "--out", out / "sweep"],
+            ):
+                result = invoke(runner, *args, "--jobs", jobs)
+                assert result.exit_code == 2
+                printed.append((result.stdout, result.stderr))
+            outputs.append((printed, tree(out)))
+        assert "synth-ocean: FAILED: no model of synth-ocean" in outputs[0][0][0][0]
+        assert "error: evaluation failed for: synth-ocean (T=1), synth-ocean (T=8)" in outputs[0][0][1][1]
+        assert outputs[0] == outputs[1]
+
+    def test_internal_error_in_a_later_group_stops_where_a_serial_search_stops(
+        self, runner, tmp_path, monkeypatch
+    ):
+        def failing_front():
+            """pareto_front, failing for synth-ocean (the second group of
+            two) at the second threshold."""
+            calls = {}
+
+            def front(records):
+                name = records[0].benchmark
+                calls[name] = calls.get(name, 0) + 1
+                if name == "synth-ocean" and calls[name] == 2:
+                    raise errors.DseError("no front for synth-ocean")
+                return pareto_front(records)
+
+            return front
+
+        outcomes = []
+        for jobs in (1, 2):
+            monkeypatch.setattr(cli, "pareto_front", failing_front())
+            out = tmp_path / f"jobs{jobs}"
+            result = invoke(
+                runner, "sweep", "--space", synthetic_space(tmp_path), "--profile", "lowpower",
+                "--evaluator", "synthetic", "--thresholds", "1,8,32", "--out", out, "--jobs", jobs,
+            )
+            assert [path.name for path in out.iterdir()] == ["run01-T1"]
+            outcomes.append((result.exit_code, result.stdout, result.stderr, tree(out)))
+        assert outcomes[0][:3] == (1, "", "error: no front for synth-ocean\n")
+        assert outcomes[0] == outcomes[1]
+
+
+def child_pids(pid):
+    """The pids of the living or unreaped children of ``pid``, from /proc."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while it was listed
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes through /proc")
+class TestForkedChildren:
+    """No forked child outlives the command that forked it."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
+    @pytest.mark.parametrize("command", ["oracle", "sweep"])
+    def test_signal_to_the_command_leaves_no_child(self, runner, tmp_path, command, signum):
+        space = ["--space", "parsec-large", "--profile", "lowpower", "--evaluator", "synthetic:synth-fluid"]
+        if command == "oracle":
+            run_dir = tmp_path / "run"
+            assert invoke(runner, "run", *space, "-T", 1, "--out", run_dir, "--jobs", 1).exit_code == 0
+            args = ["oracle", run_dir, "--jobs", 3]
+        else:
+            # every threshold covers the whole space, so each search is long
+            args = ["sweep", *space, "--thresholds", "86400,86401", "--out", tmp_path / "sweep", "--jobs", 2]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dsekit.cli", *map(str, args)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not child_pids(proc.pid):
+                assert proc.poll() is None, "the command ended before it forked"
+                assert time.monotonic() < deadline, "no child was forked"
+                time.sleep(0.01)
+            os.kill(proc.pid, signum)
+            code = proc.wait(timeout=10)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+            assert code == (-signal.SIGTERM if signum == signal.SIGTERM else 1)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()

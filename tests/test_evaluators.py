@@ -96,6 +96,24 @@ class TestSynthetic:
         with pytest.raises(EvaluationError, match="cores"):
             SyntheticEvaluator("synth-blk").evaluate({"freq": 2800}, "b")
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"cores": 0},  # ZeroDivisionError
+            {"cores": "a"},  # ValueError from float()
+            {"cores": None},  # TypeError from float()
+            {"width": 0},  # math domain error from log2
+            {"rob": -32},  # math domain error from log2
+            {"freq": 1e200},  # OverflowError from the cube
+        ],
+        ids=["zero-cores", "string-cores", "null-cores", "zero-width", "negative-rob", "huge-freq"],
+    )
+    def test_setting_outside_the_model_is_an_evaluation_error(self, setting):
+        config = {"cores": 4, "freq": 2800, "l1i": 32, "l1d": 32, "l2": 512, "l3": 4096, **setting}
+        with pytest.raises(EvaluationError, match="synthetic model cannot evaluate configuration") as info:
+            SyntheticEvaluator("synth-blk").evaluate(config, "b")
+        assert str(config) in str(info.value)
+
     def test_deterministic(self):
         config = {"cores": 8, "freq": 3200, "l1i": 128, "l1d": 128, "l2": 1024, "l3": 8192}
         ev = SyntheticEvaluator("synth-fluid")

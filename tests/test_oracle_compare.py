@@ -16,7 +16,7 @@ from dsekit import (
 )
 from dsekit.design_space import enumerate_configs, load_shipped_space, make_space
 from dsekit.errors import DseError
-from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, _slices, enumeration_guard
+from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, _forked, _slices, enumeration_guard
 
 from .conftest import TINY_WEIGHTS, tiny_metrics
 
@@ -246,6 +246,18 @@ class TestOracleSearch:
             oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), 3)
         assert len(pids) == 2
         assert_reaped(pids)
+
+
+class TestForked:
+    def test_values_come_back_in_item_order(self, forks):
+        assert _forked(lambda item: item * item, [3, 1, 2]) == [9, 1, 4]
+        assert len(forks) == 3
+        assert_reaped(forks)
+
+    def test_child_that_ends_without_a_result_is_an_error(self, forks):
+        with pytest.raises(DseError, match=r"^forked process \d+ ended without a result$"):
+            _forked(lambda item: os._exit(item), [0, 1])
+        assert_reaped(forks)
 
 
 class TestSlices:
