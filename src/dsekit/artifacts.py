@@ -10,6 +10,10 @@ oracle and compare commands can address runs by path:
     significance.csv    one-shot significance table
     pareto.csv          per-benchmark fronts with the trade-off point marked
 
+The CSV files give the parameters in the space's declaration order and the
+metrics in the weights' order, which is also the order every logged
+response has.
+
 The replay hash covers everything that determines results (space content,
 threshold, weights, evaluator, tool version) and deliberately excludes the
 timestamp and output path, so two runs of the same experiment hash alike.
@@ -35,7 +39,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
-from .errors import DseError
 from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, validate_weights
@@ -169,24 +172,13 @@ def build_manifest(
     return manifest
 
 
-def metric_order(run: RunResult) -> list[str]:
-    """The metric names of the first logged record, in the evaluator's order;
-    every logged record carries exactly these, the names the weights give."""
-    for result in run.benchmarks.values():
-        if result.records:
-            return list(result.records[0].metrics)
-    return []
-
-
 @dataclass
 class RunPart:
     """Some benchmarks' share of one run directory, rendered: their
     ``result.json`` entries, and their rows of ``evals.csv``,
-    ``significance.csv`` and ``pareto.csv`` as CSV text, in benchmark order.
-    ``metrics`` is the order the rows give the metrics in, the first logged
-    record's (``metric_order``); it is empty when nothing was logged."""
+    ``significance.csv`` and ``pareto.csv`` as CSV text, in benchmark order,
+    with the metrics in the weights' order."""
 
-    metrics: list[str]
     entries: dict[str, dict]
     evals: str
     significance: str
@@ -199,9 +191,8 @@ def render_part(
     chosen: Mapping[str, EvalRecord],
 ) -> RunPart:
     """The run's benchmarks, rendered as their part of a run directory."""
-    metrics = metric_order(run)
+    metrics = list(run.weights)
     return RunPart(
-        metrics=metrics,
         entries={name: _result_entry(result) for name, result in run.benchmarks.items()},
         evals=_csv_text(_evals_rows(run, metrics)),
         significance=_csv_text(_significance_rows(run)),
@@ -214,14 +205,8 @@ def write_run_dir(
 ) -> None:
     """Write the run directory of ``manifest``'s threshold and weights from
     its parts, in benchmark order. The headers name the metrics in the
-    parts' one order; parts that disagree on it are a DseError, raised
-    before anything is written."""
-    metrics = next((part.metrics for part in parts if part.metrics), [])
-    for part in parts:
-        if part.metrics and part.metrics != metrics:
-            raise DseError(
-                f"run parts give the metrics in different orders: {metrics}, {part.metrics}"
-            )
+    weights' order, as the parts' rows give them."""
+    metrics = list(manifest["weights"])
     params = list(space.names)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / MANIFEST_FILE, manifest)
@@ -346,8 +331,8 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
 
     A missing key, a wrong shape or a wrong value type in one of its files is
     a ValueError that names the file. So are weights that are invalid or not
-    the manifest's, and maxima or best points that are not of those weights
-    and the space.
+    the manifest's, maxima or best points that are not of those weights and
+    the space, and log rows of a benchmark that ``result.json`` does not hold.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
@@ -417,7 +402,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 normalization=NormalizationContext(maxima) if maxima else None,
                 unique_evaluations=entry["unique_evaluations"],
                 total_requests=entry["total_requests"],
-                records=records.get(name, []),
+                records=records.pop(name, []),
                 error=entry.get("error"),
             )
         run = RunResult(
@@ -425,6 +410,11 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             weights=weights,
             threshold=payload["threshold"],
             benchmarks=benchmarks,
+        )
+    if records:
+        stray = next(iter(records))
+        raise ValueError(
+            f"{evals_path}: rows of benchmark {stray!r}, which {RESULT_FILE} does not hold"
         )
     return manifest, run
 
@@ -457,10 +447,11 @@ def write_oracle(out: Path, payload: dict) -> None:
     _write_json(out / ORACLE_FILE, payload)
 
 
-def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict:
-    """The oracle document of the run ``load_run`` returned as ``manifest``
-    and ``run``. A space, weights or evaluator other than the manifest's is a
-    ValueError, and so is an entry ``_check_entries`` refuses."""
+def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str, OracleResult]:
+    """The per-benchmark results of the oracle document of the run
+    ``load_run`` returned as ``manifest`` and ``run``. A space, weights or
+    evaluator other than the manifest's is a ValueError, and so is an entry
+    ``_check_entries`` refuses."""
     path = oracle_dir / ORACLE_FILE
     payload = _load_json(path)
     for field in ("space_sha256", "weights", "evaluator"):
@@ -470,11 +461,6 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict:
                 f"{payload.get(field)!r} vs {manifest[field]!r}"
             )
     _check_entries(path, payload, _ORACLE_ENTRY_TYPES, run.space, run.weights)
-    return payload
-
-
-def oracle_results_from_payload(payload: Mapping) -> dict[str, OracleResult]:
-    """The entries of a document ``load_oracle`` returned."""
     return {
         name: OracleResult(
             benchmark=name,
@@ -566,17 +552,8 @@ def write_compare(out: Path, report: ComparisonReport, space: DesignSpace) -> No
 
 def write_sweep_csv(path: Path, rows: Sequence[Mapping]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["benchmark", "threshold", "objective", "unique_evaluations", "explored_pct"]
+        writer = csv.DictWriter(
+            fh, ["benchmark", "threshold", "objective", "unique_evaluations", "explored_pct"]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["benchmark"],
-                    row["threshold"],
-                    row["objective"],
-                    row["unique_evaluations"],
-                    row["explored_pct"],
-                ]
-            )
+        writer.writeheader()
+        writer.writerows(rows)

@@ -376,8 +376,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
 def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
     """Report gaps, coverage, and speedup of a run against its oracle."""
     manifest, run_result = artifacts.load_run(run_dir)
-    oracle_doc = artifacts.load_oracle(oracle_dir, manifest, run_result)
-    oracle_results = artifacts.oracle_results_from_payload(oracle_doc)
+    oracle_results = artifacts.load_oracle(oracle_dir, manifest, run_result)
     report = compare_runs(run_result, oracle_results)
     out = out_dir if out_dir is not None else run_dir
     artifacts.write_compare(out, report, run_result.space)

@@ -125,48 +125,24 @@ def cardinality(space: DesignSpace) -> int:
 
 
 def enumerate_configs(
-    space: DesignSpace,
-    free: Sequence[str] | None = None,
-    fixed: Mapping[str, Setting] | None = None,
+    space: DesignSpace, fixed: Mapping[str, Setting] | None = None
 ) -> Iterator[Config]:
-    """Stream all configurations over `free`, holding `fixed` constant.
+    """Stream every configuration of `space` that holds `fixed` constant.
 
-    The stream is lexicographic in the order of the free list, with the last
-    free parameter varying fastest. Emitted dicts always carry parameters in
-    declaration order. `free` and `fixed` must be disjoint and together cover
-    the whole space; with both omitted the full space is enumerated.
+    The stream is lexicographic in declaration order, with the last parameter
+    varying fastest; a fixed parameter takes only its fixed value. Emitted
+    dicts carry the parameters in declaration order. A fixed name that is not
+    a parameter raises UnknownParameterError, a fixed value that is not one of
+    its parameter's settings ValueError.
     """
-    fixed = dict(fixed) if fixed else {}
-    if free is None:
-        free = [n for n in space.names if n not in fixed]
-    free = list(free)
-
-    free_set, fixed_set = set(free), set(fixed)
-    if len(free_set) != len(free):
-        raise ValueError("free list contains duplicate parameter names")
-    overlap = free_set & fixed_set
-    if overlap:
-        raise ValueError(f"parameters both free and fixed: {sorted(overlap)}")
-    missing = set(space.names) - free_set - fixed_set
-    if missing:
-        raise ValueError(f"parameters neither free nor fixed: {sorted(missing)}")
-    for name in list(free_set | fixed_set):
-        space.parameter(name)  # raises UnknownParameterError
+    fixed = fixed or {}
     for name, value in fixed.items():
-        if value not in space.parameter(name).settings:
+        if value not in space.parameter(name).settings:  # raises UnknownParameterError
             raise ValueError(f"fixed value {value!r} is not a setting of {name!r}")
-
-    # Each configuration is one dict(zip(...)) in declaration order: the
-    # combination, followed by the fixed values, is permuted into place by a
-    # precomputed position map.
     names = space.names
-    fixed_names = [name for name in names if name in fixed_set]
-    position = {name: i for i, name in enumerate([*free, *fixed_names])}
-    order = [position[name] for name in names]
-    fixed_values = tuple(fixed[name] for name in fixed_names)
-    pick = values_getter(order)
-    for combo in product(*(space.parameter(name).settings for name in free)):
-        yield dict(zip(names, pick(combo + fixed_values)))
+    settings = [(fixed[p.name],) if p.name in fixed else p.settings for p in space.parameters]
+    for combo in product(*settings):
+        yield dict(zip(names, combo))
 
 
 def space_to_dict(space: DesignSpace) -> dict:

@@ -30,7 +30,8 @@ also handed to the backend ahead of its turn (``look_ahead``), which lets a
 worker pool evaluate them in parallel; the greedy walk decides each step
 from the last one and stays sequential. The session counts requests and
 distinct configurations. It checks each new response on arrival against
-the weights, which name the metrics, then normalizes and scores it once.
+the weights, which name and order the metrics, logs it in their order,
+then normalizes and scores it once.
 It builds its benchmark's normalization context from the one-shot records,
 checks the weights against it once and returns it as
 ``BenchmarkResult.normalization``. The log keeps one record per distinct
@@ -152,6 +153,7 @@ class _Session:
         self.benchmark = benchmark
         self.evaluator = evaluator
         self.weights = weights
+        self.metric_names = list(weights)
         self.ctx: NormalizationContext | None = None
         self.records: list[EvalRecord] = []
         self._logged: dict[tuple, EvalRecord] = {}
@@ -163,7 +165,7 @@ class _Session:
         key = self.space.config_key(config)
         record = self._logged.get(key)
         if record is None:
-            check_metrics(self.benchmark, metrics, self.weights.keys())
+            metrics = check_metrics(self.benchmark, metrics, self.metric_names)
             seq = len(self.records)
             record = EvalRecord(self.benchmark, phase, seq, dict(config), metrics)
             if self.ctx is not None:
@@ -278,10 +280,9 @@ def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
     """
     space = session.space
     members = set(part.exhaustive)
-    free = [name for name in space.names if name in members]
     fixed = {name: best[name] for name in space.names if name not in members}
     winner: EvalRecord | None = None
-    configs = enumerate_configs(space, free=free, fixed=fixed)
+    configs = enumerate_configs(space, fixed)
     for config in look_ahead(session.evaluator, configs, session.benchmark):
         record = session.evaluate(config, PHASE_EXHAUSTIVE)
         if winner is None or record.objective < winner.objective:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DegenerateMetricError, EvaluationError
 
@@ -115,22 +115,28 @@ def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVect
             )
 
 
-def check_metrics(benchmark: str, metrics: MetricVector, names: AbstractSet[str]) -> None:
-    """Reject an evaluator response that is not exactly `names`, all finite.
+def check_metrics(benchmark: str, metrics: dict[str, float], names: list[str]) -> dict[str, float]:
+    """The evaluator response `metrics` in the order of `names`, the weights'
+    metric names, once it is checked to hold exactly those, all finite.
 
-    Raises EvaluationError, so a malformed response fails only the benchmark
-    it belongs to instead of turning into a bogus objective value.
+    A response already in that order is returned as it is, so ordering costs
+    nothing unless a backend answers in another order. Raises
+    EvaluationError, so a malformed response fails only the benchmark it
+    belongs to instead of turning into a bogus objective value.
     """
-    if metrics.keys() != names:
-        raise EvaluationError(
-            f"benchmark {benchmark!r}: evaluator returned metrics {sorted(metrics)}, "
-            f"expected {sorted(names)}"
-        )
+    if list(metrics) != names:
+        if metrics.keys() != set(names):
+            raise EvaluationError(
+                f"benchmark {benchmark!r}: evaluator returned metrics {sorted(metrics)}, "
+                f"expected {sorted(names)}"
+            )
+        metrics = {name: metrics[name] for name in names}
     for name, value in metrics.items():
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise EvaluationError(
                 f"benchmark {benchmark!r}: metric {name!r} is {value!r}, not a finite number"
             )
+    return metrics
 
 
 def objective(

@@ -74,7 +74,7 @@ def oracle_search(
     weight on one of its degenerate metrics raises DegenerateMetricError
     before anything is evaluated. Each response must carry exactly the
     metrics the weights name, all finite, as in the run; a violation raises
-    EvaluationError.
+    EvaluationError. The best metrics come in the weights' order.
 
     With `jobs` > 1 and a backend without ``submit`` (an in-process one),
     the enumeration is cut into up to `jobs` contiguous slices, each scored
@@ -133,11 +133,10 @@ def _best_of(
     """The strict-minimum F of `configs`, earliest on ties, with its
     configuration and metrics; ``(inf, None, None)`` if none beats inf.
     A backend with ``submit`` gets `configs` ahead of their turn."""
-    names = weights.keys()
+    names = list(weights)
     best: _Best = (math.inf, None, None)
     for config in look_ahead(evaluator, configs, benchmark):
-        metrics = evaluator.evaluate(config, benchmark)
-        check_metrics(benchmark, metrics, names)
+        metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
         value = objective(metrics, ctx, weights)
         if value < best[0]:
             best = (value, config, metrics)
@@ -159,14 +158,12 @@ def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]
         count *= len(space.parameters[lead])
         lead += 1
     names = space.names
-    free = names[lead:]
     prefixes = list(product(*(p.settings for p in space.parameters[:lead])))
     parts = min(jobs, len(prefixes))
 
     def configs(group: list[tuple]) -> Callable[[], Iterator[Config]]:
         return lambda: chain.from_iterable(
-            enumerate_configs(space, free=free, fixed=dict(zip(names, prefix)))
-            for prefix in group
+            enumerate_configs(space, dict(zip(names, prefix))) for prefix in group
         )
 
     return [

@@ -20,8 +20,9 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
     """Non-dominated subset of one benchmark's log, on raw metrics.
 
     Records with identical metric vectors collapse to the earliest log entry.
-    The result is sorted ascending by the first metric (full metric tuple,
-    then sequence number, as tie-breakers).
+    The records of a run carry their metrics in the weights' order, so the
+    result is sorted ascending by the weights' first metric (full metric
+    tuple, then sequence number, as tie-breakers).
     """
     if not records:
         raise ValueError("empty evaluation log")
@@ -64,11 +65,11 @@ def select_tradeoff(
     ctx: NormalizationContext,
     weights: WeightVector,
 ) -> EvalRecord:
-    """Front member minimizing the objective; ties go to the lowest first metric."""
+    """Front member minimizing the objective; ties go to the lowest value of
+    the weights' first metric."""
     if not front:
         raise ValueError("empty Pareto front")
-    metric_names = list(front[0].metrics)
-    first = metric_names[0]
+    first = next(iter(weights))
 
     def rank(record: EvalRecord) -> tuple[float, float]:
         value = objective(record.metrics, ctx, weights)

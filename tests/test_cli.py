@@ -455,6 +455,30 @@ class TestOracle:
         assert result.exit_code == 1
         assert "error: metric 'power' is 0 in every one-shot record" in result.stderr
 
+    def test_backend_metric_order_does_not_reach_the_outputs(self, runner, tmp_path, monkeypatch):
+        """A backend that answers time before power writes the run directory
+        and oracle of one that answers power first, as the weights order them."""
+
+        class Ordered:
+            def __init__(self, order):
+                self.order = order
+
+            def evaluate(self, config, benchmark):
+                metrics = tiny_metrics(config["A"], config["B"])
+                return {metric: metrics[metric] for metric in self.order}
+
+        outputs = []
+        for name, order in (("power-first", ["power", "time"]), ("time-first", ["time", "power"])):
+            backend = Ordered(order)
+            monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+            result, run_dir = do_run(runner, tmp_path, out=name)
+            assert result.exit_code == 0, result.output
+            oracle = invoke(runner, "oracle", run_dir)
+            assert oracle.exit_code == 0, oracle.output
+            outputs.append((result.stdout, oracle.stdout, tree(run_dir)))
+        assert (tmp_path / "time-first" / "oracle" / ORACLE_FILE).is_file()
+        assert outputs[0] == outputs[1]
+
 
 class TestCompareMismatch:
     def test_different_weights_rejected(self, runner, tmp_path):
@@ -832,6 +856,19 @@ class TestExitCodePolicy:
             assert backend.threads == set()
             assert not oracle_dir.exists()
 
+    def test_log_rows_of_a_benchmark_the_results_lack_exit_1(self, runner, tmp_path, monkeypatch):
+        _, run_dir = do_run(runner, tmp_path)
+        evals = run_dir / EVALS_FILE
+        header, first, *rest = evals.read_text(encoding="utf-8").splitlines(keepends=True)
+        evals.write_text(header + first.replace("t,", "nope,", 1) + "".join(rest), encoding="utf-8")
+        backend = TinyBackend()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        assert f"{EVALS_FILE}: rows of benchmark 'nope', which {RESULT_FILE} does not hold" in result.stderr
+        assert backend.threads == set()
+        assert not (run_dir / "oracle").exists()
+
     @pytest.mark.parametrize("timeout", ["inf", "-1", "0"])
     def test_exec_timeout_must_be_finite_and_positive(self, runner, tmp_path, timeout):
         marker = tmp_path / "spawned"
@@ -905,6 +942,28 @@ class TestJobs:
             assert result.exit_code == 0, result.output
             oracles.append((result.stdout, (out / ORACLE_FILE).read_bytes()))
         assert oracles[0] == oracles[1]
+
+    def test_backend_metric_order_does_not_depend_on_jobs(self, runner, tmp_path, monkeypatch):
+        class FlippedOcean(SyntheticEvaluator):
+            """Answers time before power for synth-ocean, the second group of two."""
+
+            def evaluate(self, config, benchmark):
+                metrics = super().evaluate(config, benchmark)
+                return dict(reversed(metrics.items())) if benchmark == "synth-ocean" else metrics
+
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: FlippedOcean())
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            result = invoke(
+                runner, "run", "--space", synthetic_space(tmp_path), "--weights", "power=0.3,time=0.7",
+                "--evaluator", "synthetic", "-T", 8, "--out", out, "--jobs", jobs,
+            )
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, tree(out)))
+        assert outputs[0] == outputs[1]
+        for name, header in ((EVALS_FILE, ",power,time,norm_power,norm_time,"), (PARETO_FILE, "benchmark,power,time,")):
+            assert header in (tmp_path / "jobs2" / name).read_text(encoding="utf-8").splitlines()[0]
 
     def test_failure_of_the_last_benchmark_does_not_depend_on_jobs(self, runner, tmp_path, monkeypatch):
         class NoOcean(SyntheticEvaluator):

@@ -98,29 +98,15 @@ class TestEnumerate:
         ]
         assert all(list(c) == ["A", "B"] for c in configs)
 
-    def test_free_order_controls_enumeration(self, tiny_space):
-        configs = list(enumerate_configs(tiny_space, free=["B", "A"]))
-        assert [tuple(c.values()) for c in configs] == [
-            (1, 100), (2, 100), (4, 100), (1, 200), (2, 200), (4, 200),
-        ]
-        # dict key order stays declaration order regardless of free order
-        assert all(list(c) == ["A", "B"] for c in configs)
-
     def test_fixed_values(self, tiny_space):
         configs = list(enumerate_configs(tiny_space, fixed={"A": 2}))
         assert configs == [{"A": 2, "B": 100}, {"A": 2, "B": 200}]
 
-    def test_rejects_bad_free_fixed_split(self, tiny_space):
-        with pytest.raises(ValueError, match="both free and fixed"):
-            list(enumerate_configs(tiny_space, free=["A", "B"], fixed={"A": 1}))
-        with pytest.raises(ValueError, match="neither free nor fixed"):
-            list(enumerate_configs(tiny_space, free=["A"]))
-        with pytest.raises(ValueError, match="duplicate"):
-            list(enumerate_configs(tiny_space, free=["A", "A"], fixed={"B": 100}))
+    def test_rejects_bad_fixed(self, tiny_space):
         with pytest.raises(ValueError, match="not a setting"):
             list(enumerate_configs(tiny_space, fixed={"A": 3}))
         with pytest.raises(UnknownParameterError):
-            list(enumerate_configs(tiny_space, free=["A", "B", "C"]))
+            list(enumerate_configs(tiny_space, fixed={"C": 1}))
 
     @given(small_spaces())
     @settings(max_examples=60, deadline=None)
@@ -149,25 +135,18 @@ class TestEnumerate:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_free_order_and_fixed_settings_match_product(self, data):
+    def test_fixed_settings_match_product(self, data):
         space = data.draw(small_spaces())
         names = list(space.names)
-        order = data.draw(st.permutations(names))
-        free = order[: data.draw(st.integers(0, len(order)))]
         fixed = {
             name: data.draw(st.sampled_from(space.parameter(name).settings))
-            for name in names
-            if name not in free
+            for name in data.draw(st.lists(st.sampled_from(names), unique=True))
         }
-        got = list(enumerate_configs(space, free=free, fixed=fixed))
-        combos = list(itertools.product(*(space.parameter(n).settings for n in free)))
-        want = []
-        for combo in combos:
-            assignment = {**fixed, **dict(zip(free, combo))}
-            want.append({name: assignment[name] for name in names})
+        got = list(enumerate_configs(space, fixed))
+        product = itertools.product(*(p.settings for p in space.parameters))
+        full = [dict(zip(names, combo)) for combo in product]
+        want = [c for c in full if all(c[name] == value for name, value in fixed.items())]
         assert got == want
-        # lexicographic in free order, with the last free parameter fastest
-        assert [tuple(c[n] for n in free) for c in got] == combos
         assert all(list(c) == names for c in got)
 
 

@@ -12,7 +12,8 @@ from dsekit import (
     parse_weights,
     validate_weights,
 )
-from dsekit.objective import check_weights
+from dsekit.errors import EvaluationError
+from dsekit.objective import check_metrics, check_weights
 
 from .bruteforce import weighted_objective
 
@@ -107,6 +108,17 @@ class TestObjective:
         check_weights("b", ctx, {"power": 0.0, "time": 1.0})
         value = objective({"power": 0.0, "time": 5.0}, ctx, {"power": 0.0, "time": 1.0})
         assert value == 0.5
+
+    def test_check_metrics_returns_the_order_of_names(self):
+        names = ["power", "time"]
+        in_order = {"power": 1.0, "time": 2.0}
+        assert check_metrics("b", in_order, names) is in_order
+        flipped = check_metrics("b", {"time": 2.0, "power": 1.0}, names)
+        assert list(flipped.items()) == list(in_order.items())
+        with pytest.raises(EvaluationError, match=r"returned metrics \['time'\], expected"):
+            check_metrics("b", {"time": 2.0}, names)
+        with pytest.raises(EvaluationError, match="metric 'power' is nan"):
+            check_metrics("b", {"time": 2.0, "power": math.nan}, names)
 
     @given(metric_vectors(min_value=1e-3), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
