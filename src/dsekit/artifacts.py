@@ -30,7 +30,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -41,7 +40,7 @@ from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
 from .evaluators import parse_cell
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
-from .objective import NormalizationContext, validate_weights
+from .objective import NormalizationContext, is_metric_value, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -126,7 +125,7 @@ def _check_metrics(what: str, values: Mapping, weights: Mapping) -> None:
     if values.keys() != weights.keys():
         raise ValueError(f"{what} names {sorted(values)}, not the weights' {sorted(weights)}")
     for metric, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not is_metric_value(value):
             raise ValueError(f"{what}: {metric!r} is {value!r}, not a finite number")
 
 
@@ -207,7 +206,6 @@ def write_run_dir(
     its parts, in benchmark order. The headers name the metrics in the
     weights' order, as the parts' rows give them."""
     metrics = list(manifest["weights"])
-    params = list(space.names)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / MANIFEST_FILE, manifest)
     save_space(space, out / SPACE_FILE)
@@ -219,12 +217,7 @@ def write_run_dir(
             "benchmarks": {name: entry for part in parts for name, entry in part.entries.items()},
         },
     )
-    norm_names = [f"norm_{m}" for m in metrics]
-    _write_csv(
-        out / EVALS_FILE,
-        ["benchmark", "phase", "seq", *params, *metrics, *norm_names, "objective"],
-        [part.evals for part in parts],
-    )
+    _write_csv(out / EVALS_FILE, _evals_header(space, metrics), [part.evals for part in parts])
     _write_csv(
         out / SIGNIFICANCE_FILE,
         ["benchmark", "parameter", "significance"],
@@ -232,9 +225,16 @@ def write_run_dir(
     )
     _write_csv(
         out / PARETO_FILE,
-        ["benchmark", *metrics, "objective", *params, "chosen"],
+        ["benchmark", *metrics, "objective", *space.names, "chosen"],
         [part.pareto for part in parts],
     )
+
+
+def _evals_header(space: DesignSpace, metrics: Sequence[str]) -> list[str]:
+    """The header of ``evals.csv``: the parameters in the space's order, then
+    the metrics and their normalized values in the weights' order."""
+    norm_names = [f"norm_{m}" for m in metrics]
+    return ["benchmark", "phase", "seq", *space.names, *metrics, *norm_names, "objective"]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[str]) -> None:
@@ -332,7 +332,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     A missing key, a wrong shape or a wrong value type in one of its files is
     a ValueError that names the file. So are weights that are invalid or not
     the manifest's, maxima or best points that are not of those weights and
-    the space, and log rows of a benchmark that ``result.json`` does not hold.
+    the space, an ``evals.csv`` header other than the one ``write_run_dir``
+    writes, a row with more cells than it or a blank metric cell, and log
+    rows of a benchmark that ``result.json`` does not hold.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
@@ -344,31 +346,6 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     payload = _load_json(result_path)
     evals_path = run_dir / EVALS_FILE
 
-    records: dict[str, list[EvalRecord]] = {}
-    with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        params = [n for n in fields if n in set(space.names)]
-        metrics = [
-            n
-            for n in fields
-            if n not in {"benchmark", "phase", "seq", "objective"}
-            and n not in set(params)
-            and not n.startswith("norm_")
-        ]
-        for row in reader:
-            normalized = {m: float(row[f"norm_{m}"]) for m in metrics if row.get(f"norm_{m}")}
-            record = EvalRecord(
-                benchmark=row["benchmark"],
-                phase=row["phase"],
-                seq=int(row["seq"]),
-                config={p: parse_cell(row[p]) for p in params},
-                metrics={m: float(row[m]) for m in metrics if row[m]},
-                normalized=normalized or None,
-                objective=float(row["objective"]) if row["objective"] else None,
-            )
-            records.setdefault(record.benchmark, []).append(record)
-
     with _reading(result_path):
         weights = {name: float(w) for name, w in payload["weights"].items()}
         violations = validate_weights(weights)
@@ -376,6 +353,28 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             violations.append(f"{MANIFEST_FILE} has {manifest['weights']}")
         if violations:
             raise ValueError(f"weights {weights}: " + "; ".join(violations))
+
+    records: dict[str, list[EvalRecord]] = {}
+    with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
+        reader = csv.DictReader(fh)
+        header = _evals_header(space, list(weights))
+        if reader.fieldnames != header:
+            raise ValueError(f"header {reader.fieldnames} is not {header}")
+        for row in reader:
+            if None in row:  # DictReader's key for the cells beyond the header
+                raise ValueError(f"line {reader.line_num} has more cells than the header")
+            normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
+            record = EvalRecord(
+                benchmark=row["benchmark"],
+                phase=row["phase"],
+                seq=int(row["seq"]),
+                config={p: parse_cell(row[p]) for p in space.names},
+                metrics={m: float(row[m]) for m in weights},
+                normalized=normalized or None,
+                objective=float(row["objective"]) if row["objective"] else None,
+            )
+            records.setdefault(record.benchmark, []).append(record)
+
     _check_entries(result_path, payload, _RESULT_ENTRY_TYPES, space, weights)
     benchmarks: dict[str, BenchmarkResult] = {}
     with _reading(result_path):

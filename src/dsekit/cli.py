@@ -7,10 +7,11 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 ``oracle`` and ``compare`` read the manifest and artifacts a previous
 ``run`` wrote.
 
-``run`` is a ``sweep`` of one threshold: both search contiguous groups of
-the benchmarks (``_search``), in forked children for an in-process
-backend, and write every run directory in this process from the parts
-the groups rendered (``_search_and_write``).
+``run`` is a ``sweep`` of one threshold: both declare their inputs with
+``_search_options`` and hand them to ``_search_command``, which checks
+every input before it builds the backend, searches contiguous groups of
+the benchmarks, in forked children for an in-process backend, and writes
+every run directory in this process from the parts the groups rendered.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_eval
 from .explorer import RunResult, check_inputs, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
 from .oracle_compare import compare as compare_runs
-from .oracle_compare import _forked, enumeration_guard, oracle_search
+from .oracle_compare import _contiguous, _forked, enumeration_guard, oracle_search
 from .pareto import pareto_front, select_tradeoff
 
 EXIT_VALIDATION = 1
@@ -71,25 +72,15 @@ class _Main(click.Group):
             sys.exit(code)
 
 
-def _load_space(spec: str) -> tuple[DesignSpace, list[str]]:
-    """A space file path or shipped space name: the space and its violations."""
+def _load_space(spec: str) -> DesignSpace:
+    """A space file path or shipped space name, loaded but not validated."""
     path = Path(spec)
     if not path.exists():
         try:
             path = shipped_space_path(spec)
         except FileNotFoundError:
             raise FileNotFoundError(f"space file not found: {spec}") from None
-    space = load_space(path)
-    return space, validate(space)
-
-
-def _load_valid_space(spec: str) -> DesignSpace:
-    space, violations = _load_space(spec)
-    if violations:
-        raise ValueError("invalid space: " + "; ".join(violations))
-    for warning in validation_warnings(space):
-        click.echo(f"warning: {warning}", err=True)
-    return space
+    return load_space(path)
 
 
 def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str, float]:
@@ -140,6 +131,28 @@ _TIMEOUT_OPTION = click.option(
 )
 
 
+def _search_options(threshold_option, out_help: str):
+    """The options of a search command, ``threshold_option`` among them in
+    its ``--help`` place; ``out_help`` describes its ``--out``."""
+    options = [
+        click.option("--space", "space_spec", required=True, help="Space file path or shipped space name."),
+        threshold_option,
+        click.option("--weights", "weights_text", default=None, help='Metric weights, e.g. "power=0.9,time=0.1".'),
+        click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile."),
+        click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>."),
+        click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help=out_help),
+        _JOBS_OPTION,
+        _TIMEOUT_OPTION,
+    ]
+
+    def decorate(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return decorate
+
+
 @contextmanager
 def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
     """The command's backend; ``exec:`` workers are closed when the command
@@ -176,21 +189,6 @@ def _rendered(result: RunResult) -> artifacts.RunPart:
     return artifacts.render_part(result, fronts, chosen)
 
 
-def _search(
-    space: DesignSpace,
-    weights: dict[str, float],
-    evaluator: Evaluator,
-    thresholds: list[int],
-    benchmarks: Sequence[str],
-) -> Iterator[artifacts.RunPart]:
-    """One group of benchmarks searched at each threshold in turn, through
-    one cache, so a configuration reaches the backend at most once; yields
-    the part of each threshold as soon as it is searched."""
-    cache = CachedEvaluator(evaluator)
-    for threshold in thresholds:
-        yield _rendered(run_search(space, cache, weights, threshold, benchmarks))
-
-
 def _drained(parts: Iterator[artifacts.RunPart]) -> tuple[list, BaseException | None]:
     """What a forked group sends back: the parts ``parts`` yielded, and the
     exception that stopped them, if one did."""
@@ -204,64 +202,74 @@ def _drained(parts: Iterator[artifacts.RunPart]) -> tuple[list, BaseException | 
 
 
 def _replayed(done: list, error: BaseException | None) -> Iterator[artifacts.RunPart]:
-    """A drained group's parts, then its exception, as ``_search`` gave them."""
+    """A drained group's parts, then its exception, as the group gave them."""
     yield from done
     if error is not None:
         raise error
 
 
-def _search_and_write(
-    space: DesignSpace,
+def _search_command(
     space_spec: str,
-    weights: dict[str, float],
-    evaluator: Evaluator,
+    weights_text: str | None,
+    profile: str | None,
     evaluator_spec: str,
     jobs: int,
+    timeout: float,
     thresholds: list[int],
     outs: list[Path],
-) -> list[dict[str, dict]]:
+) -> tuple[DesignSpace, list[dict[str, dict]]]:
     """Search at each threshold and write its run directory to the matching
-    ``outs`` entry; returns each threshold's ``result.json`` entries.
+    ``outs`` entry; returns the space and each threshold's ``result.json``
+    entries.
 
-    A backend without ``submit`` (an in-process one) has the benchmarks cut
-    into up to `jobs` contiguous groups, each searched by ``_search`` in a
-    forked child; otherwise one group is searched in this process, and each
+    Every input is checked, and the space's warnings printed, before the
+    backend is built, so a refused command starts no worker, reads no
+    table and writes nothing. A backend without ``submit`` (an in-process
+    one) has the benchmarks cut into up to `jobs` contiguous groups, each
+    searched at every threshold in turn through its own cache in a forked
+    child; otherwise one group is searched in this process, and each
     directory is written as soon as its threshold is searched. Either way
     the directories are written in threshold order from the groups' parts,
     up to the first threshold a group did not finish, where the earliest
     such group's exception is raised. So the files written and the error
     raised are those of one serial loop over the thresholds.
     """
+    space = _load_space(space_spec)
+    weights = _resolve_weights(weights_text, profile)
     for threshold in thresholds:
         check_inputs(space, weights, threshold)
-    names = space.benchmarks
-    count = 1 if hasattr(evaluator, "submit") else min(jobs, len(names))
-    bounds = [-(-len(names) * i // count) for i in range(count + 1)]
-    groups = [names[start:end] for start, end in zip(bounds, bounds[1:])]
+    for warning in validation_warnings(space):
+        click.echo(f"warning: {warning}", err=True)
+    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
 
-    def search(group: Sequence[str]) -> Iterator[artifacts.RunPart]:
-        return _search(space, weights, evaluator, thresholds, group)
+        def search(group: Sequence[str]) -> Iterator[artifacts.RunPart]:
+            """One group searched at each threshold in turn, through one
+            cache, so a configuration reaches the backend at most once."""
+            cache = CachedEvaluator(evaluator)
+            for threshold in thresholds:
+                yield _rendered(run_search(space, cache, weights, threshold, group))
 
-    if len(groups) > 1:
-        drained = _forked(lambda group: _drained(search(group)), groups)
-        streams = [_replayed(done, error) for done, error in drained]
-    else:
-        streams = [search(groups[0])]
-    entries = []
-    for threshold, out in zip(thresholds, outs):
-        parts = [next(stream) for stream in streams]
-        manifest = artifacts.build_manifest(
-            space,
-            space_file=space_spec,
-            threshold=threshold,
-            weights=weights,
-            evaluator_spec=evaluator_spec,
-            jobs=jobs,
-            out_dir=str(out),
-        )
-        artifacts.write_run_dir(out, manifest, space, parts)
-        entries.append({name: entry for part in parts for name, entry in part.entries.items()})
-    return entries
+        groups = _contiguous(space.benchmarks, 1 if hasattr(evaluator, "submit") else jobs)
+        if len(groups) > 1:
+            drained = _forked(lambda group: _drained(search(group)), groups)
+            streams = [_replayed(done, error) for done, error in drained]
+        else:
+            streams = [search(groups[0])]
+        entries = []
+        for threshold, out in zip(thresholds, outs):
+            parts = [next(stream) for stream in streams]
+            manifest = artifacts.build_manifest(
+                space,
+                space_file=space_spec,
+                threshold=threshold,
+                weights=weights,
+                evaluator_spec=evaluator_spec,
+                jobs=jobs,
+                out_dir=str(out),
+            )
+            artifacts.write_run_dir(out, manifest, space, parts)
+            entries.append({name: entry for part in parts for name, entry in part.entries.items()})
+    return space, entries
 
 
 def _failed(entries: dict[str, dict]) -> list[str]:
@@ -293,7 +301,8 @@ def main() -> None:
 @click.argument("space_file")
 def validate_cmd(space_file: str) -> None:
     """Check a space definition file; exit 0 only if it is valid."""
-    space, violations = _load_space(space_file)
+    space = _load_space(space_file)
+    violations = validate(space)
     for violation in violations:
         click.echo(f"violation: {violation}")
     for warning in validation_warnings(space):
@@ -307,33 +316,13 @@ def validate_cmd(space_file: str) -> None:
 
 
 @main.command(name="run")
-@click.option("--space", "space_spec", required=True, help="Space file path or shipped space name.")
-@click.option("--threshold", "-T", type=int, required=True, help="Exhaustive search threshold.")
-@click.option("--weights", "weights_text", default=None, help='Metric weights, e.g. "power=0.9,time=0.1".')
-@click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
-@click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory for run artifacts.")
-@_JOBS_OPTION
-@_TIMEOUT_OPTION
-def run_cmd(
-    space_spec: str,
-    threshold: int,
-    weights_text: str | None,
-    profile: str | None,
-    evaluator_spec: str,
-    out_dir: Path,
-    jobs: int,
-    timeout: float,
-) -> None:
+@_search_options(
+    click.option("--threshold", "-T", type=int, required=True, help="Exhaustive search threshold."),
+    "Output directory for run artifacts.",
+)
+def run_cmd(threshold: int, out_dir: Path, **options) -> None:
     """Run the four-phase search and write run artifacts."""
-    space = _load_valid_space(space_spec)
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    weights = _resolve_weights(weights_text, profile)
-    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
-        [entries] = _search_and_write(
-            space, space_spec, weights, evaluator, evaluator_spec, jobs, [threshold], [out_dir]
-        )
+    _, [entries] = _search_command(thresholds=[threshold], outs=[out_dir], **options)
     _echo_run_summary(entries)
     failed = _failed(entries)
     if failed:
@@ -384,24 +373,11 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
 
 
 @main.command(name="sweep")
-@click.option("--space", "space_spec", required=True, help="Space file path or shipped space name.")
-@click.option("--thresholds", "thresholds_text", required=True, help="Comma-separated list, e.g. 400,1200.")
-@click.option("--weights", "weights_text", default=None, help='Metric weights, e.g. "power=0.9,time=0.1".')
-@click.option("--profile", type=click.Choice(sorted(WEIGHT_PROFILES)), default=None, help="Named weight profile.")
-@click.option("--evaluator", "evaluator_spec", required=True, help="synthetic[:profile] | sepmono | table:<csv> | exec:<command>.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path), help="Output directory.")
-@_JOBS_OPTION
-@_TIMEOUT_OPTION
-def sweep_cmd(
-    space_spec: str,
-    thresholds_text: str,
-    weights_text: str | None,
-    profile: str | None,
-    evaluator_spec: str,
-    out_dir: Path,
-    jobs: int,
-    timeout: float,
-) -> None:
+@_search_options(
+    click.option("--thresholds", "thresholds_text", required=True, help="Comma-separated list, e.g. 400,1200."),
+    "Output directory.",
+)
+def sweep_cmd(thresholds_text: str, out_dir: Path, **options) -> None:
     """Run once per threshold, sharing evaluations, and summarize."""
     try:
         thresholds = [int(t) for t in thresholds_text.split(",") if t.strip()]
@@ -409,15 +385,8 @@ def sweep_cmd(
         raise ValueError(f"bad threshold list: {thresholds_text!r}") from None
     if len(thresholds) < 2:
         raise ValueError("sweep needs at least two thresholds (use run for one)")
-    if any(t < 1 for t in thresholds):
-        raise ValueError("thresholds must be >= 1")
-    space = _load_valid_space(space_spec)
-    weights = _resolve_weights(weights_text, profile)
     outs = [out_dir / f"run{index:02d}-T{t}" for index, t in enumerate(thresholds, start=1)]
-    with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
-        runs = _search_and_write(
-            space, space_spec, weights, evaluator, evaluator_spec, jobs, thresholds, outs
-        )
+    space, runs = _search_command(thresholds=thresholds, outs=outs, **options)
     size = cardinality(space)
     rows = []
     failed: list[str] = []
@@ -434,7 +403,6 @@ def sweep_cmd(
             )
         failed += [f"{name} (T={threshold})" for name in _failed(entries)]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts.write_sweep_csv(out_dir / artifacts.SWEEP_FILE, rows)
     for row in rows:
         click.echo(

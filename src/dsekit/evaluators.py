@@ -349,7 +349,8 @@ class _Worker:
 
 def _parse_response(line: bytes, request_id: int) -> dict[str, float]:
     """The metrics of one response line; an ``error`` response raises
-    EvaluationError and anything malformed raises ProtocolError."""
+    EvaluationError and anything malformed, such as a metric value that is
+    not a JSON number, raises ProtocolError."""
     try:
         text = line.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -369,10 +370,12 @@ def _parse_response(line: bytes, request_id: int) -> dict[str, float]:
     metrics = response.get("metrics")
     if not isinstance(metrics, dict):
         raise ProtocolError(f"response carries no metrics object: {text.strip()}")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in metrics.values()):
+        raise ProtocolError(f"non-numeric metric value in response: {text.strip()}")
     try:
-        return {str(k): float(v) for k, v in metrics.items()}
-    except (TypeError, ValueError):
-        raise ProtocolError(f"non-numeric metric value in response: {text.strip()}") from None
+        return {k: float(v) for k, v in metrics.items()}
+    except OverflowError:  # an integer beyond the range of a float
+        raise ProtocolError(f"metric value out of range in response: {text.strip()}") from None
 
 
 class ExternalEvaluator:

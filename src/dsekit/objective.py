@@ -115,6 +115,11 @@ def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVect
             )
 
 
+def is_metric_value(value: object) -> bool:
+    """Whether `value` can be a metric: an int or a float, not a bool, and finite."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def check_metrics(benchmark: str, metrics: dict[str, float], names: list[str]) -> dict[str, float]:
     """The evaluator response `metrics` in the order of `names`, the weights'
     metric names, once it is checked to hold exactly those, all finite.
@@ -132,7 +137,7 @@ def check_metrics(benchmark: str, metrics: dict[str, float], names: list[str]) -
             )
         metrics = {name: metrics[name] for name in names}
     for name, value in metrics.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not is_metric_value(value):
             raise EvaluationError(
                 f"benchmark {benchmark!r}: metric {name!r} is {value!r}, not a finite number"
             )

@@ -12,7 +12,8 @@ space is cut into contiguous slices in enumeration order, each scored by
 the same loop in a forked child, and the slices' winners are merged in
 order, so the serial loop's answer (and first error) comes out unchanged.
 An ``exec:`` backend keeps one serial loop that feeds its worker pool ahead.
-The fork helper, ``_forked``, also runs the CLI's groups of benchmarks.
+The fork helper, ``_forked``, and the split into contiguous runs,
+``_contiguous``, also serve the CLI's groups of benchmarks.
 """
 
 from __future__ import annotations
@@ -159,17 +160,21 @@ def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]
         lead += 1
     names = space.names
     prefixes = list(product(*(p.settings for p in space.parameters[:lead])))
-    parts = min(jobs, len(prefixes))
 
     def configs(group: list[tuple]) -> Callable[[], Iterator[Config]]:
         return lambda: chain.from_iterable(
             enumerate_configs(space, dict(zip(names, prefix))) for prefix in group
         )
 
-    return [
-        configs(prefixes[len(prefixes) * i // parts : len(prefixes) * (i + 1) // parts])
-        for i in range(parts)
-    ]
+    return [configs(group) for group in _contiguous(prefixes, jobs)]
+
+
+def _contiguous(items: Sequence[_Item], parts: int) -> list[Sequence[_Item]]:
+    """`items` cut into up to `parts` nonempty contiguous runs, in order;
+    when they cannot all be the same length, the earlier runs are one longer."""
+    count = min(parts, len(items))
+    bounds = [-(-len(items) * i // count) for i in range(count + 1)]
+    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item]) -> list[_Value]:

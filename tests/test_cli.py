@@ -311,6 +311,27 @@ class TestRun:
         assert result.exit_code == 1
         assert "threshold" in result.stderr
 
+    def test_threshold_below_one_exits_1_before_any_warning_or_file(self, runner, tmp_path):
+        # descending settings would warn, but a refused command prints no warning
+        space_file = tmp_path / "desc.json"
+        space_file.write_text(
+            '{"parameters": [{"name": "A", "settings": [4, 1]}], "benchmarks": ["t"]}',
+            encoding="utf-8",
+        )
+        result, out_dir = do_run(runner, tmp_path, threshold=0, **{"--space": space_file})
+        assert result.exit_code == 1
+        assert result.stderr == "error: threshold must be >= 1\n"
+        assert not out_dir.exists()
+
+    def test_bad_weights_exit_1_before_the_table_is_read(self, runner, tmp_path):
+        result, out_dir = do_run(
+            runner, tmp_path,
+            **{"--weights": "power=0.5,time=0.6", "--evaluator": f"table:{tmp_path / 'missing.csv'}"},
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: invalid weights")
+        assert not out_dir.exists()
+
     def test_unknown_evaluator(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, **{"--evaluator": "quantum"})
         assert result.exit_code == 1
@@ -582,6 +603,18 @@ class TestSweep:
         )
         assert result.exit_code == 1
         assert "at least two thresholds" in result.stderr
+
+    def test_threshold_below_one_exits_1_and_writes_nothing(
+        self, runner, tmp_path, tiny_space_file, tiny_csv
+    ):
+        result = invoke(
+            runner, "sweep", "--space", tiny_space_file, "--thresholds", "0,5",
+            "--weights", "power=0.1,time=0.9", "--evaluator", f"table:{tiny_csv}",
+            "--out", tmp_path / "s",
+        )
+        assert result.exit_code == 1
+        assert "error: threshold must be >= 1" in result.stderr
+        assert not (tmp_path / "s").exists()
 
     def test_malformed_threshold_list(self, runner, tmp_path, tiny_space_file, tiny_csv):
         result = invoke(
@@ -866,6 +899,35 @@ class TestExitCodePolicy:
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
         assert f"{EVALS_FILE}: rows of benchmark 'nope', which {RESULT_FILE} does not hold" in result.stderr
+        assert backend.threads == set()
+        assert not (run_dir / "oracle").exists()
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda header, rows: (header + ["area"], [row + ["1.0"] for row in rows]), "header"),
+            (
+                lambda header, rows: (header, [[*rows[0][:5], "", *rows[0][6:]], *rows[1:]]),
+                "could not convert string to float: ''",
+            ),
+            (lambda header, rows: (header, [rows[0] + ["1.0"], *rows[1:]]), "more cells than the header"),
+        ],
+        ids=["extra-metric-column", "blank-metric-cell", "extra-cell-in-a-row"],
+    )
+    def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
+        _, run_dir = do_run(runner, tmp_path)
+        evals = run_dir / EVALS_FILE
+        with open(evals, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[5] == "power"
+        header, rows = edit(header, rows)
+        with open(evals, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        backend = TinyBackend()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        assert f"{EVALS_FILE}: malformed: " in result.stderr and names in result.stderr
         assert backend.threads == set()
         assert not (run_dir / "oracle").exists()
 

@@ -128,14 +128,27 @@ class TestErrorTaxonomy:
             with pytest.raises(ProtocolError, match="no metrics"):
                 ev.evaluate({"A": 1}, "t")
 
-    def test_non_numeric_metric_value(self, tmp_path):
+    # A metric value must be a JSON number: a numeric string or a boolean
+    # is not one, whatever float() would make of it.
+    @pytest.mark.parametrize("value", ['"hot"', '"1.5"', "True"], ids=["hot", "numeric-string", "true"])
+    def test_non_numeric_metric_value(self, tmp_path, value):
         command = script_worker(
             tmp_path,
             'print(json.dumps({"id": request["id"],'
-            ' "metrics": {"power": "hot"}}), flush=True)',
+            f' "metrics": {{"power": {value}}}}}), flush=True)',
         )
         with ExternalEvaluator(command, timeout=30.0) as ev:
             with pytest.raises(ProtocolError, match="non-numeric"):
+                ev.evaluate({"A": 1}, "t")
+
+    def test_metric_value_beyond_float_range(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'print(json.dumps({"id": request["id"],'
+            ' "metrics": {"power": 10 ** 400}}), flush=True)',
+        )
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            with pytest.raises(ProtocolError, match="out of range"):
                 ev.evaluate({"A": 1}, "t")
 
     def test_non_utf8_response_raises_protocol_error_and_respawns(self, tmp_path):

@@ -120,6 +120,11 @@ class TestObjective:
         with pytest.raises(EvaluationError, match="metric 'power' is nan"):
             check_metrics("b", {"time": 2.0, "power": math.nan}, names)
 
+    def test_check_metrics_refuses_a_boolean(self):
+        # a bool is an int to isinstance, but no metric value
+        with pytest.raises(EvaluationError, match="metric 'power' is True, not a finite number"):
+            check_metrics("b", {"power": True, "time": 2.0}, ["power", "time"])
+
     @given(metric_vectors(min_value=1e-3), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_bounds_on_oneshot_records(self, metrics, w):

@@ -16,7 +16,14 @@ from dsekit import (
 )
 from dsekit.design_space import enumerate_configs, load_shipped_space, make_space
 from dsekit.errors import DseError
-from dsekit.oracle_compare import DEFAULT_GUARD, GUARD_ENV, _forked, _slices, enumeration_guard
+from dsekit.oracle_compare import (
+    DEFAULT_GUARD,
+    GUARD_ENV,
+    _contiguous,
+    _forked,
+    _slices,
+    enumeration_guard,
+)
 
 from .conftest import TINY_WEIGHTS, tiny_metrics
 
@@ -278,6 +285,12 @@ class TestSlices:
             assert 1 <= len(slices) <= jobs
             assert all(slices)
             assert [c for part in slices for c in part] == whole
+
+    def test_contiguous_runs_give_the_extra_items_to_the_earlier_runs(self):
+        names = ("synth-blk", "synth-fluid", "synth-ocean")
+        assert _contiguous(names, 2) == [names[:2], names[2:]]
+        assert _contiguous(names, 5) == [names[:1], names[1:2], names[2:]]
+        assert [len(run) for run in _contiguous(range(7), 3)] == [3, 2, 2]
 
 
 class TestCompare:
