@@ -9,9 +9,10 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 
 ``run`` is a ``sweep`` of one threshold: both declare their inputs with
 ``_search_options`` and hand them to ``_search_command``, which checks
-every input before it builds the backend, searches contiguous groups of
-the benchmarks, in forked children for an in-process backend, and writes
-every run directory in this process from the parts the groups rendered.
+every input before it builds the backend, searches each (threshold,
+benchmark) pair in a forked child for an in-process backend, at most
+``--jobs`` at once, and writes every run directory in this process from
+the parts the searches rendered.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from itertools import product
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import click
 
@@ -39,7 +41,7 @@ from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_eval
 from .explorer import RunResult, check_inputs, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
 from .oracle_compare import compare as compare_runs
-from .oracle_compare import _contiguous, _forked, enumeration_guard, oracle_search
+from .oracle_compare import _forked, enumeration_guard, oracle_search
 from .pareto import pareto_front, select_tradeoff
 
 EXIT_VALIDATION = 1
@@ -108,9 +110,10 @@ _JOBS_OPTION = click.option(
     type=int,
     default=None,
     callback=_resolve_jobs,
-    help="Worker processes of an exec: evaluator, or forked children that split "
-    "the benchmarks of run and sweep, or the oracle's enumeration, for an "
-    "in-process one [default: the CPUs available]. Results do not depend on it.",
+    help="Worker processes of an exec: evaluator, or, for an in-process one, the "
+    "forked children alive at once, each searching one benchmark at one threshold "
+    "(run, sweep) or scoring one slice of the enumeration (oracle) [default: the "
+    "CPUs available]. Results do not depend on it.",
 )
 
 
@@ -189,25 +192,6 @@ def _rendered(result: RunResult) -> artifacts.RunPart:
     return artifacts.render_part(result, fronts, chosen)
 
 
-def _drained(parts: Iterator[artifacts.RunPart]) -> tuple[list, BaseException | None]:
-    """What a forked group sends back: the parts ``parts`` yielded, and the
-    exception that stopped them, if one did."""
-    done = []
-    try:
-        for part in parts:
-            done.append(part)
-    except BaseException as exc:  # an interrupt too: the parts before it are still written
-        return done, exc
-    return done, None
-
-
-def _replayed(done: list, error: BaseException | None) -> Iterator[artifacts.RunPart]:
-    """A drained group's parts, then its exception, as the group gave them."""
-    yield from done
-    if error is not None:
-        raise error
-
-
 def _search_command(
     space_spec: str,
     weights_text: str | None,
@@ -224,15 +208,18 @@ def _search_command(
 
     Every input is checked, and the space's warnings printed, before the
     backend is built, so a refused command starts no worker, reads no
-    table and writes nothing. A backend without ``submit`` (an in-process
-    one) has the benchmarks cut into up to `jobs` contiguous groups, each
-    searched at every threshold in turn through its own cache in a forked
-    child; otherwise one group is searched in this process, and each
-    directory is written as soon as its threshold is searched. Either way
-    the directories are written in threshold order from the groups' parts,
-    up to the first threshold a group did not finish, where the earliest
-    such group's exception is raised. So the files written and the error
-    raised are those of one serial loop over the thresholds.
+    table and writes nothing. With a backend without ``submit`` (an
+    in-process one), `jobs` > 1 and more than one (threshold, benchmark)
+    pair, each pair is searched through its own cache in a forked child, at
+    most `jobs` at once, the largest threshold first; each child returns
+    its part, or the exception it raised. Otherwise the thresholds are
+    searched in turn in this process through one cache, so an ``exec:``
+    backend is never asked twice for a configuration, and each directory
+    is written as soon as its threshold is searched. Either way the
+    directories are written in threshold order, up to the first threshold
+    with a failed search, where the exception of its first failed
+    benchmark is raised. So the files written and the error raised are
+    those of one serial loop over the thresholds.
     """
     space = _load_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
@@ -241,23 +228,30 @@ def _search_command(
     for warning in validation_warnings(space):
         click.echo(f"warning: {warning}", err=True)
     with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
-
-        def search(group: Sequence[str]) -> Iterator[artifacts.RunPart]:
-            """One group searched at each threshold in turn, through one
-            cache, so a configuration reaches the backend at most once."""
+        pairs = list(product(range(len(thresholds)), space.benchmarks))
+        if hasattr(evaluator, "submit") or jobs == 1 or len(pairs) == 1:
             cache = CachedEvaluator(evaluator)
-            for threshold in thresholds:
-                yield _rendered(run_search(space, cache, weights, threshold, group))
-
-        groups = _contiguous(space.benchmarks, 1 if hasattr(evaluator, "submit") else jobs)
-        if len(groups) > 1:
-            drained = _forked(lambda group: _drained(search(group)), groups)
-            streams = [_replayed(done, error) for done, error in drained]
+            rows = ([(_rendered(run_search(space, cache, weights, t)), None)] for t in thresholds)
         else:
-            streams = [search(groups[0])]
+
+            def search(pair: tuple[int, str]) -> tuple:
+                index, benchmark = pair
+                try:
+                    result = run_search(space, evaluator, weights, thresholds[index], [benchmark])
+                    return _rendered(result), None
+                except BaseException as exc:  # an interrupt too: the parent raises it in order
+                    return None, exc
+
+            # the largest threshold first, since the work of a search grows with it
+            order = sorted(pairs, key=lambda pair: -thresholds[pair[0]])
+            outcomes = dict(zip(order, _forked(search, order, jobs)))
+            rows = ([outcomes[k, name] for name in space.benchmarks] for k in range(len(thresholds)))
         entries = []
-        for threshold, out in zip(thresholds, outs):
-            parts = [next(stream) for stream in streams]
+        for threshold, out, row in zip(thresholds, outs, rows):
+            for _, error in row:
+                if error is not None:
+                    raise error
+            parts = [part for part, _ in row]
             manifest = artifacts.build_manifest(
                 space,
                 space_file=space_spec,
@@ -378,7 +372,7 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
     "Output directory.",
 )
 def sweep_cmd(thresholds_text: str, out_dir: Path, **options) -> None:
-    """Run once per threshold, sharing evaluations, and summarize."""
+    """Run once per threshold and summarize."""
     try:
         thresholds = [int(t) for t in thresholds_text.split(",") if t.strip()]
     except ValueError:

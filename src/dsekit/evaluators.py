@@ -24,8 +24,8 @@ that the caller will ask for that configuration later; ``look_ahead`` feeds
 it a stream of independent requests. Only ``ExternalEvaluator`` (and a cache
 around it) has one, so a search evaluates the in-process backends one
 request at a time. The CLI spreads them over forked processes instead:
-``run`` and ``sweep`` by groups of benchmarks (``cli``), the oracle by
-slices of the enumeration (``oracle_compare``).
+``run`` and ``sweep`` by (threshold, benchmark) pairs (``cli``), the
+oracle by slices of the enumeration (``oracle_compare``).
 """
 
 from __future__ import annotations
@@ -612,9 +612,10 @@ class CachedEvaluator:
     configuration's values in that order.
 
     The cache holds results only, no per-run state: to share results across
-    runs (e.g. a threshold sweep), pass them one cache instance. Each run
-    still counts every configuration it asked for as one of its own unique
-    evaluations.
+    runs, pass them one cache instance, as ``sweep`` does for an ``exec:``
+    backend or at ``--jobs 1``; its forked children each search through a
+    cache of their own. Each run still counts every configuration it asked
+    for as one of its own unique evaluations.
 
     The memo keeps one copy per miss; every returned dict is the caller's.
     Errors are never cached: a failed key is re-evaluated on the next

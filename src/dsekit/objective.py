@@ -116,8 +116,14 @@ def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVect
 
 
 def is_metric_value(value: object) -> bool:
-    """Whether `value` can be a metric: an int or a float, not a bool, and finite."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """Whether `value` can be a metric: an int or a float, not a bool, and
+    finite, which an int beyond the range of a float is not. Never raises."""
+    if type(value) is float:  # the common case, checked first
+        return math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def check_metrics(benchmark: str, metrics: dict[str, float], names: list[str]) -> dict[str, float]:

@@ -12,18 +12,20 @@ space is cut into contiguous slices in enumeration order, each scored by
 the same loop in a forked child, and the slices' winners are merged in
 order, so the serial loop's answer (and first error) comes out unchanged.
 An ``exec:`` backend keeps one serial loop that feeds its worker pool ahead.
-The fork helper, ``_forked``, and the split into contiguous runs,
-``_contiguous``, also serve the CLI's groups of benchmarks.
+The fork helper, ``_forked``, a pool of at most ``jobs`` forked children,
+also serves the CLI, which searches each (threshold, benchmark) pair of
+``run`` and ``sweep`` in a child of its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import selectors
 import signal
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
@@ -102,7 +104,7 @@ def oracle_search(
 
     slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
     if len(slices) > 1:
-        bests = _forked(lambda configs: best_of(configs()), slices)
+        bests = _forked(lambda configs: best_of(configs()), slices, jobs)
     else:
         bests = [best_of(enumerate_configs(space))]
     # the strict minimum, earliest on ties, as in one serial loop
@@ -122,6 +124,8 @@ _Item = TypeVar("_Item")
 _Value = TypeVar("_Value")
 #: Leading-parameter prefixes wanted per job, so slices come out near-equal.
 _PREFIXES_PER_JOB = 8
+#: Bytes read from a child's pipe per ready event: the default pipe capacity.
+_PIPE_READ = 1 << 16
 
 
 def _best_of(
@@ -177,72 +181,99 @@ def _contiguous(items: Sequence[_Item], parts: int) -> list[Sequence[_Item]]:
     return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item]) -> list[_Value]:
+def _forked(
+    fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int | None = None
+) -> list[_Value]:
     """``[fn(item) for item in items]``, each call made in its own forked
-    child; the first exception in item order is raised, as a serial loop
-    would raise it, without waiting for the children after it.
+    child, at most `jobs` of them alive at once (all of them if None); the
+    first exception in item order is raised, as a serial loop would raise
+    it, without waiting for the children after it.
 
-    A child sends one pickled ``("ok", value)`` or ``("error", exception)``
+    Children are forked in item order, the next as soon as one ends. A
+    child sends one pickled ``("ok", value)`` or ``("error", exception)``
     down a pipe and leaves with ``os._exit``, so it never unwinds this
-    stack, runs exit handlers or flushes inherited stdio buffers. Every
-    child is killed and reaped before this returns or raises. The default
-    SIGTERM action would end this process without unwinding it, so while
-    it is in force a SIGTERM first kills and reaps the children, then ends
-    this process by SIGTERM as before. SIGINT and SIGTERM are held while
-    children are forked or reaped, so none is missed or reaped twice.
+    stack, runs exit handlers or flushes inherited stdio buffers. The pipes
+    are read as their bytes arrive, so a child that finishes early never
+    waits on a full pipe behind an earlier item. Every child is killed and
+    reaped before this returns or raises. The default SIGTERM action would
+    end this process without unwinding it, so while it is in force a
+    SIGTERM first kills and reaps the children, then ends this process by
+    SIGTERM as before. SIGINT and SIGTERM are held except while waiting for
+    the pipes, so none arrives while a child is forked or reaped.
     """
     import pickle
 
-    children: list[tuple[int, BinaryIO]] = []
+    children: dict[int, int] = {}  # the pid of each unreaped child, to its pipe
     held = {signal.SIGINT, signal.SIGTERM}
 
     def reap() -> None:
-        for pid, _ in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
             os.waitpid(pid, 0)
 
     def terminate(signum, frame) -> None:
-        reap()  # not the pipes: this may run inside a read of one
+        reap()  # not the pipes: this may run inside a wait for one
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGTERM)
 
+    limit = len(items) if jobs is None else jobs
+    selector = selectors.DefaultSelector()
+    started = 0
+    outcomes: dict[int, tuple[int, bytes]] = {}  # by item index, the pid and bytes sent
+    values: list[_Value] = []
     default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
     if default:
         signal.signal(signal.SIGTERM, terminate)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, held)
     try:
-        for item in items:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    if default:
-                        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(read_fd)
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(_pickled_outcome(fn, item))
-                finally:
-                    os._exit(0)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-            os.close(write_fd)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        values = []
-        for pid, pipe in children:
-            data = pipe.read()
-            kind, payload = (
-                pickle.loads(data)
-                if data
-                else ("error", DseError(f"forked process {pid} ended without a result"))
-            )
-            if kind == "error":
-                raise payload
-            values.append(payload)
+        while len(values) < len(items):
+            while len(children) < limit and started < len(items):
+                read_fd, write_fd = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        if default:
+                            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        os.close(read_fd)
+                        with os.fdopen(write_fd, "wb") as pipe:
+                            pipe.write(_pickled_outcome(fn, items[started]))
+                    finally:
+                        os._exit(0)
+                children[pid] = read_fd
+                os.close(write_fd)
+                selector.register(read_fd, selectors.EVENT_READ, (started, pid, []))
+                started += 1
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            ready = selector.select()
+            signal.pthread_sigmask(signal.SIG_BLOCK, held)
+            for key, _ in ready:
+                index, pid, chunks = key.data
+                chunk = os.read(key.fd, _PIPE_READ)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                selector.unregister(key.fd)
+                os.close(key.fd)
+                del children[pid]
+                os.waitpid(pid, 0)  # it closed its pipe, so it is ending
+                outcomes[index] = pid, b"".join(chunks)
+            while len(values) in outcomes:
+                pid, data = outcomes.pop(len(values))
+                kind, payload = (
+                    pickle.loads(data)
+                    if data
+                    else ("error", DseError(f"forked process {pid} ended without a result"))
+                )
+                if kind == "error":
+                    raise payload
+                values.append(payload)
         return values
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, held)
-        for _, pipe in children:
-            pipe.close()
+        for read_fd in children.values():
+            os.close(read_fd)
+        selector.close()
         reap()
         if default:
             signal.signal(signal.SIGTERM, signal.SIG_DFL)

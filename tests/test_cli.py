@@ -889,6 +889,16 @@ class TestExitCodePolicy:
             assert backend.threads == set()
             assert not oracle_dir.exists()
 
+    def test_metric_beyond_float_range_in_a_document_exits_1(self, runner, tmp_path):
+        _, run_dir = do_run(runner, tmp_path)
+        path = run_dir / RESULT_FILE
+        document = with_entry("best_metrics.power", 10**400)(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(json.dumps(document), encoding="utf-8")
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        assert f"error: {path}: malformed: benchmark 't': 'best_metrics': 'power' is 1000" in result.stderr
+        assert not (run_dir / "oracle").exists()
+
     def test_log_rows_of_a_benchmark_the_results_lack_exit_1(self, runner, tmp_path, monkeypatch):
         _, run_dir = do_run(runner, tmp_path)
         evals = run_dir / EVALS_FILE
@@ -1055,23 +1065,9 @@ class TestJobs:
     def test_internal_error_in_a_later_group_stops_where_a_serial_search_stops(
         self, runner, tmp_path, monkeypatch
     ):
-        def failing_front():
-            """pareto_front, failing for synth-ocean (the second group of
-            two) at the second threshold."""
-            calls = {}
-
-            def front(records):
-                name = records[0].benchmark
-                calls[name] = calls.get(name, 0) + 1
-                if name == "synth-ocean" and calls[name] == 2:
-                    raise errors.DseError("no front for synth-ocean")
-                return pareto_front(records)
-
-            return front
-
+        monkeypatch.setattr(cli, "run_search", failing_search({("synth-ocean", 8)}))
         outcomes = []
         for jobs in (1, 2):
-            monkeypatch.setattr(cli, "pareto_front", failing_front())
             out = tmp_path / f"jobs{jobs}"
             result = invoke(
                 runner, "sweep", "--space", synthetic_space(tmp_path), "--profile", "lowpower",
@@ -1079,8 +1075,57 @@ class TestJobs:
             )
             assert [path.name for path in out.iterdir()] == ["run01-T1"]
             outcomes.append((result.exit_code, result.stdout, result.stderr, tree(out)))
-        assert outcomes[0][:3] == (1, "", "error: no front for synth-ocean\n")
+        assert outcomes[0][:3] == (1, "", "error: no search of synth-ocean at T=8\n")
         assert outcomes[0] == outcomes[1]
+
+    def test_internal_errors_in_two_searches_raise_the_serial_first(self, runner, tmp_path, monkeypatch):
+        # synth-blk at T=32 is searched first at --jobs 2, and fails first
+        monkeypatch.setattr(cli, "run_search", failing_search({("synth-blk", 32), ("synth-ocean", 8)}))
+        outcomes = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            result = invoke(
+                runner, "sweep", "--space", synthetic_space(tmp_path), "--profile", "lowpower",
+                "--evaluator", "synthetic", "--thresholds", "1,8,32", "--out", out, "--jobs", jobs,
+            )
+            assert [path.name for path in out.iterdir()] == ["run01-T1"]
+            outcomes.append((result.exit_code, result.stdout, result.stderr, tree(out)))
+        assert outcomes[0][:3] == (1, "", "error: no search of synth-ocean at T=8\n")
+        assert outcomes[0] == outcomes[1]
+
+    def test_sweep_split_over_two_children_writes_the_serial_bytes(self, runner, tmp_path, monkeypatch):
+        dispatched = []
+        forked = cli._forked
+
+        def recorded(fn, items, jobs):
+            dispatched.append(list(items))
+            return forked(fn, items, jobs)
+
+        monkeypatch.setattr(cli, "_forked", recorded)
+        common = ["--space", synthetic_space(tmp_path), "--weights", "power=0.6,time=0.4", "--evaluator", "synthetic"]
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            result = invoke(runner, "sweep", *common, "--thresholds", "8,32,1", "--out", out, "--jobs", jobs)
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, result.stderr, tree(out)))
+        assert len(outputs[0][2]) == 1 + 3 * 5
+        assert outputs[0] == outputs[1]
+        # one search per (threshold, benchmark), the largest threshold first
+        assert dispatched == [[(k, name) for k in (1, 0, 2) for name in SYNTH_BENCHMARKS]]
+
+
+def failing_search(failures):
+    """``run_search``, raising an internal error for the first benchmark it
+    searches whose (benchmark, threshold) pair is in ``failures``."""
+
+    def search(space, evaluator, weights, threshold, benchmarks=None):
+        for name in benchmarks or space.benchmarks:
+            if (name, threshold) in failures:
+                raise errors.DseError(f"no search of {name} at T={threshold}")
+        return run_search(space, evaluator, weights, threshold, benchmarks)
+
+    return search
 
 
 def child_pids(pid):

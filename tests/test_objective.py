@@ -13,7 +13,7 @@ from dsekit import (
     validate_weights,
 )
 from dsekit.errors import EvaluationError
-from dsekit.objective import check_metrics, check_weights
+from dsekit.objective import check_metrics, check_weights, is_metric_value
 
 from .bruteforce import weighted_objective
 
@@ -119,6 +119,20 @@ class TestObjective:
             check_metrics("b", {"time": 2.0}, names)
         with pytest.raises(EvaluationError, match="metric 'power' is nan"):
             check_metrics("b", {"time": 2.0, "power": math.nan}, names)
+
+    def test_is_metric_value_never_raises(self):
+        class Ratio(float):
+            pass
+
+        for value in (1, -3, 1.5, 0.0, 1e308, Ratio(2.0), 10**300):
+            assert is_metric_value(value), value
+        for value in (10**400, -(10**400), True, math.nan, -math.inf, "1.5", None, 1j, [1.0]):
+            assert not is_metric_value(value), value
+
+    def test_check_metrics_refuses_an_int_beyond_float_range(self):
+        # a library backend's 400-digit int fails its benchmark, no OverflowError
+        with pytest.raises(EvaluationError, match="metric 'power' is 1000"):
+            check_metrics("b", {"power": 10**400, "time": 2.0}, ["power", "time"])
 
     def test_check_metrics_refuses_a_boolean(self):
         # a bool is an int to isinstance, but no metric value

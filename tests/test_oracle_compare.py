@@ -266,6 +266,66 @@ class TestForked:
             _forked(lambda item: os._exit(item), [0, 1])
         assert_reaped(forks)
 
+    def test_never_more_than_jobs_children_at_once(self, monkeypatch):
+        unreaped = set()
+        most = []
+        fork, waitpid = os.fork, os.waitpid
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                unreaped.add(pid)
+                most.append(len(unreaped))
+            return pid
+
+        def counted_waitpid(pid, options):
+            reaped = waitpid(pid, options)
+            unreaped.discard(pid)
+            return reaped
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", counted_waitpid)
+        for jobs in (1, 2, 3):
+            most.clear()
+            assert _forked(lambda item: time.sleep(0.02) or item, range(7), jobs) == list(range(7))
+            assert len(most) == 7
+            assert max(most) == jobs
+            assert not unreaped
+
+    def test_values_keep_item_order_when_a_later_item_ends_first(self, forks):
+        def ended(delay):
+            time.sleep(delay)
+            return delay, time.monotonic()
+
+        (first, first_end), (second, second_end) = _forked(ended, [0.5, 0], 2)
+        assert (first, second) == (0.5, 0)
+        assert second_end < first_end
+        assert_reaped(forks)
+
+    def test_a_result_larger_than_a_pipe_does_not_wait_behind_an_earlier_item(self, forks):
+        size = 2 << 20  # above the largest pipe buffer Linux allows by default, 1 MB
+
+        def work(item):
+            start = time.monotonic()
+            if item == 0:
+                time.sleep(2)
+            return start, b"x" * size if item == 1 else b"", time.monotonic()
+
+        (_, _, first_end), (_, large, _), (third_start, _, _) = _forked(work, [0, 1, 2], 2)
+        assert len(large) == size
+        assert third_start < first_end
+        assert_reaped(forks)
+
+    def test_the_first_error_in_item_order_is_raised(self, forks):
+        def fail(delay):
+            time.sleep(delay)
+            raise DseError(f"fault after {delay} s")
+
+        with pytest.raises(DseError, match=r"^fault after 0\.5 s$"):
+            _forked(fail, [0.5, 0, 0], 2)
+        assert len(forks) == 3
+        assert_reaped(forks)
+
 
 class TestSlices:
     @pytest.mark.parametrize(
