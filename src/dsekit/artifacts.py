@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
-from .evaluators import parse_cell
+from .evaluators import cell_reader
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, is_metric_value, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
@@ -138,7 +138,7 @@ def replay_hash(manifest: Mapping) -> str:
     relevant = {
         "space_sha256": manifest["space_sha256"],
         "threshold": manifest["threshold"],
-        "weights": dict(sorted(manifest["weights"].items())),
+        "weights": manifest["weights"],
         "evaluator": manifest["evaluator"],
         "version": manifest["version"],
     }
@@ -201,21 +201,19 @@ def render_part(
 
 def write_run_dir(
     out: Path, manifest: dict, space: DesignSpace, parts: Sequence[RunPart]
-) -> None:
+) -> dict[str, dict]:
     """Write the run directory of ``manifest``'s threshold and weights from
-    its parts, in benchmark order. The headers name the metrics in the
-    weights' order, as the parts' rows give them."""
+    its parts, in benchmark order, and return the ``result.json`` entries of
+    its benchmarks. The headers name the metrics in the weights' order, as
+    the parts' rows give them."""
     metrics = list(manifest["weights"])
+    entries = {name: entry for part in parts for name, entry in part.entries.items()}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / MANIFEST_FILE, manifest)
     save_space(space, out / SPACE_FILE)
     _write_json(
         out / RESULT_FILE,
-        {
-            "threshold": manifest["threshold"],
-            "weights": manifest["weights"],
-            "benchmarks": {name: entry for part in parts for name, entry in part.entries.items()},
-        },
+        {"threshold": manifest["threshold"], "weights": manifest["weights"], "benchmarks": entries},
     )
     _write_csv(out / EVALS_FILE, _evals_header(space, metrics), [part.evals for part in parts])
     _write_csv(
@@ -228,6 +226,7 @@ def write_run_dir(
         ["benchmark", *metrics, "objective", *space.names, "chosen"],
         [part.pareto for part in parts],
     )
+    return entries
 
 
 def _evals_header(space: DesignSpace, metrics: Sequence[str]) -> list[str]:
@@ -347,6 +346,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     evals_path = run_dir / EVALS_FILE
 
     with _reading(result_path):
+        payload["threshold"]  # required, though the manifest's threshold is the one in force
         weights = {name: float(w) for name, w in payload["weights"].items()}
         violations = validate_weights(weights)
         if weights != manifest["weights"]:
@@ -360,6 +360,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
         header = _evals_header(space, list(weights))
         if reader.fieldnames != header:
             raise ValueError(f"header {reader.fieldnames} is not {header}")
+        read = cell_reader(space)
         for row in reader:
             if None in row:  # DictReader's key for the cells beyond the header
                 raise ValueError(f"line {reader.line_num} has more cells than the header")
@@ -368,7 +369,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 benchmark=row["benchmark"],
                 phase=row["phase"],
                 seq=int(row["seq"]),
-                config={p: parse_cell(row[p]) for p in space.names},
+                config={p: read(p, row[p]) for p in space.names},
                 metrics={m: float(row[m]) for m in weights},
                 normalized=normalized or None,
                 objective=float(row["objective"]) if row["objective"] else None,
@@ -404,18 +405,12 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 records=records.pop(name, []),
                 error=entry.get("error"),
             )
-        run = RunResult(
-            space=space,
-            weights=weights,
-            threshold=payload["threshold"],
-            benchmarks=benchmarks,
-        )
     if records:
         stray = next(iter(records))
         raise ValueError(
             f"{evals_path}: rows of benchmark {stray!r}, which {RESULT_FILE} does not hold"
         )
-    return manifest, run
+    return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
 
 
 def oracle_payload(
@@ -541,12 +536,13 @@ def render_compare_text(report: ComparisonReport, space: DesignSpace) -> str:
     return "\n".join(lines)
 
 
-def write_compare(out: Path, report: ComparisonReport, space: DesignSpace) -> None:
+def write_compare(out: Path, report: ComparisonReport, space: DesignSpace) -> str:
+    """Write the report's JSON and text files to ``out``; return the text."""
+    text = render_compare_text(report, space)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / COMPARE_JSON_FILE, compare_payload(report))
-    (out / COMPARE_TXT_FILE).write_text(
-        render_compare_text(report, space), encoding="utf-8"
-    )
+    (out / COMPARE_TXT_FILE).write_text(text, encoding="utf-8")
+    return text
 
 
 def write_sweep_csv(path: Path, rows: Sequence[Mapping]) -> None:

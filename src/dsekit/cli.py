@@ -172,8 +172,9 @@ def _rendered(result: RunResult) -> artifacts.RunPart:
     """A search's part of its run directory, with the Pareto front and
     trade-off point of each completed benchmark.
 
-    Also cross-checks that the minimum logged objective is attained on the
-    front — a weighted sum can never prefer a dominated point.
+    Also cross-checks that the minimum logged objective, which is the
+    answer's, is attained on the front — a weighted sum can never prefer a
+    dominated point.
     """
     fronts = {}
     chosen = {}
@@ -183,9 +184,7 @@ def _rendered(result: RunResult) -> artifacts.RunPart:
         front = pareto_front(bench.records)
         fronts[name] = front
         chosen[name] = select_tradeoff(front, bench.normalization, result.weights)
-        min_all = min(r.objective for r in bench.records)
-        min_front = min(r.objective for r in front)
-        if min_front != min_all:
+        if min(r.objective for r in front) != bench.objective:
             raise DseError(
                 f"pareto front for {name!r} misses the minimum-objective point"
             )
@@ -261,8 +260,7 @@ def _search_command(
                 jobs=jobs,
                 out_dir=str(out),
             )
-            artifacts.write_run_dir(out, manifest, space, parts)
-            entries.append({name: entry for part in parts for name, entry in part.entries.items()})
+            entries.append(artifacts.write_run_dir(out, manifest, space, parts))
     return space, entries
 
 
@@ -362,8 +360,7 @@ def compare_cmd(run_dir: Path, oracle_dir: Path, out_dir: Path | None) -> None:
     oracle_results = artifacts.load_oracle(oracle_dir, manifest, run_result)
     report = compare_runs(run_result, oracle_results)
     out = out_dir if out_dir is not None else run_dir
-    artifacts.write_compare(out, report, run_result.space)
-    click.echo(artifacts.render_compare_text(report, run_result.space), nl=False)
+    click.echo(artifacts.write_compare(out, report, run_result.space), nl=False)
 
 
 @main.command(name="sweep")

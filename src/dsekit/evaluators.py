@@ -212,14 +212,24 @@ class SepMonoEvaluator:
 # CSV table replay backend
 
 
-def parse_cell(text: str) -> Setting:
-    """A CSV cell as the int, float or string setting it spells."""
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+def cell_reader(space: DesignSpace) -> Callable[[str, str], Setting]:
+    """The reader of one CSV file's parameter cells: ``read(name, text)`` is the
+    setting of parameter ``name`` whose ``str`` is ``text`` (the setting "0" stays
+    a string), else the int, float or string it spells (2800.0 may spell 2800)."""
+    texts = {p.name: {str(s): s for s in p.settings} for p in space.parameters}
+
+    def read(name: str, text: str) -> Setting:
+        setting = texts[name].get(text)
+        if setting is not None:
+            return setting
+        for cast in (int, float):
+            try:
+                return cast(text)
+            except ValueError:
+                continue
+        return text
+
+    return read
 
 
 class TableEvaluator:
@@ -261,8 +271,9 @@ class TableEvaluator:
 
             rows: dict[tuple, dict[str, float]] = {}
             benchmarks = set()
+            read = cell_reader(space)
             for lineno, row in enumerate(reader, start=2):
-                config = {n: parse_cell(row[n]) for n in param_names}
+                config = {n: read(n, row[n]) for n in param_names}
                 key = (row["benchmark"], space.config_key(config))
                 if key in rows:
                     raise TableLoadError(

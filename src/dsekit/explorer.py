@@ -124,9 +124,10 @@ class BenchmarkResult:
 
 @dataclass
 class RunResult:
+    """The per-benchmark results of a search; the run's manifest holds its threshold."""
+
     space: DesignSpace
     weights: dict[str, float]
-    threshold: int
     benchmarks: dict[str, BenchmarkResult]
 
     @property
@@ -139,7 +140,8 @@ class _Session:
 
     Every evaluation of the search goes through ``evaluate``. A response is
     checked, logged, normalized and scored once, on the first request of its
-    configuration; later requests return the same record.
+    configuration; later requests return the same record. ``log`` maps each
+    configuration's key to its record; its values, in request order, are the log.
     """
 
     def __init__(
@@ -155,23 +157,20 @@ class _Session:
         self.weights = weights
         self.metric_names = list(weights)
         self.ctx: NormalizationContext | None = None
-        self.records: list[EvalRecord] = []
-        self._logged: dict[tuple, EvalRecord] = {}
+        self.log: dict[tuple, EvalRecord] = {}
         self.total_requests = 0
 
     def evaluate(self, config: Config, phase: str) -> EvalRecord:
         metrics = self.evaluator.evaluate(config, self.benchmark)
         self.total_requests += 1
         key = self.space.config_key(config)
-        record = self._logged.get(key)
+        record = self.log.get(key)
         if record is None:
             metrics = check_metrics(self.benchmark, metrics, self.metric_names)
-            seq = len(self.records)
-            record = EvalRecord(self.benchmark, phase, seq, dict(config), metrics)
+            record = EvalRecord(self.benchmark, phase, len(self.log), dict(config), metrics)
             if self.ctx is not None:
                 self._score(record)
-            self._logged[key] = record
-            self.records.append(record)
+            self.log[key] = record
         return record
 
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
@@ -202,9 +201,9 @@ class _Session:
             significance=significance,
             partition=part,
             normalization=self.ctx,
-            unique_evaluations=len(self.records),
+            unique_evaluations=len(self.log),
             total_requests=self.total_requests,
-            records=self.records,
+            records=list(self.log.values()),
             error=error,
         )
 
@@ -365,16 +364,11 @@ def run(
             winner = _exhaustive(session, part, best)
             if part.greedy:
                 winner = _greedy(session, part, significance, winner.config)
-            logged = min(session.records, key=lambda r: r.objective)
+            logged = min(session.log.values(), key=lambda r: r.objective)
             if logged.objective < winner.objective:
                 winner = logged
         except (EvaluationError, DegenerateMetricError) as exc:
             results[benchmark] = session.result(None, significance, part, str(exc))
         else:
             results[benchmark] = session.result(winner, significance, part)
-    return RunResult(
-        space=space,
-        weights=dict(weights),
-        threshold=threshold,
-        benchmarks=results,
-    )
+    return RunResult(space=space, weights=dict(weights), benchmarks=results)

@@ -8,10 +8,12 @@ stdin and writes one JSON response per line on stdout:
 
 Two metric models are available. ``tiny`` (the default) expects parameters
 named A and B and computes power = 0.5*A + 0.002*B, time = 24/A + 200/B;
-``synthetic`` runs the analytic multicore model, resolving the profile from
-the benchmark name. The misbehavior flags exist so error handling can be
-exercised end to end: a worker can be told to answer a specific benchmark
-with an error response, with a wrong response id, with silence, with a NaN
+``synthetic`` answers as ``SyntheticEvaluator`` does, errors included,
+resolving the profile from the benchmark name. A setting outside the model,
+such as A = 0 or 0 cores, gets an error response, and the worker keeps
+serving. The misbehavior flags exist so error handling can be exercised
+end to end: a worker can be told to answer a specific benchmark with an
+error response, with a wrong response id, with silence, with a NaN
 ``time``, or without ``time`` on every even request id. Every flag depends
 only on the request, so a pool of these workers answers as one worker does.
 """
@@ -26,7 +28,7 @@ import time
 import click
 
 from .errors import EvaluationError
-from .evaluators import SYNTHETIC_PROFILES, synthetic_evaluate
+from .evaluators import SyntheticEvaluator
 
 
 def _tiny_metrics(config: dict) -> dict[str, float]:
@@ -39,10 +41,7 @@ def _tiny_metrics(config: dict) -> dict[str, float]:
 
 
 def _synthetic_metrics(config: dict, benchmark: str) -> dict[str, float]:
-    profile = SYNTHETIC_PROFILES.get(benchmark)
-    if profile is None:
-        raise EvaluationError(f"unknown benchmark {benchmark!r}")
-    return synthetic_evaluate(config, profile)
+    return SyntheticEvaluator().evaluate(config, benchmark)
 
 
 @click.command()
@@ -102,6 +101,9 @@ def main(
                 response = {"id": request_id, "metrics": metrics}
             except EvaluationError as exc:
                 response = {"id": request_id, "error": str(exc)}
+            except (ArithmeticError, TypeError, ValueError) as exc:  # a setting outside the model
+                error = f"{model} model cannot evaluate configuration {config}: {exc}"
+                response = {"id": request_id, "error": error}
         if skew_id_on is not None and benchmark == skew_id_on:
             response["id"] = request_id + 1
         print(json.dumps(response), flush=True)

@@ -181,13 +181,11 @@ def _contiguous(items: Sequence[_Item], parts: int) -> list[Sequence[_Item]]:
     return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def _forked(
-    fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int | None = None
-) -> list[_Value]:
+def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) -> list[_Value]:
     """``[fn(item) for item in items]``, each call made in its own forked
-    child, at most `jobs` of them alive at once (all of them if None); the
-    first exception in item order is raised, as a serial loop would raise
-    it, without waiting for the children after it.
+    child, at most `jobs` (>= 1) of them alive at once; the first exception
+    in item order is raised, as a serial loop would raise it, without
+    waiting for the children after it.
 
     Children are forked in item order, the next as soon as one ends. A
     child sends one pickled ``("ok", value)`` or ``("error", exception)``
@@ -216,7 +214,6 @@ def _forked(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGTERM)
 
-    limit = len(items) if jobs is None else jobs
     selector = selectors.DefaultSelector()
     started = 0
     outcomes: dict[int, tuple[int, bytes]] = {}  # by item index, the pid and bytes sent
@@ -227,7 +224,7 @@ def _forked(
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, held)
     try:
         while len(values) < len(items):
-            while len(children) < limit and started < len(items):
+            while len(children) < jobs and started < len(items):
                 read_fd, write_fd = os.pipe()
                 pid = os.fork()
                 if pid == 0:

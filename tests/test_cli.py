@@ -381,6 +381,53 @@ class TestRun:
         payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
         assert all(entry["error"] for entry in payload["benchmarks"].values())
 
+    def test_zero_cores_through_the_reference_worker_match_the_in_process_run(self, tmp_path):
+        # Run as a process, so a worker traceback would reach its stderr.
+        space_file = synthetic_space(tmp_path, SYNTH_BENCHMARKS[:2], cores=[0, 2])
+        worker = f"exec:{sys.executable} -m dsekit.mock_worker --model synthetic"
+        outputs = []
+        for name, evaluator in (("inproc", "synthetic"), ("exec", worker)):
+            out_dir = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "dsekit.cli", "run", "--space", str(space_file), "-T", "4",
+                 "--profile", "lowpower", "--evaluator", evaluator, "--jobs", "1", "--out", str(out_dir)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert "Traceback" not in proc.stderr
+            files = [(out_dir / f).read_bytes() for f in (RESULT_FILE, EVALS_FILE)]
+            outputs.append((proc.returncode, proc.stdout, files))
+        assert outputs[0][0] == 2
+        assert ": FAILED: synthetic model cannot evaluate configuration" in outputs[0][1]
+        assert outputs[1] == outputs[0]
+
+    def test_table_replays_string_settings_that_look_numeric(self, runner, tmp_path):
+        space_file = tmp_path / "modes.json"
+        space_file.write_text(
+            json.dumps(
+                {"parameters": [{"name": "A", "settings": [1, 2]}, {"name": "mode", "settings": ["0", "1"]}],
+                 "benchmarks": ["t"]}
+            ),
+            encoding="utf-8",
+        )
+        table = tmp_path / "modes.csv"
+        table.write_text(
+            "benchmark,A,mode,power,time\n"
+            "t,1,0,1.0,4.0\n"
+            "t,1,1,2.0,1.0\n"
+            "t,2,0,2.0,3.0\n"
+            "t,2.0,1,3.0,2.0\n",  # a table may spell the setting 2 as 2.0
+            encoding="utf-8",
+        )
+        result, out_dir = do_run(
+            runner, tmp_path, threshold=4, **{"--space": space_file, "--evaluator": f"table:{table}"}
+        )
+        assert result.exit_code == 0, result.output
+        best = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))["benchmarks"]["t"]["best_config"]
+        assert best == {"A": 1, "mode": "1"}
+        _, run_result = load_run(out_dir)
+        oneshot = [r.config for r in run_result.benchmarks["t"].records[:3]]
+        assert oneshot == [{"A": 1, "mode": "0"}, {"A": 2, "mode": "0"}, {"A": 1, "mode": "1"}]
+
     def test_partition_warning_reaches_stderr(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, threshold=2)
         assert result.exit_code == 0
@@ -845,6 +892,7 @@ class TestExitCodePolicy:
         [
             case("oracle", MANIFEST_FILE, without("evaluator"), "manifest-without-evaluator"),
             case("oracle", MANIFEST_FILE, without("replay_hash"), "manifest-without-replay-hash"),
+            case("oracle", RESULT_FILE, without("threshold"), "result-without-threshold"),
             case("oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, "result-benchmarks-list"),
             case("compare", RESULT_FILE, with_entry("best_config", [1, 2]), "result-best-config-list"),
             case("compare", RESULT_FILE, with_entry("objective", "x"), "result-objective-string"),

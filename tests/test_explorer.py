@@ -311,6 +311,16 @@ class TestGreedyPhase:
         assert walk == [40, 30]
         assert bench.best_config == {"A": 40}
 
+    def test_an_earlier_logged_tie_keeps_the_phase_winner(self):
+        # D = 0 starts the walk at 40, which ties the one-shot record of 10,
+        # logged first; the answer is the phase winner, not the first minimum.
+        table = {10: 4.0, 20: 9.0, 30: 9.0, 40: 4.0}
+        bench, walk = self.run_greedy(table)
+        assert walk == [40, 30]
+        first = bench.records[0]
+        assert first.config == {"A": 10} and first.objective == bench.objective
+        assert bench.best_config == {"A": 40}
+
     def test_later_walks_start_from_earlier_moves(self):
         space = make_space([("A", [1, 2, 3]), ("C", [1, 2, 3]), ("E", [1, 2, 3])], ["b"])
         ev = Additive(

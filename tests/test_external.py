@@ -11,6 +11,7 @@ from dsekit import (
     EvaluatorTerminatedError,
     ExternalEvaluator,
     ProtocolError,
+    SyntheticEvaluator,
     make_space,
     run,
 )
@@ -77,6 +78,42 @@ class TestRoundTrip:
             metrics = ev.evaluate(config, "synth-fluid")
         assert metrics["power"] == pytest.approx(4.727945, abs=1e-9)
         assert metrics["time"] == pytest.approx(911.1607142857141, rel=1e-12)
+
+
+SYNTH_CONFIG = {"cores": 4, "freq": 2800, "l1i": 32, "l1d": 32, "l2": 512, "l3": 4096}
+
+
+class TestModelErrors:
+    """A configuration the worker's model cannot evaluate gets an error
+    response, and the same worker answers the next request."""
+
+    @pytest.mark.parametrize(
+        "config", [{"A": 0, "B": 100}, {"A": "x", "B": 100}], ids=["zero-A", "string-A"]
+    )
+    def test_tiny_setting_outside_the_model(self, config):
+        with ExternalEvaluator(worker_command("--model", "tiny"), timeout=30.0) as ev:
+            assert ev.evaluate({"A": 1, "B": 100}, "t") == tiny_metrics(1, 100)
+            pid = ev._workers[0].proc.pid
+            with pytest.raises(EvaluationError, match="tiny model cannot evaluate configuration") as info:
+                ev.evaluate(config, "t")
+            assert not isinstance(info.value, EvaluatorTerminatedError)
+            assert ev.evaluate({"A": 2, "B": 100}, "t") == tiny_metrics(2, 100)
+            assert [worker.proc.pid for worker in ev._workers] == [pid]
+
+    @pytest.mark.parametrize(
+        "config, bench_name",
+        [({**SYNTH_CONFIG, "cores": 0}, "synth-fluid"), (SYNTH_CONFIG, "no-such-benchmark")],
+        ids=["zero-cores", "unknown-benchmark"],
+    )
+    def test_synthetic_answers_the_in_process_error(self, config, bench_name):
+        with pytest.raises(EvaluationError) as expected:
+            SyntheticEvaluator().evaluate(config, bench_name)
+        with ExternalEvaluator(worker_command("--model", "synthetic"), timeout=30.0) as ev:
+            with pytest.raises(EvaluationError) as got:
+                ev.evaluate(config, bench_name)
+            assert type(got.value) is EvaluationError
+            assert str(got.value) == str(expected.value)
+            assert len(ev._workers) == 1
 
 
 class TestErrorTaxonomy:

@@ -257,13 +257,13 @@ class TestOracleSearch:
 
 class TestForked:
     def test_values_come_back_in_item_order(self, forks):
-        assert _forked(lambda item: item * item, [3, 1, 2]) == [9, 1, 4]
+        assert _forked(lambda item: item * item, [3, 1, 2], 3) == [9, 1, 4]
         assert len(forks) == 3
         assert_reaped(forks)
 
     def test_child_that_ends_without_a_result_is_an_error(self, forks):
         with pytest.raises(DseError, match=r"^forked process \d+ ended without a result$"):
-            _forked(lambda item: os._exit(item), [0, 1])
+            _forked(lambda item: os._exit(item), [0, 1], 2)
         assert_reaped(forks)
 
     def test_never_more_than_jobs_children_at_once(self, monkeypatch):
