@@ -112,8 +112,8 @@ _JOBS_OPTION = click.option(
     callback=_resolve_jobs,
     help="Worker processes of an exec: evaluator, or, for an in-process one, the "
     "forked children alive at once, each searching one benchmark at one threshold "
-    "(run, sweep) or scoring one slice of the enumeration (oracle) [default: the "
-    "CPUs available]. Results do not depend on it.",
+    "(run, sweep) or scoring one slice of the enumeration for all benchmarks "
+    "(oracle) [default: the CPUs available]. Results do not depend on it.",
 )
 
 
@@ -327,25 +327,21 @@ def run_cmd(threshold: int, out_dir: Path, **options) -> None:
 @_JOBS_OPTION
 @_TIMEOUT_OPTION
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
-    """Exhaustively search the space a run used, with the run's context."""
+    """Exhaustively search the space a run used, in one pass for all its benchmarks."""
     manifest, run_result = artifacts.load_run(run_dir)
     guard = enumeration_guard()
     space = run_result.space
-    results = {}
+    contexts = {}
+    for benchmark, bench in run_result.benchmarks.items():
+        if bench.normalization is None:
+            click.echo(f"warning: skipping {benchmark}: run has no normalization data", err=True)
+        else:
+            contexts[benchmark] = bench.normalization
     with _evaluator(manifest["evaluator"], space, timeout, jobs) as evaluator:
-        for benchmark, bench in run_result.benchmarks.items():
-            if bench.normalization is None:
-                click.echo(
-                    f"warning: skipping {benchmark}: run has no normalization data",
-                    err=True,
-                )
-                continue
-            best = oracle_search(
-                space, benchmark, evaluator, run_result.weights, bench.normalization, jobs
-            )
-            results[benchmark] = best
-            config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
-            click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
+        results = oracle_search(space, contexts, evaluator, run_result.weights, jobs)
+    for benchmark, best in results.items():
+        config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
+        click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
     out = out_dir if out_dir is not None else run_dir / "oracle"
     artifacts.write_oracle(out, artifacts.oracle_payload(manifest, guard, results))
 

@@ -101,6 +101,11 @@ def validate(space: DesignSpace) -> list[str]:
             violations.append(f"parameter {p.name!r} has an empty settings list")
         if len(set(p.settings)) != len(p.settings):
             violations.append(f"parameter {p.name!r} has duplicate setting values")
+        texts: dict[str, Setting] = {}  # str(setting) is the text of its CSV cells
+        for setting in p.settings:
+            if (first := texts.setdefault(str(setting), setting)) != setting:
+                text = f"settings {first!r} and {setting!r} with the same text {str(setting)!r}"
+                violations.append(f"parameter {p.name!r} has {text}")
     return violations
 
 

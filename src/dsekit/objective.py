@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateMetricError, EvaluationError
 
@@ -165,3 +165,19 @@ def weighted_sum(normalized: MetricVector, weights: WeightVector) -> float:
     for name, value in normalized.items():
         total += weights[name] * value
     return total
+
+
+def scorer(ctx: NormalizationContext, weights: WeightVector) -> Callable[[MetricVector], float]:
+    """``objective(·, ctx, weights)`` of metrics in the weights' order, as
+    ``check_metrics`` returns them, built once and bit for bit: the sum from
+    0.0, in that order, of weight * (value / maximum), leaving out each
+    degenerate metric's term, whose 0.0 would leave the sum as it is."""
+    terms = [(name, w, ctx.maxima[name]) for name, w in weights.items() if name not in ctx.degenerate]
+
+    def score(metrics: MetricVector) -> float:
+        total = 0.0
+        for name, weight, maximum in terms:
+            total += weight * (metrics[name] / maximum)
+        return total
+
+    return score

@@ -4,14 +4,14 @@ The oracle enumerates the entire design space — guarded against accidental
 runs on spaces too large to enumerate — and the comparison report gives the
 numbers a designer cares about: per-metric and objective gaps, the fraction
 of the space the methodology actually evaluated, and the resulting speedup
-over full enumeration. The oracle reuses the normalization context of the
-methodology run's benchmark, so objective values are directly comparable.
+over full enumeration. The oracle reuses each run benchmark's normalization
+context, so objective values are directly comparable.
 
-An in-process backend is enumerated on several CPUs: with ``jobs`` > 1 the
-space is cut into contiguous slices in enumeration order, each scored by
-the same loop in a forked child, and the slices' winners are merged in
-order, so the serial loop's answer (and first error) comes out unchanged.
-An ``exec:`` backend keeps one serial loop that feeds its worker pool ahead.
+One pass scores every benchmark: an in-process backend gets each
+configuration for each benchmark in turn, in contiguous slices of the
+enumeration forked with ``jobs`` > 1 and merged in order, so a serial
+loop's answers (and error) come out unchanged. An ``exec:`` backend keeps
+one serial pass per benchmark that feeds its worker pool ahead.
 The fork helper, ``_forked``, a pool of at most ``jobs`` forked children,
 also serves the CLI, which searches each (threshold, benchmark) pair of
 ``run`` and ``sweep`` in a child of its own.
@@ -28,15 +28,16 @@ from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
-from .errors import DseError, GuardExceededError
+from .errors import DegenerateMetricError, DseError, GuardExceededError
 from .evaluators import Evaluator, look_ahead
 from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
-from .objective import (
+from .objective import (  # noqa: F401 -- objective: see explorer.map_ordered
     NormalizationContext,
     WeightVector,
     check_metrics,
     check_weights,
     objective,
+    scorer,
 )
 
 DEFAULT_GUARD = 1_000_000
@@ -65,30 +66,29 @@ class OracleResult:
 
 def oracle_search(
     space: DesignSpace,
-    benchmark: str,
+    contexts: Mapping[str, NormalizationContext],
     evaluator: Evaluator,
     weights: WeightVector,
-    ctx: NormalizationContext,
     jobs: int = 1,
-) -> OracleResult:
-    """Evaluate every configuration; strict-minimum F wins, earliest on ties.
+) -> dict[str, OracleResult]:
+    """Evaluate every configuration for each benchmark of `contexts`, which
+    maps it to its methodology run context; per benchmark, the strict-minimum
+    F wins, earliest on ties, its metrics in the weights' order. A response
+    must hold exactly the weights' metrics, all finite (else EvaluationError).
+    A failure raises the error of the first benchmark, in order, whose weight
+    check (DegenerateMetricError) or evaluation fails, at its first failing
+    configuration, as one serial loop over the benchmarks would.
 
-    `ctx` is the benchmark's context from the methodology run. A nonzero
-    weight on one of its degenerate metrics raises DegenerateMetricError
-    before anything is evaluated. Each response must carry exactly the
-    metrics the weights name, all finite, as in the run; a violation raises
-    EvaluationError. The best metrics come in the weights' order.
-
-    With `jobs` > 1 and a backend without ``submit`` (an in-process one),
-    the enumeration is cut into up to `jobs` contiguous slices, each scored
-    in a child made with ``os.fork`` (POSIX only, as the ``exec:`` pool is).
-    The slices' winners are merged in enumeration order, so the result, and
-    the error raised on a failure, are those of the serial loop. The
-    children read a ``CachedEvaluator`` passed in but do not fill it. Fork
-    only from a process that runs no other threads. An ``exec:`` backend is
-    never forked: it evaluates serially in this process and gets the
-    enumeration ahead of its turn, for its worker pool.
-    """
+    An in-process backend is enumerated once, each configuration scored for
+    every benchmark in turn; with `jobs` > 1, in up to `jobs` contiguous
+    slices, each in a child made with ``os.fork`` (POSIX only), which reads a
+    ``CachedEvaluator`` passed in but does not fill it: fork only from a
+    process that runs no other threads. An ``exec:`` backend gets one pass
+    per benchmark, in order, fed ahead to its worker pool. The serial
+    ``oracle_search(space, benchmark, evaluator, weights, ctx)`` returns one
+    benchmark's OracleResult."""
+    if isinstance(contexts, str):
+        return oracle_search(space, {contexts: jobs}, evaluator, weights)[contexts]  # type: ignore
     limit = enumeration_guard()
     size = cardinality(space)
     if size > limit:
@@ -97,26 +97,40 @@ def oracle_search(
             f"raise it via {GUARD_ENV} to run the oracle anyway"
         )
 
-    check_weights(benchmark, ctx, weights)
-
-    def best_of(configs: Iterable[Config]) -> _Best:
-        return _best_of(configs, benchmark, evaluator, weights, ctx)
-
-    slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
-    if len(slices) > 1:
-        bests = _forked(lambda configs: best_of(configs()), slices, jobs)
-    else:
-        bests = [best_of(enumerate_configs(space))]
-    # the strict minimum, earliest on ties, as in one serial loop
-    best_value, best_config, best_metrics = min(bests, key=lambda best: best[0])
-    assert best_config is not None and best_metrics is not None
-    return OracleResult(
-        benchmark=benchmark,
-        best_config=dict(best_config),
-        best_metrics=dict(best_metrics),
-        objective=best_value,
-        evaluations=size,
-    )
+    scorers = {}
+    refused = None  # a weight check's failure, raised unless an earlier benchmark fails
+    for benchmark, ctx in contexts.items():
+        try:
+            check_weights(benchmark, ctx, weights)
+        except DegenerateMetricError as exc:
+            refused = exc
+            break
+        scorers[benchmark] = scorer(ctx, weights)
+    names = list(weights)
+    outcomes: list[tuple[list[_Best], Optional[Exception]]] = []  # per slice, in order
+    if hasattr(evaluator, "submit"):  # one pass per benchmark, fed ahead to the pool
+        bests = []
+        for benchmark, score in scorers.items():
+            configs = look_ahead(evaluator, enumerate_configs(space), benchmark)
+            bests += _best_of(configs, evaluator, names, {benchmark: score})[0]
+        outcomes.append((bests, None))
+    elif scorers:
+        slices = [] if jobs == 1 else _slices(space, jobs)
+        if len(slices) > 1:
+            outcomes = _forked(lambda configs: _best_of(configs(), evaluator, names, scorers), slices, jobs)
+        else:
+            outcomes = [_best_of(enumerate_configs(space), evaluator, names, scorers)]
+    results = {}
+    for index, benchmark in enumerate(scorers):
+        for bests, error in outcomes:
+            if len(bests) == index:  # this benchmark failed in this slice
+                raise error
+        # the strict minimum, earliest on ties, as in one serial loop
+        value, config, metrics = min((bests[index] for bests, _ in outcomes), key=lambda best: best[0])
+        results[benchmark] = OracleResult(benchmark, dict(config), dict(metrics), value, size)
+    if refused is not None:
+        raise refused
+    return results
 
 
 _Best = tuple[float, Optional[Config], Optional[dict[str, float]]]
@@ -130,22 +144,31 @@ _PIPE_READ = 1 << 16
 
 def _best_of(
     configs: Iterable[Config],
-    benchmark: str,
     evaluator: Evaluator,
-    weights: WeightVector,
-    ctx: NormalizationContext,
-) -> _Best:
-    """The strict-minimum F of `configs`, earliest on ties, with its
-    configuration and metrics; ``(inf, None, None)`` if none beats inf.
-    A backend with ``submit`` gets `configs` ahead of their turn."""
-    names = list(weights)
-    best: _Best = (math.inf, None, None)
-    for config in look_ahead(evaluator, configs, benchmark):
-        metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
-        value = objective(metrics, ctx, weights)
-        if value < best[0]:
-            best = (value, config, metrics)
-    return best
+    names: list[str],
+    scorers: Mapping[str, Callable[[dict[str, float]], float]],
+) -> tuple[list[_Best], Optional[Exception]]:
+    """Per benchmark of `scorers`, in order, the strict-minimum F of `configs`,
+    earliest on ties, with its configuration and metrics, and the error of
+    the earliest that failed, if any, raised once none is left. A failed
+    benchmark and those after it get no further requests and no best."""
+    scores = list(scorers.items())
+    bests: list[_Best] = [(math.inf, None, None)] * len(scores)
+    error = None
+    for config in configs:
+        for index, (benchmark, score) in enumerate(scores):
+            try:
+                metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
+            except Exception as exc:
+                del scores[index:], bests[index:]
+                error = exc
+                break
+            value = score(metrics)
+            if value < bests[index][0]:
+                bests[index] = (value, config, metrics)
+        if not scores:
+            raise error
+    return bests, error
 
 
 def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]]]:

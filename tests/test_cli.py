@@ -174,6 +174,26 @@ class TestValidate:
         assert "'A'" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_settings_that_share_a_text_exit_1_before_a_backend(self, runner, tmp_path):
+        path = tmp_path / "texts.json"
+        path.write_text(
+            '{"parameters": [{"name": "A", "settings": [1, "1"]},'
+            ' {"name": "B", "settings": [100, 200]}], "benchmarks": ["t"]}',
+            encoding="utf-8",
+        )
+        violation = "parameter 'A' has settings 1 and '1' with the same text '1'"
+        result = invoke(runner, "validate", path)
+        assert result.exit_code == 1
+        assert result.stdout == f"violation: {violation}\n"
+        # a missing table would exit 3 had the backend been built
+        result = invoke(
+            runner, "run", "--space", path, "-T", 1, "--profile", "lowpower",
+            "--evaluator", f"table:{tmp_path / 'absent.csv'}", "--out", tmp_path / "out",
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: invalid space: {violation}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_descending_settings_warn_but_pass(self, runner, tmp_path):
         path = tmp_path / "desc.json"
         path.write_text(
@@ -522,6 +542,27 @@ class TestOracle:
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
         assert "error: metric 'power' is 0 in every one-shot record" in result.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_prints_no_objective_lines(self, runner, tmp_path, monkeypatch, jobs):
+        class FailsU:
+            fail = False
+
+            def evaluate(self, config, benchmark):
+                if self.fail and benchmark == "u" and config == {"A": 4, "B": 200}:
+                    raise errors.EvaluationError("u fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        backend = FailsU()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+        ran, run_dir = do_run(runner, tmp_path, **{"--space": two_benchmark_space(tmp_path)})
+        assert ran.exit_code == 0, ran.output
+        backend.fail = True
+        result = invoke(runner, "oracle", run_dir, "--jobs", jobs)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: u fault\n"
+        assert not (run_dir / "oracle").exists()
 
     def test_backend_metric_order_does_not_reach_the_outputs(self, runner, tmp_path, monkeypatch):
         """A backend that answers time before power writes the run directory

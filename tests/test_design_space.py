@@ -69,6 +69,14 @@ class TestValidate:
         assert any("duplicate parameter name" in v for v in violations)
         assert any("duplicate setting values" in v for v in violations)
 
+    def test_settings_that_share_a_text(self):
+        # a CSV cell "1" cannot tell 1 from "1"; 1 and 1.0 read "1" and "1.0"
+        space = make_space([("A", [1, "1", 2]), ("B", [1, 1.0, "x"])], ["b"])
+        assert validate(space) == [
+            "parameter 'A' has settings 1 and '1' with the same text '1'",
+            "parameter 'B' has duplicate setting values",
+        ]
+
     def test_empty_settings(self):
         violations = validate(make_space([("A", [])], ["b"]))
         assert any("empty settings list" in v for v in violations)

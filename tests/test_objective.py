@@ -13,7 +13,14 @@ from dsekit import (
     validate_weights,
 )
 from dsekit.errors import EvaluationError
-from dsekit.objective import check_metrics, check_weights, is_metric_value
+from dsekit.objective import (
+    NormalizationContext,
+    check_metrics,
+    check_weights,
+    is_metric_value,
+    scorer,
+    weighted_sum,
+)
 
 from .bruteforce import weighted_objective
 
@@ -176,3 +183,24 @@ class TestObjective:
         base = vectors[0]
         worse = {k: v * 1.5 for k, v in base.items()}
         assert objective(worse, ctx, weights) >= objective(base, ctx, weights)
+
+
+class TestScorer:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_scorer_is_objective_bit_for_bit(self, data):
+        metric = st.sampled_from(["power", "time", "area", "energy"])
+        names = data.draw(st.lists(metric, min_size=1, unique=True))
+        number = st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+        metrics = {name: data.draw(number) for name in names}
+        # a nonzero maximum far from 0, so no term overflows to inf
+        maximum = st.one_of(st.just(0), number.filter(lambda x: abs(x) >= 1e-3))
+        maxima = {name: data.draw(maximum) for name in names}
+        weights = {name: data.draw(st.floats(0.0, 1.0)) for name in names}
+        ctx = NormalizationContext(maxima)
+        value = scorer(ctx, weights)(metrics)
+        assert value == weighted_sum(ctx.normalize(metrics), weights) == objective(metrics, ctx, weights)
+        assert math.copysign(1.0, value) == math.copysign(1.0, objective(metrics, ctx, weights))

@@ -3,6 +3,8 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsekit import (
     CachedEvaluator,
@@ -16,6 +18,7 @@ from dsekit import (
 )
 from dsekit.design_space import enumerate_configs, load_shipped_space, make_space
 from dsekit.errors import DseError
+from dsekit.objective import NormalizationContext, check_metrics, objective
 from dsekit.oracle_compare import (
     DEFAULT_GUARD,
     GUARD_ENV,
@@ -33,9 +36,9 @@ TINY_BEST_F = 0.3513986013986014
 JOBS = (1, 2, 3, 8)
 
 
-def tiny_ctx(result):
-    """The normalization context of a tiny-space run's only benchmark."""
-    return result.benchmarks["t"].normalization
+def tiny_contexts(result):
+    """The oracle contexts of a tiny-space run: its only benchmark's."""
+    return {"t": result.benchmarks["t"].normalization}
 
 
 class TestEnumerationGuard:
@@ -82,9 +85,7 @@ class TestOracleSearch:
     def test_finds_global_optimum(self, tiny_space, tiny_evaluator, forks):
         result = self.tiny_run(tiny_space, tiny_evaluator)
         for jobs in JOBS:
-            oracle = oracle_search(
-                tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), jobs
-            )
+            oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, jobs)["t"]
             assert oracle.best_config == {"A": 4, "B": 200}, jobs
             assert oracle.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
             assert oracle.best_metrics == {"power": 2.4, "time": 7.0}
@@ -99,9 +100,7 @@ class TestOracleSearch:
 
         ctx_run = run(tiny_space, Flat(), TINY_WEIGHTS, 3)
         for jobs in JOBS:
-            oracle = oracle_search(
-                tiny_space, "t", Flat(), TINY_WEIGHTS, tiny_ctx(ctx_run), jobs
-            )
+            oracle = oracle_search(tiny_space, tiny_contexts(ctx_run), Flat(), TINY_WEIGHTS, jobs)["t"]
             assert oracle.best_config == {"A": 1, "B": 100}, jobs
 
     def test_guard_blocks_large_spaces(self, tiny_space, tiny_evaluator, monkeypatch, forks):
@@ -109,9 +108,7 @@ class TestOracleSearch:
         monkeypatch.setenv(GUARD_ENV, "5")
         for jobs in JOBS:
             with pytest.raises(GuardExceededError, match="enumeration guard 5"):
-                oracle_search(
-                    tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), jobs
-                )
+                oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, jobs)["t"]
         assert forks == []
 
     def test_weighted_degenerate_metric_raises_before_evaluating(self, tiny_space, forks):
@@ -127,7 +124,7 @@ class TestOracleSearch:
         NoPower.calls = 0
         for jobs in JOBS:
             with pytest.raises(DegenerateMetricError, match="benchmark 't'"):
-                oracle_search(tiny_space, "t", NoPower(), TINY_WEIGHTS, tiny_ctx(result), jobs)
+                oracle_search(tiny_space, tiny_contexts(result), NoPower(), TINY_WEIGHTS, jobs)["t"]
         assert NoPower.calls == 0
         assert forks == []
 
@@ -135,11 +132,9 @@ class TestOracleSearch:
         monkeypatch.setenv(GUARD_ENV, "5")
         result = self.tiny_run(tiny_space, tiny_evaluator)
         with pytest.raises(GuardExceededError):
-            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result))
+            oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
         monkeypatch.setenv(GUARD_ENV, "6")
-        oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
         assert oracle.evaluations == 6
 
     def test_enumeration_is_streamed(self, tiny_space, tiny_evaluator, monkeypatch):
@@ -160,7 +155,7 @@ class TestOracleSearch:
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
         monkeypatch.setattr(oc, "enumerate_configs", enumerate_logged)
-        oracle_search(tiny_space, "t", Logged(), TINY_WEIGHTS, tiny_ctx(result))
+        oracle_search(tiny_space, tiny_contexts(result), Logged(), TINY_WEIGHTS)["t"]
         assert events == ["next", "evaluate"] * 6
 
     @pytest.mark.parametrize(
@@ -184,7 +179,7 @@ class TestOracleSearch:
         result = self.tiny_run(tiny_space, tiny_evaluator)
         for jobs in JOBS:
             with pytest.raises(EvaluationError, match="benchmark 't'"):
-                oracle_search(tiny_space, "t", Corrupt(), TINY_WEIGHTS, tiny_ctx(result), jobs)
+                oracle_search(tiny_space, tiny_contexts(result), Corrupt(), TINY_WEIGHTS, jobs)["t"]
         assert forks
         assert_reaped(forks)
 
@@ -202,7 +197,7 @@ class TestOracleSearch:
         result = self.tiny_run(tiny_space, tiny_evaluator)
         for jobs in JOBS:
             with pytest.raises(EvaluationError, match="^first fault$"):
-                oracle_search(tiny_space, "t", TwoFaults(), TINY_WEIGHTS, tiny_ctx(result), jobs)
+                oracle_search(tiny_space, tiny_contexts(result), TwoFaults(), TINY_WEIGHTS, jobs)["t"]
         assert_reaped(forks)
 
     def test_failure_does_not_wait_for_later_slices(self, tiny_space, tiny_evaluator, forks):
@@ -217,7 +212,7 @@ class TestOracleSearch:
         result = self.tiny_run(tiny_space, tiny_evaluator)
         start = time.monotonic()
         with pytest.raises(EvaluationError, match="first fault"):
-            oracle_search(tiny_space, "t", SlowTail(), TINY_WEIGHTS, tiny_ctx(result), 3)
+            oracle_search(tiny_space, tiny_contexts(result), SlowTail(), TINY_WEIGHTS, 3)["t"]
         assert time.monotonic() - start < 10
         assert_reaped(forks)
 
@@ -231,7 +226,7 @@ class TestOracleSearch:
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
         with pytest.raises(RuntimeError, match="Unpicklable: boom"):
-            oracle_search(tiny_space, "t", Failing(), TINY_WEIGHTS, tiny_ctx(result), 2)
+            oracle_search(tiny_space, tiny_contexts(result), Failing(), TINY_WEIGHTS, 2)["t"]
 
     def test_interrupt_while_forking_reaps_every_child(
         self, tiny_space, tiny_evaluator, monkeypatch
@@ -250,9 +245,155 @@ class TestOracleSearch:
         result = self.tiny_run(tiny_space, tiny_evaluator)
         monkeypatch.setattr(os, "fork", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            oracle_search(tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result), 3)
+            oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, 3)["t"]
         assert len(pids) == 2
         assert_reaped(pids)
+
+
+def plain_oracle(space, benchmark, evaluator, weights, ctx):
+    """The strict-minimum (F, configuration, metrics) of one loop over the
+    enumeration, earliest on ties: the reference the one pass must match."""
+    best = None
+    for config in enumerate_configs(space):
+        metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), list(weights))
+        value = objective(metrics, ctx, weights)
+        if best is None or value < best[0]:
+            best = (value, config, metrics)
+    return best
+
+
+class Table:
+    """An in-process table backend: (benchmark, configuration) to metrics."""
+
+    def __init__(self, space, rows):
+        self.space = space
+        self.rows = rows
+
+    def evaluate(self, config, benchmark):
+        return dict(self.rows[benchmark, self.space.config_key(config)])
+
+
+#: Few values, so ties are common.
+METRIC_VALUES = (0, 1, 2, 0.5, 2.5)
+SETTINGS = st.one_of(st.integers(-2, 9), st.sampled_from([0.5, 1.5, "a", "b", "x1"]))
+
+
+class TestOnePassForEveryBenchmark:
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_one_pass_equals_one_loop_per_benchmark(self, data):
+        columns = data.draw(
+            st.lists(st.lists(SETTINGS, min_size=1, max_size=4, unique=True), min_size=1, max_size=5)
+        )
+        benchmarks = [f"b{i}" for i in range(data.draw(st.integers(1, 4)))]
+        space = make_space([(f"p{i}", c) for i, c in enumerate(columns)], benchmarks)
+        metrics = ["power", "time", "area"][: data.draw(st.integers(1, 3))]
+        metric_value = st.sampled_from(METRIC_VALUES)
+        rows = {}
+        for benchmark in benchmarks:
+            for config in enumerate_configs(space):
+                order = data.draw(st.permutations(metrics))  # any response order
+                rows[benchmark, space.config_key(config)] = {m: data.draw(metric_value) for m in order}
+        # a 0 maximum is degenerate, and a degenerate metric's weight is 0
+        contexts = {
+            b: NormalizationContext({m: data.draw(st.sampled_from([0, 1, 2.5, 4])) for m in metrics})
+            for b in benchmarks
+        }
+        weights = {
+            m: 0.0 if any(m in ctx.degenerate for ctx in contexts.values())
+            else data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+            for m in metrics
+        }
+        table = Table(space, rows)
+        want = {b: plain_oracle(space, b, table, weights, ctx) for b, ctx in contexts.items()}
+        for jobs in (1, 2, 3):
+            got = oracle_search(space, contexts, table, weights, jobs)
+            assert list(got) == benchmarks
+            for benchmark, (value, config, best) in want.items():
+                result = got[benchmark]
+                assert result.objective == value, jobs
+                assert list(result.best_config.items()) == list(config.items()), jobs
+                assert list(result.best_metrics.items()) == list(best.items()), jobs
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_the_first_benchmark_in_order_fails_not_the_first_failure_seen(
+        self, tiny_space, forks, jobs
+    ):
+        # u fails at the first configuration, t at the last: a loop over t
+        # then u raises t's error, after scoring every configuration for t
+        class Faults:
+            def evaluate(self, config, benchmark):
+                if benchmark == "u" and config == {"A": 1, "B": 100}:
+                    raise EvaluationError("u fault")
+                if benchmark == "t" and config == {"A": 4, "B": 200}:
+                    raise EvaluationError("t fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        with pytest.raises(EvaluationError, match="^t fault$"):
+            oracle_search(tiny_space, {"t": ctx, "u": ctx}, Faults(), TINY_WEIGHTS, jobs)
+        assert_reaped(forks)
+
+    @pytest.mark.parametrize("jobs", (1, 2, 3))
+    def test_an_evaluation_failure_beats_a_later_weight_check(self, tiny_space, jobs):
+        class Requests:
+            def __init__(self, fault):
+                self.fault = fault
+                self.made = []
+
+            def evaluate(self, config, benchmark):
+                self.made.append(benchmark)
+                if self.fault and config == {"A": 2, "B": 200}:
+                    raise EvaluationError("t fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        degenerate = NormalizationContext({"power": 0.0, "time": 26.0})
+        contexts = {"t": ctx, "u": degenerate, "v": ctx}
+        with pytest.raises(EvaluationError, match="^t fault$"):
+            oracle_search(tiny_space, contexts, Requests(fault=True), TINY_WEIGHTS, jobs)
+        # without t's failure, u's weight check fails; u and v get no request
+        backend = Requests(fault=False)
+        with pytest.raises(DegenerateMetricError, match="benchmark 'u'"):
+            oracle_search(tiny_space, contexts, backend, TINY_WEIGHTS, 1)
+        assert backend.made == ["t"] * 6
+
+    def test_a_benchmark_after_a_failed_one_gets_no_further_requests(self, tiny_space):
+        made = []
+
+        class Requests:
+            def evaluate(self, config, benchmark):
+                made.append(benchmark)
+                if benchmark == "u" and config == {"A": 2, "B": 100}:
+                    raise EvaluationError("u fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        with pytest.raises(EvaluationError, match="^u fault$"):
+            oracle_search(tiny_space, {"t": ctx, "u": ctx, "v": ctx}, Requests(), TINY_WEIGHTS)
+        # u fails at the third configuration; t alone gets the other three
+        assert made == ["t", "u", "v"] * 2 + ["t", "u"] + ["t"] * 3
+
+    def test_a_pool_gets_one_pass_per_benchmark_in_order(self, tiny_space):
+        class Pool:
+            def __init__(self):
+                self.submitted = []
+
+            def submit(self, config, benchmark):
+                self.submitted.append((benchmark, config["A"], config["B"]))
+                return True
+
+            def evaluate(self, config, benchmark):
+                return tiny_metrics(config["A"], config["B"])
+
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        pool = Pool()
+        got = oracle_search(tiny_space, {"u": ctx, "t": ctx}, pool, TINY_WEIGHTS, 3)
+        assert list(got) == ["u", "t"]
+        assert pool.submitted == [
+            (b, c["A"], c["B"]) for b in ("u", "t") for c in enumerate_configs(tiny_space)
+        ]
+        assert got["u"].best_config == got["t"].best_config == {"A": 4, "B": 200}
 
 
 class TestForked:
@@ -357,9 +498,7 @@ class TestCompare:
     def test_tiny_report(self, tiny_space, tiny_evaluator):
         cache = CachedEvaluator(tiny_evaluator)
         result = run(tiny_space, cache, TINY_WEIGHTS, 3)
-        oracle = oracle_search(
-            tiny_space, "t", cache, TINY_WEIGHTS, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), cache, TINY_WEIGHTS)["t"]
         report = compare(result, {"t": oracle})
         row = report.benchmarks["t"]
         assert row.objective_gap_pct == 0.0
@@ -387,9 +526,7 @@ class TestCompare:
 
         result = run(tiny_space, Bumpy(), {"power": 1.0, "time": 0.0}, 1)
         bench = result.benchmarks["t"]
-        oracle = oracle_search(
-            tiny_space, "t", Bumpy(), {"power": 1.0, "time": 0.0}, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), Bumpy(), {"power": 1.0, "time": 0.0})["t"]
         assert oracle.best_config == {"A": 2, "B": 100}
         assert oracle.best_config not in [r.config for r in bench.records]
         report = compare(result, {"t": oracle})
@@ -400,17 +537,13 @@ class TestCompare:
 
     def test_rejects_unknown_or_failed_benchmarks(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
-        oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
         with pytest.raises(ValueError, match="no benchmark"):
             compare(result, {"other": oracle})
 
     def test_rejects_oracle_worse_than_log(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
-        oracle = oracle_search(
-            tiny_space, "t", tiny_evaluator, TINY_WEIGHTS, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
         oracle.objective = result.benchmarks["t"].objective + 0.5
         with pytest.raises(DseError, match="not comparable"):
             compare(result, {"t": oracle})
@@ -426,9 +559,7 @@ class TestCompare:
     def test_sepmono_gap_is_zero(self, tiny_space):
         evaluator = SepMonoEvaluator(tiny_space)
         result = run(tiny_space, evaluator, TINY_WEIGHTS, 3)
-        oracle = oracle_search(
-            tiny_space, "t", evaluator, TINY_WEIGHTS, tiny_ctx(result)
-        )
+        oracle = oracle_search(tiny_space, tiny_contexts(result), evaluator, TINY_WEIGHTS)["t"]
         report = compare(result, {"t": oracle})
         assert report.benchmarks["t"].objective_gap_pct == 0.0
         assert report.benchmarks["t"].dse_config == oracle.best_config
