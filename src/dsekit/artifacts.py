@@ -221,12 +221,25 @@ def write_run_dir(
         ["benchmark", "parameter", "significance"],
         [part.significance for part in parts],
     )
-    _write_csv(
-        out / PARETO_FILE,
-        ["benchmark", *metrics, "objective", *space.names, "chosen"],
-        [part.pareto for part in parts],
-    )
+    _write_csv(out / PARETO_FILE, _pareto_header(space, metrics), [part.pareto for part in parts])
     return entries
+
+
+def check_columns(space: DesignSpace, weights: Mapping[str, float]) -> None:
+    """Refuse, with a ValueError naming it, a column that a CSV header of a
+    run directory of `space` and `weights` would hold twice, as a parameter
+    named ``seq``, ``phase`` or after a metric does: ``load_run`` could not
+    tell the two apart."""
+    metrics = list(weights)
+    for file, header in (
+        (EVALS_FILE, _evals_header(space, metrics)),
+        (PARETO_FILE, _pareto_header(space, metrics)),
+    ):
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise ValueError(f"{file} would hold two columns named {name!r}")
+            seen.add(name)
 
 
 def _evals_header(space: DesignSpace, metrics: Sequence[str]) -> list[str]:
@@ -234,6 +247,10 @@ def _evals_header(space: DesignSpace, metrics: Sequence[str]) -> list[str]:
     the metrics and their normalized values in the weights' order."""
     norm_names = [f"norm_{m}" for m in metrics]
     return ["benchmark", "phase", "seq", *space.names, *metrics, *norm_names, "objective"]
+
+
+def _pareto_header(space: DesignSpace, metrics: Sequence[str]) -> list[str]:
+    return ["benchmark", *metrics, "objective", *space.names, "chosen"]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[str]) -> None:

@@ -224,6 +224,7 @@ def _search_command(
     weights = _resolve_weights(weights_text, profile)
     for threshold in thresholds:
         check_inputs(space, weights, threshold)
+    artifacts.check_columns(space, weights)
     for warning in validation_warnings(space):
         click.echo(f"warning: {warning}", err=True)
     with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:

@@ -92,6 +92,8 @@ def validate(space: DesignSpace) -> list[str]:
         violations.append("space declares no parameters")
     if not space.benchmarks:
         violations.append("space declares no benchmarks")
+    for name in dict.fromkeys(b for b in space.benchmarks if space.benchmarks.count(b) > 1):
+        violations.append(f"duplicate benchmark name {name!r}")
     seen = set()
     for p in space.parameters:
         if p.name in seen:

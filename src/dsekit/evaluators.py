@@ -272,7 +272,12 @@ class TableEvaluator:
             rows: dict[tuple, dict[str, float]] = {}
             benchmarks = set()
             read = cell_reader(space)
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num
+                if None in row:  # DictReader's key for the cells beyond the header
+                    raise TableLoadError(f"{path}: line {lineno} has more cells than the header")
+                if None in row.values():  # and its value for the cells a row lacks
+                    raise TableLoadError(f"{path}: line {lineno} has fewer cells than the header")
                 config = {n: read(n, row[n]) for n in param_names}
                 key = (row["benchmark"], space.config_key(config))
                 if key in rows:
@@ -585,30 +590,32 @@ class ExternalEvaluator:
         self.close()
 
 
-def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmark: str) -> Iterable[Config]:
-    """``configs`` in order, for the caller to evaluate one by one; each is
-    first handed to ``evaluator.submit`` ahead of its turn while the backend
-    takes it.
+def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmarks: Sequence[str]) -> Iterable[Config]:
+    """``configs`` in order, for the caller to evaluate one by one for each of
+    `benchmarks` in turn; each such request is first handed to
+    ``evaluator.submit`` ahead of its turn while the backend takes it. A
+    benchmark the caller removes from `benchmarks` gets no further ones.
 
     Backends without ``submit`` (the in-process ones) get ``configs`` back
     untouched. A memo hit takes no slot and does not stop the hand-off. A
-    refused configuration waits for the next turn, so beyond the
-    configurations the backend holds and the memo hits, at most one is
-    pulled ahead of its turn.
+    refused request waits for the next turn, so beyond the requests the
+    backend holds and the memo hits, at most one configuration is pulled
+    ahead of its turn.
     """
     submit = getattr(evaluator, "submit", None)
     if submit is None:
         return configs
-    return _submitted_ahead(submit, configs, benchmark)
+    return _submitted_ahead(submit, configs, benchmarks)
 
 
 def _submitted_ahead(
-    submit: Callable[[Config, str], bool], configs: Iterable[Config], benchmark: str
+    submit: Callable[[Config, str], bool], configs: Iterable[Config], benchmarks: Sequence[str]
 ) -> Iterator[Config]:
     ahead: deque[Config] = deque()
     for config in configs:
-        while not submit(config, benchmark) and ahead:
-            yield ahead.popleft()
+        for benchmark in benchmarks:
+            while benchmark in benchmarks and not submit(config, benchmark) and ahead:
+                yield ahead.popleft()
         ahead.append(config)
     yield from ahead
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .design_space import Config, DesignSpace, enumerate_configs, validate
 from .errors import DegenerateMetricError, EvaluationError
@@ -56,8 +56,8 @@ from .objective import (  # noqa: F401 -- objective: see map_ordered
     check_metrics,
     check_weights,
     objective,
+    scorer,
     validate_weights,
-    weighted_sum,
 )
 
 PHASE_ONESHOT = "oneshot"
@@ -130,18 +130,15 @@ class RunResult:
     weights: dict[str, float]
     benchmarks: dict[str, BenchmarkResult]
 
-    @property
-    def failed(self) -> list[str]:
-        return [name for name, r in self.benchmarks.items() if r.error is not None]
-
 
 class _Session:
     """One benchmark's search: the log, the request count and the scoring.
 
     Every evaluation of the search goes through ``evaluate``. A response is
-    checked, logged, normalized and scored once, on the first request of its
-    configuration; later requests return the same record. ``log`` maps each
-    configuration's key to its record; its values, in request order, are the log.
+    checked, logged, normalized and scored (by ``score``, built once by
+    ``calibrate``) once, on the first request of its configuration; later
+    requests return the same record. ``log`` maps each configuration's key
+    to its record; its values, in request order, are the log.
     """
 
     def __init__(
@@ -157,6 +154,7 @@ class _Session:
         self.weights = weights
         self.metric_names = list(weights)
         self.ctx: NormalizationContext | None = None
+        self.score: Callable[[dict[str, float]], float] | None = None
         self.log: dict[tuple, EvalRecord] = {}
         self.total_requests = 0
 
@@ -178,13 +176,14 @@ class _Session:
         weight on its degenerate metrics, then score the records."""
         self.ctx = build_context(r.metrics for r in records)
         check_weights(self.benchmark, self.ctx, self.weights)
+        self.score = scorer(self.ctx, self.weights)
         for record in records:
             self._score(record)
 
     def _score(self, record: EvalRecord) -> None:
-        assert self.ctx is not None
+        assert self.ctx is not None and self.score is not None
         record.normalized = self.ctx.normalize(record.metrics)
-        record.objective = weighted_sum(record.normalized, self.weights)
+        record.objective = self.score(record.metrics)
 
     def result(
         self,
@@ -215,7 +214,7 @@ def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     configs = [base] + [{**base, p.name: p.last} for p in multi]
     records = [
         session.evaluate(config, PHASE_ONESHOT)
-        for config in look_ahead(session.evaluator, configs, session.benchmark)
+        for config in look_ahead(session.evaluator, configs, [session.benchmark])
     ]
     session.calibrate(records)
 
@@ -282,7 +281,7 @@ def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
     fixed = {name: best[name] for name in space.names if name not in members}
     winner: EvalRecord | None = None
     configs = enumerate_configs(space, fixed)
-    for config in look_ahead(session.evaluator, configs, session.benchmark):
+    for config in look_ahead(session.evaluator, configs, [session.benchmark]):
         record = session.evaluate(config, PHASE_EXHAUSTIVE)
         if winner is None or record.objective < winner.objective:
             winner = record

@@ -155,23 +155,15 @@ def objective(
     ctx: NormalizationContext,
     weights: WeightVector,
 ) -> float:
-    """F = sum of weight * (value / one-shot maximum) over all metrics."""
-    return weighted_sum(ctx.normalize(metrics), weights)
-
-
-def weighted_sum(normalized: MetricVector, weights: WeightVector) -> float:
-    """F of an already normalized metric vector."""
-    total = 0.0
-    for name, value in normalized.items():
-        total += weights[name] * value
-    return total
+    """F = sum of weight * (value / one-shot maximum) over the weights' metrics."""
+    return scorer(ctx, weights)(metrics)
 
 
 def scorer(ctx: NormalizationContext, weights: WeightVector) -> Callable[[MetricVector], float]:
-    """``objective(·, ctx, weights)`` of metrics in the weights' order, as
-    ``check_metrics`` returns them, built once and bit for bit: the sum from
-    0.0, in that order, of weight * (value / maximum), leaving out each
-    degenerate metric's term, whose 0.0 would leave the sum as it is."""
+    """F under one context and weights, built once: the sum from 0.0, in
+    the weights' order, of weight * (value / maximum). A degenerate metric's
+    normalized value is 0.0, so its term, which would leave the sum as it
+    is, is left out."""
     terms = [(name, w, ctx.maxima[name]) for name, w in weights.items() if name not in ctx.degenerate]
 
     def score(metrics: MetricVector) -> float:

@@ -7,11 +7,10 @@ of the space the methodology actually evaluated, and the resulting speedup
 over full enumeration. The oracle reuses each run benchmark's normalization
 context, so objective values are directly comparable.
 
-One pass scores every benchmark: an in-process backend gets each
-configuration for each benchmark in turn, in contiguous slices of the
-enumeration forked with ``jobs`` > 1 and merged in order, so a serial
-loop's answers (and error) come out unchanged. An ``exec:`` backend keeps
-one serial pass per benchmark that feeds its worker pool ahead.
+One pass scores every benchmark: each configuration for each benchmark in
+turn, in contiguous slices of the enumeration forked with ``jobs`` > 1 and
+merged in order, so a serial loop's answers (and error) come out unchanged.
+An ``exec:`` backend is never forked; its worker pool is fed ahead.
 The fork helper, ``_forked``, a pool of at most ``jobs`` forked children,
 also serves the CLI, which searches each (threshold, benchmark) pair of
 ``run`` and ``sweep`` in a child of its own.
@@ -79,12 +78,12 @@ def oracle_search(
     check (DegenerateMetricError) or evaluation fails, at its first failing
     configuration, as one serial loop over the benchmarks would.
 
-    An in-process backend is enumerated once, each configuration scored for
-    every benchmark in turn; with `jobs` > 1, in up to `jobs` contiguous
-    slices, each in a child made with ``os.fork`` (POSIX only), which reads a
+    The space is enumerated once, each configuration scored for every
+    benchmark in turn; with `jobs` > 1, in up to `jobs` contiguous slices,
+    each in a child made with ``os.fork`` (POSIX only), which reads a
     ``CachedEvaluator`` passed in but does not fill it: fork only from a
-    process that runs no other threads. An ``exec:`` backend gets one pass
-    per benchmark, in order, fed ahead to its worker pool. The serial
+    process that runs no other threads. A backend with ``submit`` (an
+    ``exec:`` pool) is never forked; its requests are fed ahead. The serial
     ``oracle_search(space, benchmark, evaluator, weights, ctx)`` returns one
     benchmark's OracleResult."""
     if isinstance(contexts, str):
@@ -108,14 +107,8 @@ def oracle_search(
         scorers[benchmark] = scorer(ctx, weights)
     names = list(weights)
     outcomes: list[tuple[list[_Best], Optional[Exception]]] = []  # per slice, in order
-    if hasattr(evaluator, "submit"):  # one pass per benchmark, fed ahead to the pool
-        bests = []
-        for benchmark, score in scorers.items():
-            configs = look_ahead(evaluator, enumerate_configs(space), benchmark)
-            bests += _best_of(configs, evaluator, names, {benchmark: score})[0]
-        outcomes.append((bests, None))
-    elif scorers:
-        slices = [] if jobs == 1 else _slices(space, jobs)
+    if scorers:
+        slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
         if len(slices) > 1:
             outcomes = _forked(lambda configs: _best_of(configs(), evaluator, names, scorers), slices, jobs)
         else:
@@ -150,23 +143,25 @@ def _best_of(
 ) -> tuple[list[_Best], Optional[Exception]]:
     """Per benchmark of `scorers`, in order, the strict-minimum F of `configs`,
     earliest on ties, with its configuration and metrics, and the error of
-    the earliest that failed, if any, raised once none is left. A failed
-    benchmark and those after it get no further requests and no best."""
-    scores = list(scorers.items())
+    the earliest that failed, if any, raised once none is left. Requests are
+    fed ahead (``look_ahead``). A failed benchmark and those after it get no
+    further requests, submitted or not, and no best."""
+    benchmarks = list(scorers)
+    scores = list(scorers.values())
     bests: list[_Best] = [(math.inf, None, None)] * len(scores)
     error = None
-    for config in configs:
-        for index, (benchmark, score) in enumerate(scores):
+    for config in look_ahead(evaluator, configs, benchmarks):
+        for index, benchmark in enumerate(benchmarks):
             try:
                 metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
             except Exception as exc:
-                del scores[index:], bests[index:]
+                del benchmarks[index:], scores[index:], bests[index:]
                 error = exc
                 break
-            value = score(metrics)
+            value = scores[index](metrics)
             if value < bests[index][0]:
                 bests[index] = (value, config, metrics)
-        if not scores:
+        if not benchmarks:
             raise error
     return bests, error
 

@@ -21,8 +21,8 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
 
     Records with identical metric vectors collapse to the earliest log entry.
     The records of a run carry their metrics in the weights' order, so the
-    result is sorted ascending by the weights' first metric (full metric
-    tuple, then sequence number, as tie-breakers).
+    result is sorted ascending by the weights' first metric (the full metric
+    tuple as tie-breaker).
     """
     if not records:
         raise ValueError("empty evaluation log")
@@ -46,7 +46,6 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
         record = earliest[key]
         if not any(_dominates_tuple(kept, key) for kept, _ in reversed(front)):
             front.append((key, record))
-    front.sort(key=lambda item: (item[0], item[1].seq))
     return [record for _, record in front]
 
 

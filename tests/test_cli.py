@@ -194,6 +194,25 @@ class TestValidate:
         assert result.stderr == f"error: invalid space: {violation}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_benchmark_exits_1_before_a_backend(self, runner, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"parameters": [{"name": "A", "settings": [1, 2]}], "benchmarks": ["t", "t"]}',
+            encoding="utf-8",
+        )
+        violation = "duplicate benchmark name 't'"
+        result = invoke(runner, "validate", path)
+        assert result.exit_code == 1
+        assert result.stdout == f"violation: {violation}\n"
+        # a missing table would exit 3 had the backend been built
+        result = invoke(
+            runner, "run", "--space", path, "-T", 1, "--profile", "lowpower",
+            "--evaluator", f"table:{tmp_path / 'absent.csv'}", "--out", tmp_path / "out",
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: invalid space: {violation}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_descending_settings_warn_but_pass(self, runner, tmp_path):
         path = tmp_path / "desc.json"
         path.write_text(
@@ -351,6 +370,29 @@ class TestRun:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: invalid weights")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "name, file", [("seq", "evals.csv"), ("phase", "evals.csv"), ("power", "evals.csv"),
+                       ("norm_time", "evals.csv"), ("chosen", "pareto.csv")],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_a_parameter_named_like_a_column_exits_1_before_a_backend(
+        self, runner, tmp_path, name, file, command
+    ):
+        path = tmp_path / "named.json"
+        path.write_text(
+            f'{{"parameters": [{{"name": "{name}", "settings": ["a", "b"]}}], "benchmarks": ["t"]}}',
+            encoding="utf-8",
+        )
+        # a missing table would exit 3 had the backend been built
+        thresholds = ["-T", 1] if command == "run" else ["--thresholds", "1,2"]
+        result = invoke(
+            runner, command, "--space", path, *thresholds, "--profile", "lowpower",
+            "--evaluator", f"table:{tmp_path / 'absent.csv'}", "--out", tmp_path / "out",
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {file} would hold two columns named {name!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_evaluator(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, **{"--evaluator": "quantum"})

@@ -77,6 +77,10 @@ class TestValidate:
             "parameter 'B' has duplicate setting values",
         ]
 
+    def test_duplicate_benchmark_names(self):
+        space = make_space([("A", [1, 2])], ["b", "c", "b", "c", "b"])
+        assert validate(space) == ["duplicate benchmark name 'b'", "duplicate benchmark name 'c'"]
+
     def test_empty_settings(self):
         violations = validate(make_space([("A", [])], ["b"]))
         assert any("empty settings list" in v for v in violations)

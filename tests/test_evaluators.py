@@ -214,6 +214,16 @@ class TestTable:
         with pytest.raises(TableLoadError, match=message):
             TableEvaluator.load(path, tiny_space)
 
+    @pytest.mark.parametrize(
+        "row, more", [("t,1,200,1.0", "fewer"), ("t,1,200,1.0,2.0,3.0", "more")]
+    )
+    def test_load_rejects_a_row_of_another_length(self, tiny_space, tmp_path, row, more):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"benchmark,A,B,power,time\nt,1,100,1.0,2.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(TableLoadError) as caught:
+            TableEvaluator.load(path, tiny_space)
+        assert str(caught.value) == f"{path}: line 3 has {more} cells than the header"
+
 
 class Mirror:
     """Returns the configuration itself as its metrics; counts calls."""
@@ -367,7 +377,7 @@ class TestCache:
         cache = CachedEvaluator(backend)
         cache.evaluate({"A": 2}, "t")
         backend.events.clear()
-        for config in look_ahead(cache, [{"A": a} for a in (1, 2, 3)], "t"):
+        for config in look_ahead(cache, [{"A": a} for a in (1, 2, 3)], ["t"]):
             cache.evaluate(config, "t")
         # the hit takes no slot, so the miss behind it is sent before A=1 is evaluated
         assert backend.events == [("submit", 1), ("submit", 3), ("evaluate", 1), ("evaluate", 3)]

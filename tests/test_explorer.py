@@ -127,7 +127,7 @@ class TestOneShot:
         # benchmark, every benchmark here, and nothing malformed is logged.
         space = make_space(TINY_PARAMS, ["t", "u"])
         result = run(space, tiny_evaluator, {"power": 1.0}, 3)
-        assert result.failed == ["t", "u"]
+        assert [b for b, r in result.benchmarks.items() if r.error is not None] == ["t", "u"]
         for bench in result.benchmarks.values():
             assert "returned metrics ['power', 'time'], expected ['power']" in bench.error
             assert bench.records == []
@@ -461,7 +461,7 @@ class TestRunIsolation:
     )
     def test_malformed_response_fails_only_its_benchmark(self, tiny_space, at, corrupt):
         result = run(tiny_space, Corrupt(at, corrupt), TINY_WEIGHTS, 3, benchmarks=["t", "u"])
-        assert result.failed == ["t"]
+        assert [b for b, r in result.benchmarks.items() if r.error is not None] == ["t"]
         assert result.benchmarks["t"].objective is None
         assert "benchmark 't'" in result.benchmarks["t"].error
         good = result.benchmarks["u"]
@@ -473,7 +473,7 @@ class TestRunIsolation:
         space = make_space([("A", [1]), ("B", [100])], ["t", "u"])
         corrupt = Corrupt((1, 100), lambda m: {"power": m["power"]})
         result = run(space, corrupt, TINY_WEIGHTS, 3)
-        assert result.failed == ["t"]
+        assert [b for b, r in result.benchmarks.items() if r.error is not None] == ["t"]
         assert "returned metrics ['power'], expected ['power', 'time']" in result.benchmarks["t"].error
         assert result.benchmarks["t"].records == []
         good = result.benchmarks["u"]
@@ -488,7 +488,7 @@ class TestRunIsolation:
                 return tiny_evaluator.evaluate(config, benchmark)
 
         result = run(tiny_space, Partial(), TINY_WEIGHTS, 3, benchmarks=["bad", "t"])
-        assert result.failed == ["bad"]
+        assert [b for b, r in result.benchmarks.items() if r.error is not None] == ["bad"]
         bad = result.benchmarks["bad"]
         assert bad.error == "simulator crashed"
         assert bad.best_config is None
@@ -638,7 +638,8 @@ class TestRunProperties:
         fault = data.draw(st.sampled_from(["raise", "nan", "drop-power", "drop-time"]))
         faulty = Faulty(space, table, data.draw(st.integers(0, 40)), fault)
         result = run(space, faulty, weights, threshold)
-        assert result.failed == ([] if faulty.faulted is None else [faulty.faulted])
+        failed = [b for b, r in result.benchmarks.items() if r.error is not None]
+        assert failed == ([] if faulty.faulted is None else [faulty.faulted])
         for name, bench in result.benchmarks.items():
             if name == faulty.faulted:
                 assert bench.error is not None

@@ -19,7 +19,6 @@ from dsekit.objective import (
     check_weights,
     is_metric_value,
     scorer,
-    weighted_sum,
 )
 
 from .bruteforce import weighted_objective
@@ -202,5 +201,8 @@ class TestScorer:
         weights = {name: data.draw(st.floats(0.0, 1.0)) for name in names}
         ctx = NormalizationContext(maxima)
         value = scorer(ctx, weights)(metrics)
-        assert value == weighted_sum(ctx.normalize(metrics), weights) == objective(metrics, ctx, weights)
+        reference = 0.0  # the weighted sum of the normalized vector, in its order
+        for name, normalized in ctx.normalize(metrics).items():
+            reference += weights[name] * normalized
+        assert value == reference == objective(metrics, ctx, weights)
         assert math.copysign(1.0, value) == math.copysign(1.0, objective(metrics, ctx, weights))

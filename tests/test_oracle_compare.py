@@ -374,26 +374,64 @@ class TestOnePassForEveryBenchmark:
         # u fails at the third configuration; t alone gets the other three
         assert made == ["t", "u", "v"] * 2 + ["t", "u"] + ["t"] * 3
 
-    def test_a_pool_gets_one_pass_per_benchmark_in_order(self, tiny_space):
-        class Pool:
-            def __init__(self):
-                self.submitted = []
-
-            def submit(self, config, benchmark):
-                self.submitted.append((benchmark, config["A"], config["B"]))
-                return True
-
-            def evaluate(self, config, benchmark):
-                return tiny_metrics(config["A"], config["B"])
-
+    @pytest.mark.parametrize("slots", (2, 3, 5))
+    def test_a_pool_gets_the_one_pass_fed_ahead(self, tiny_space, forks, slots):
         ctx = NormalizationContext({"power": 2.4, "time": 26.0})
-        pool = Pool()
+        pool = Pool(slots)
         got = oracle_search(tiny_space, {"u": ctx, "t": ctx}, pool, TINY_WEIGHTS, 3)
+        assert forks == []
         assert list(got) == ["u", "t"]
-        assert pool.submitted == [
-            (b, c["A"], c["B"]) for b in ("u", "t") for c in enumerate_configs(tiny_space)
-        ]
         assert got["u"].best_config == got["t"].best_config == {"A": 4, "B": 200}
+        # configuration-major over the benchmarks in order, each request
+        # submitted ahead of its evaluation
+        want = [(c["A"], c["B"], b) for c in enumerate_configs(tiny_space) for b in ("u", "t")]
+        assert pool.made("submit") == want == pool.made("evaluate")
+        for request in want:
+            assert pool.events.index(("submit", request)) < pool.events.index(("evaluate", request))
+
+    @pytest.mark.parametrize("slots", (1, 2, 3, 4, 5))
+    def test_a_pool_gets_no_further_submissions_for_a_failed_benchmark(self, tiny_space, slots):
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        pool = Pool(slots, fault=(2, 100, "u"))
+        with pytest.raises(EvaluationError, match="^u fault$"):
+            oracle_search(tiny_space, {"t": ctx, "u": ctx, "v": ctx}, pool, TINY_WEIGHTS)
+        failed = pool.events.index(("evaluate", (2, 100, "u")))
+        assert [r for kind, r in pool.events[failed:] if kind == "submit" and r[2] != "t"] == []
+        configs = [(c["A"], c["B"]) for c in enumerate_configs(tiny_space)]
+        assert [r[:2] for r in pool.made("evaluate") if r[2] == "t"] == configs
+
+
+class Pool:
+    """A worker pool with `slots` request slots, which logs every submission
+    and evaluation of a tiny-space request as ``(A, B, benchmark)``. As in
+    ``ExternalEvaluator``, an evaluation claims the oldest submitted request
+    if it is the one asked for; the requests it passes over are abandoned."""
+
+    def __init__(self, slots, fault=None):
+        self.slots = slots
+        self.fault = fault
+        self.held = []
+        self.events = []
+
+    def made(self, kind):
+        return [request for k, request in self.events if k == kind]
+
+    def submit(self, config, benchmark):
+        if len(self.held) == self.slots:
+            return False
+        request = (config["A"], config["B"], benchmark)
+        self.held.append(request)
+        self.events.append(("submit", request))
+        return True
+
+    def evaluate(self, config, benchmark):
+        request = (config["A"], config["B"], benchmark)
+        while self.held and self.held.pop(0) != request:
+            pass
+        self.events.append(("evaluate", request))
+        if request == self.fault:
+            raise EvaluationError(f"{benchmark} fault")
+        return tiny_metrics(config["A"], config["B"])
 
 
 class TestForked:
