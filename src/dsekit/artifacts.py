@@ -350,7 +350,11 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     the manifest's, maxima or best points that are not of those weights and
     the space, an ``evals.csv`` header other than the one ``write_run_dir``
     writes, a row with more cells than it or a blank metric cell, and log
-    rows of a benchmark that ``result.json`` does not hold.
+    rows of a benchmark that ``result.json`` does not hold. So is a
+    ``result.json`` entry that ``evals.csv`` contradicts: a unique
+    evaluation count other than its row count, or a best point (configuration,
+    metrics and objective) that is not one of its rows; the floats
+    round-trip exactly.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
@@ -394,9 +398,23 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             records.setdefault(record.benchmark, []).append(record)
 
     _check_entries(result_path, payload, _RESULT_ENTRY_TYPES, space, weights)
+    stray = [name for name in records if name not in payload["benchmarks"]]
+    if stray:
+        raise ValueError(
+            f"{evals_path}: rows of benchmark {stray[0]!r}, which {RESULT_FILE} does not hold"
+        )
     benchmarks: dict[str, BenchmarkResult] = {}
     with _reading(result_path):
         for name, entry in payload["benchmarks"].items():
+            logged = records.get(name, [])
+            if entry["unique_evaluations"] != len(logged):
+                raise ValueError(
+                    f"benchmark {name!r}: 'unique_evaluations' is {entry['unique_evaluations']}, "
+                    f"but {EVALS_FILE} logs {len(logged)} evaluations"
+                )
+            best = entry["best_config"], entry["best_metrics"], entry["objective"]
+            if best[0] is not None and best not in [(r.config, r.metrics, r.objective) for r in logged]:
+                raise ValueError(f"benchmark {name!r}: the best point is not one {EVALS_FILE} logs")
             part = entry.get("partition")
             maxima = entry["normalization"]["maxima"]
             if maxima:  # empty when the benchmark failed before calibration
@@ -419,14 +437,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                 normalization=NormalizationContext(maxima) if maxima else None,
                 unique_evaluations=entry["unique_evaluations"],
                 total_requests=entry["total_requests"],
-                records=records.pop(name, []),
+                records=logged,
                 error=entry.get("error"),
             )
-    if records:
-        stray = next(iter(records))
-        raise ValueError(
-            f"{evals_path}: rows of benchmark {stray!r}, which {RESULT_FILE} does not hold"
-        )
     return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
 
 

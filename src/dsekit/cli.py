@@ -296,6 +296,11 @@ def validate_cmd(space_file: str) -> None:
     """Check a space definition file; exit 0 only if it is valid."""
     space = _load_space(space_file)
     violations = validate(space)
+    if not violations:  # then the fixed columns of a run directory, weights aside
+        try:
+            artifacts.check_columns(space, {})
+        except ValueError as exc:
+            violations = [str(exc)]
     for violation in violations:
         click.echo(f"violation: {violation}")
     for warning in validation_warnings(space):

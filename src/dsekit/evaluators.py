@@ -242,15 +242,10 @@ class TableEvaluator:
     rather than silently inventing data.
     """
 
-    def __init__(
-        self,
-        space: DesignSpace,
-        rows: Mapping[tuple, dict[str, float]],
-        benchmarks: frozenset[str],
-    ):
+    def __init__(self, space: DesignSpace, rows: Mapping[tuple, dict[str, float]]):
         self._space = space
         self._rows = dict(rows)
-        self._benchmarks = benchmarks
+        self._benchmarks = frozenset(benchmark for benchmark, _ in self._rows)
 
     @classmethod
     def load(cls, path: str | Path, space: DesignSpace) -> "TableEvaluator":
@@ -270,7 +265,6 @@ class TableEvaluator:
                 raise TableLoadError(f"{path}: no metric columns")
 
             rows: dict[tuple, dict[str, float]] = {}
-            benchmarks = set()
             read = cell_reader(space)
             for row in reader:
                 lineno = reader.line_num
@@ -289,8 +283,7 @@ class TableEvaluator:
                     rows[key] = {n: float(row[n]) for n in metric_names}
                 except ValueError as exc:
                     raise TableLoadError(f"{path}: line {lineno}: {exc}") from None
-                benchmarks.add(row["benchmark"])
-        return cls(space, rows, frozenset(benchmarks))
+        return cls(space, rows)
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
         if benchmark not in self._benchmarks:
@@ -594,7 +587,7 @@ def look_ahead(evaluator: Evaluator, configs: Iterable[Config], benchmarks: Sequ
     """``configs`` in order, for the caller to evaluate one by one for each of
     `benchmarks` in turn; each such request is first handed to
     ``evaluator.submit`` ahead of its turn while the backend takes it. A
-    benchmark the caller removes from `benchmarks` gets no further ones.
+    caller that stops pulling makes no further submissions.
 
     Backends without ``submit`` (the in-process ones) get ``configs`` back
     untouched. A memo hit takes no slot and does not stop the hand-off. A
@@ -614,7 +607,7 @@ def _submitted_ahead(
     ahead: deque[Config] = deque()
     for config in configs:
         for benchmark in benchmarks:
-            while benchmark in benchmarks and not submit(config, benchmark) and ahead:
+            while not submit(config, benchmark) and ahead:
                 yield ahead.popleft()
         ahead.append(config)
     yield from ahead

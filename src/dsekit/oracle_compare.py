@@ -9,8 +9,10 @@ context, so objective values are directly comparable.
 
 One pass scores every benchmark: each configuration for each benchmark in
 turn, in contiguous slices of the enumeration forked with ``jobs`` > 1 and
-merged in order, so a serial loop's answers (and error) come out unchanged.
-An ``exec:`` backend is never forked; its worker pool is fed ahead.
+merged in order, so the answers and the error do not depend on ``jobs``.
+The pass stops at its first failure, in enumeration order, and makes no
+request after it. An ``exec:`` backend is never forked; its worker pool is
+fed ahead.
 The fork helper, ``_forked``, a pool of at most ``jobs`` forked children,
 also serves the CLI, which searches each (threshold, benchmark) pair of
 ``run`` and ``sweep`` in a child of its own.
@@ -27,7 +29,7 @@ from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
-from .errors import DegenerateMetricError, DseError, GuardExceededError
+from .errors import DseError, GuardExceededError
 from .evaluators import Evaluator, look_ahead
 from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
 from .objective import (  # noqa: F401 -- objective: see explorer.map_ordered
@@ -74,9 +76,10 @@ def oracle_search(
     maps it to its methodology run context; per benchmark, the strict-minimum
     F wins, earliest on ties, its metrics in the weights' order. A response
     must hold exactly the weights' metrics, all finite (else EvaluationError).
-    A failure raises the error of the first benchmark, in order, whose weight
-    check (DegenerateMetricError) or evaluation fails, at its first failing
-    configuration, as one serial loop over the benchmarks would.
+    Every benchmark's weights are checked before any request, the first
+    refusal raised (DegenerateMetricError); then the first evaluation failure
+    is raised, in enumeration order (configuration-major, the benchmarks in
+    `contexts` order within a configuration), and no request follows it.
 
     The space is enumerated once, each configuration scored for every
     benchmark in turn; with `jobs` > 1, in up to `jobs` contiguous slices,
@@ -96,33 +99,22 @@ def oracle_search(
             f"raise it via {GUARD_ENV} to run the oracle anyway"
         )
 
-    scorers = {}
-    refused = None  # a weight check's failure, raised unless an earlier benchmark fails
     for benchmark, ctx in contexts.items():
-        try:
-            check_weights(benchmark, ctx, weights)
-        except DegenerateMetricError as exc:
-            refused = exc
-            break
-        scorers[benchmark] = scorer(ctx, weights)
+        check_weights(benchmark, ctx, weights)
+    scorers = {benchmark: scorer(ctx, weights) for benchmark, ctx in contexts.items()}
+    if not scorers:
+        return {}
     names = list(weights)
-    outcomes: list[tuple[list[_Best], Optional[Exception]]] = []  # per slice, in order
-    if scorers:
-        slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
-        if len(slices) > 1:
-            outcomes = _forked(lambda configs: _best_of(configs(), evaluator, names, scorers), slices, jobs)
-        else:
-            outcomes = [_best_of(enumerate_configs(space), evaluator, names, scorers)]
+    slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
+    if len(slices) > 1:  # per slice, in order; the earliest slice's error is raised
+        outcomes = _forked(lambda configs: _best_of(configs(), evaluator, names, scorers), slices, jobs)
+    else:
+        outcomes = [_best_of(enumerate_configs(space), evaluator, names, scorers)]
     results = {}
     for index, benchmark in enumerate(scorers):
-        for bests, error in outcomes:
-            if len(bests) == index:  # this benchmark failed in this slice
-                raise error
         # the strict minimum, earliest on ties, as in one serial loop
-        value, config, metrics = min((bests[index] for bests, _ in outcomes), key=lambda best: best[0])
+        value, config, metrics = min((bests[index] for bests in outcomes), key=lambda best: best[0])
         results[benchmark] = OracleResult(benchmark, dict(config), dict(metrics), value, size)
-    if refused is not None:
-        raise refused
     return results
 
 
@@ -140,30 +132,21 @@ def _best_of(
     evaluator: Evaluator,
     names: list[str],
     scorers: Mapping[str, Callable[[dict[str, float]], float]],
-) -> tuple[list[_Best], Optional[Exception]]:
+) -> list[_Best]:
     """Per benchmark of `scorers`, in order, the strict-minimum F of `configs`,
-    earliest on ties, with its configuration and metrics, and the error of
-    the earliest that failed, if any, raised once none is left. Requests are
-    fed ahead (``look_ahead``). A failed benchmark and those after it get no
-    further requests, submitted or not, and no best."""
+    earliest on ties, with its configuration and metrics. Requests are fed
+    ahead (``look_ahead``); the first failure is raised, and no request
+    follows it."""
     benchmarks = list(scorers)
     scores = list(scorers.values())
     bests: list[_Best] = [(math.inf, None, None)] * len(scores)
-    error = None
     for config in look_ahead(evaluator, configs, benchmarks):
         for index, benchmark in enumerate(benchmarks):
-            try:
-                metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
-            except Exception as exc:
-                del benchmarks[index:], scores[index:], bests[index:]
-                error = exc
-                break
+            metrics = check_metrics(benchmark, evaluator.evaluate(config, benchmark), names)
             value = scores[index](metrics)
             if value < bests[index][0]:
                 bests[index] = (value, config, metrics)
-        if not benchmarks:
-            raise error
-    return bests, error
+    return bests
 
 
 def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]]]:

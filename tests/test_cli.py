@@ -150,6 +150,20 @@ class TestValidate:
         assert result.exit_code == 1
         assert "violation:" in result.stdout
 
+    @pytest.mark.parametrize(
+        "name, file", [("seq", "evals.csv"), ("phase", "evals.csv"), ("chosen", "pareto.csv")]
+    )
+    def test_a_parameter_named_like_a_fixed_column_exits_1(self, runner, tmp_path, name, file):
+        # every run of this space would fail, so validate refuses it too
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"parameters": [{"name": "%s", "settings": [1, 2]}], "benchmarks": ["b"]}' % name,
+            encoding="utf-8",
+        )
+        result = invoke(runner, "validate", bad)
+        assert result.exit_code == 1
+        assert result.stdout == f"violation: {file} would hold two columns named {name!r}\n"
+
     def test_missing_file_exit_3(self, runner):
         result = invoke(runner, "validate", "no-such-space")
         assert result.exit_code == 3
@@ -979,6 +993,20 @@ class TestExitCodePolicy:
             case("oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, "result-benchmarks-list"),
             case("compare", RESULT_FILE, with_entry("best_config", [1, 2]), "result-best-config-list"),
             case("compare", RESULT_FILE, with_entry("objective", "x"), "result-objective-string"),
+            # result.json must agree with the log it was written with.
+            case(
+                "oracle", RESULT_FILE, with_entry("unique_evaluations", 1), "result-count-not-the-logs",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'unique_evaluations' is 1, "
+                f"but {EVALS_FILE} logs 5 evaluations",
+            ),
+            case(
+                "compare", RESULT_FILE, with_entry("objective", 0.1), "result-objective-not-logged",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point is not one {EVALS_FILE} logs",
+            ),
+            case(
+                "compare", RESULT_FILE, with_entry("best_config", {"A": 2, "B": 100}), "result-config-not-logged",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point is not one {EVALS_FILE} logs",
+            ),
             case("compare", ORACLE_FILE, without("benchmarks"), "oracle-without-benchmarks"),
             case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
             case("compare", ORACLE_FILE, with_entry("best_config", [1, 2]), "oracle-best-config-list"),

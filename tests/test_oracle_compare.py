@@ -316,11 +316,9 @@ class TestOnePassForEveryBenchmark:
                 assert list(result.best_metrics.items()) == list(best.items()), jobs
 
     @pytest.mark.parametrize("jobs", (1, 2, 3))
-    def test_the_first_benchmark_in_order_fails_not_the_first_failure_seen(
-        self, tiny_space, forks, jobs
-    ):
-        # u fails at the first configuration, t at the last: a loop over t
-        # then u raises t's error, after scoring every configuration for t
+    def test_the_first_failure_in_enumeration_order_is_raised(self, tiny_space, forks, jobs):
+        # u fails at the first configuration, t at the last: the pass meets
+        # u's failure first, whatever the benchmarks' order and the slices
         class Faults:
             def evaluate(self, config, benchmark):
                 if benchmark == "u" and config == {"A": 1, "B": 100}:
@@ -330,33 +328,27 @@ class TestOnePassForEveryBenchmark:
                 return tiny_metrics(config["A"], config["B"])
 
         ctx = NormalizationContext({"power": 2.4, "time": 26.0})
-        with pytest.raises(EvaluationError, match="^t fault$"):
+        with pytest.raises(EvaluationError, match="^u fault$"):
             oracle_search(tiny_space, {"t": ctx, "u": ctx}, Faults(), TINY_WEIGHTS, jobs)
         assert_reaped(forks)
 
     @pytest.mark.parametrize("jobs", (1, 2, 3))
-    def test_an_evaluation_failure_beats_a_later_weight_check(self, tiny_space, jobs):
-        class Requests:
-            def __init__(self, fault):
-                self.fault = fault
-                self.made = []
+    def test_a_weight_refusal_is_raised_before_any_request(self, tiny_space, forks, jobs):
+        made = []
 
+        class Requests:
             def evaluate(self, config, benchmark):
-                self.made.append(benchmark)
-                if self.fault and config == {"A": 2, "B": 200}:
-                    raise EvaluationError("t fault")
-                return tiny_metrics(config["A"], config["B"])
+                made.append(benchmark)
+                raise EvaluationError("t fault")
 
         ctx = NormalizationContext({"power": 2.4, "time": 26.0})
         degenerate = NormalizationContext({"power": 0.0, "time": 26.0})
         contexts = {"t": ctx, "u": degenerate, "v": ctx}
-        with pytest.raises(EvaluationError, match="^t fault$"):
-            oracle_search(tiny_space, contexts, Requests(fault=True), TINY_WEIGHTS, jobs)
-        # without t's failure, u's weight check fails; u and v get no request
-        backend = Requests(fault=False)
+        # t would fail at its first request, but u's weights are refused first
         with pytest.raises(DegenerateMetricError, match="benchmark 'u'"):
-            oracle_search(tiny_space, contexts, backend, TINY_WEIGHTS, 1)
-        assert backend.made == ["t"] * 6
+            oracle_search(tiny_space, contexts, Requests(), TINY_WEIGHTS, jobs)
+        assert made == []
+        assert forks == []
 
     def test_a_benchmark_after_a_failed_one_gets_no_further_requests(self, tiny_space):
         made = []
@@ -371,8 +363,8 @@ class TestOnePassForEveryBenchmark:
         ctx = NormalizationContext({"power": 2.4, "time": 26.0})
         with pytest.raises(EvaluationError, match="^u fault$"):
             oracle_search(tiny_space, {"t": ctx, "u": ctx, "v": ctx}, Requests(), TINY_WEIGHTS)
-        # u fails at the third configuration; t alone gets the other three
-        assert made == ["t", "u", "v"] * 2 + ["t", "u"] + ["t"] * 3
+        # u fails at the third configuration, and no request follows
+        assert made == ["t", "u", "v"] * 2 + ["t", "u"]
 
     @pytest.mark.parametrize("slots", (2, 3, 5))
     def test_a_pool_gets_the_one_pass_fed_ahead(self, tiny_space, forks, slots):
@@ -395,10 +387,10 @@ class TestOnePassForEveryBenchmark:
         pool = Pool(slots, fault=(2, 100, "u"))
         with pytest.raises(EvaluationError, match="^u fault$"):
             oracle_search(tiny_space, {"t": ctx, "u": ctx, "v": ctx}, pool, TINY_WEIGHTS)
-        failed = pool.events.index(("evaluate", (2, 100, "u")))
-        assert [r for kind, r in pool.events[failed:] if kind == "submit" and r[2] != "t"] == []
-        configs = [(c["A"], c["B"]) for c in enumerate_configs(tiny_space)]
-        assert [r[:2] for r in pool.made("evaluate") if r[2] == "t"] == configs
+        # the failed evaluation is the last event: no submission follows it
+        assert pool.events[-1] == ("evaluate", (2, 100, "u"))
+        want = [(a, b, bench) for a, b in ((1, 100), (1, 200)) for bench in ("t", "u", "v")]
+        assert pool.made("evaluate") == want + [(2, 100, "t"), (2, 100, "u")]
 
 
 class Pool:
