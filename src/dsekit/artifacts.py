@@ -104,6 +104,7 @@ def _check_entries(
     """Each benchmark entry of the document at ``path`` holds ``types``' keys
     with their JSON types (never a boolean), a best configuration of ``space``
     and best metrics of ``weights``, unless null; else a ValueError naming it."""
+    settings = {p.name: [(type(s), s) for s in p.settings] for p in space.parameters}  # typed: True == 1
     with _reading(path):
         for name, entry in payload["benchmarks"].items():
             for key, (kind, spelled) in types.items():
@@ -112,7 +113,7 @@ def _check_entries(
             config = entry["best_config"]
             if config is not None and (
                 config.keys() != set(space.names)
-                or any(value not in space.parameter(p).settings for p, value in config.items())
+                or any((type(value), value) not in settings[p] for p, value in config.items())
             ):
                 raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
             if entry["best_metrics"] is not None:

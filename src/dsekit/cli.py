@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
@@ -60,18 +62,40 @@ def exit_code(exc: BaseException) -> int | None:
     return None
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised so a command unwinds as it does on SIGINT."""
+
+
+def _terminate(signum, frame) -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one cannot cut the cleanup short
+    raise _Terminated
+
+
 class _Main(click.Group):
-    """The command group; a mapped failure prints ``error: ...`` and exits."""
+    """The command group; a mapped failure prints ``error: ...`` and exits. A
+    SIGTERM, unless handled already or off the main thread, unwinds the
+    command as SIGINT does, then ends the process by SIGTERM."""
 
     def invoke(self, ctx: click.Context):
+        owned = threading.current_thread() is threading.main_thread()
+        owned = owned and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
         try:
+            if owned:
+                signal.signal(signal.SIGTERM, _terminate)
             return super().invoke(ctx)
+        except _Terminated:  # unwound; now end as the default action would
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+            signal.raise_signal(signal.SIGTERM)
         except Exception as exc:
             code = exit_code(exc)
             if code is None:
                 raise
             click.echo(f"error: {exc}", err=True)
             sys.exit(code)
+        finally:
+            if owned:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _load_space(spec: str) -> DesignSpace:
@@ -159,7 +183,7 @@ def _search_options(threshold_option, out_help: str):
 @contextmanager
 def _evaluator(spec: str, space: DesignSpace, timeout: float, jobs: int) -> Iterator[Evaluator]:
     """The command's backend; ``exec:`` workers are closed when the command
-    ends, however it ends."""
+    ends, however it ends, SIGINT and SIGTERM included (see ``_Main``)."""
     evaluator = make_evaluator(spec, space, timeout=timeout, jobs=jobs)
     try:
         yield evaluator

@@ -413,7 +413,8 @@ class ExternalEvaluator:
     leaves the worker running. ``timeout`` bounds each request in seconds,
     counted from when its worker can start it: the later of its send and
     the worker's previous response. It must be finite and > 0. Calls must
-    come from one thread.
+    come from one thread. ``close`` (or the end of a ``with`` block) kills
+    the workers; to close on SIGTERM, make its handler raise (the CLI does).
     """
 
     def __init__(

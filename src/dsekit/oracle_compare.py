@@ -194,34 +194,20 @@ def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) ->
     stack, runs exit handlers or flushes inherited stdio buffers. The pipes
     are read as their bytes arrive, so a child that finishes early never
     waits on a full pipe behind an earlier item. Every child is killed and
-    reaped before this returns or raises. The default SIGTERM action would
-    end this process without unwinding it, so while it is in force a
-    SIGTERM first kills and reaps the children, then ends this process by
-    SIGTERM as before. SIGINT and SIGTERM are held except while waiting for
-    the pipes, so none arrives while a child is forked or reaped.
+    reaped before this returns or raises, ``KeyboardInterrupt`` included;
+    a SIGTERM is the caller's to turn into an exception (the CLI does).
+    SIGINT and SIGTERM are held except while waiting for the pipes, so none
+    arrives while a child is forked or reaped. Children keep the caller's
+    signal handlers: one sent to a child alone comes back as its outcome.
     """
     import pickle
 
     children: dict[int, int] = {}  # the pid of each unreaped child, to its pipe
     held = {signal.SIGINT, signal.SIGTERM}
-
-    def reap() -> None:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
-            os.waitpid(pid, 0)
-
-    def terminate(signum, frame) -> None:
-        reap()  # not the pipes: this may run inside a wait for one
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGTERM)
-
     selector = selectors.DefaultSelector()
     started = 0
     outcomes: dict[int, tuple[int, bytes]] = {}  # by item index, the pid and bytes sent
     values: list[_Value] = []
-    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
-    if default:
-        signal.signal(signal.SIGTERM, terminate)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, held)
     try:
         while len(values) < len(items):
@@ -230,8 +216,6 @@ def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) ->
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        if default:
-                            signal.signal(signal.SIGTERM, signal.SIG_DFL)
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                         os.close(read_fd)
                         with os.fdopen(write_fd, "wb") as pipe:
@@ -269,12 +253,11 @@ def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) ->
         return values
     finally:
         signal.pthread_sigmask(signal.SIG_BLOCK, held)
-        for read_fd in children.values():
-            os.close(read_fd)
         selector.close()
-        reap()
-        if default:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+            os.waitpid(pid, 0)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 

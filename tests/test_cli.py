@@ -32,6 +32,7 @@ from dsekit import cli, errors
 from dsekit.cli import main
 from dsekit.evaluators import SyntheticEvaluator
 from dsekit.explorer import run as run_search
+from dsekit.objective import NormalizationContext, objective
 from dsekit.pareto import pareto_front
 
 from .conftest import tiny_metrics, write_tiny_csv
@@ -236,6 +237,29 @@ class TestValidate:
         result = invoke(runner, "validate", path)
         assert result.exit_code == 0
         assert "not in ascending order" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, search_args",
+        [("run", ["-T", 3, "--jobs", 1]), ("sweep", ["--thresholds", "1,3", "--jobs", 2])],
+        ids=["run", "sweep"],
+    )
+    def test_descending_settings_warn_once_in_a_search(self, runner, tmp_path, tiny_csv, command, search_args):
+        path = tmp_path / "desc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "parameters": [{"name": "A", "settings": [4, 2, 1]}, {"name": "B", "settings": [100, 200]}],
+                    "benchmarks": ["t"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        result = invoke(
+            runner, command, "--space", path, *search_args, "--weights", "power=0.1,time=0.9",
+            "--evaluator", f"table:{tiny_csv}", "--out", tmp_path / "out",
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "warning: parameter 'A': numeric settings are not in ascending order\n"
 
 
 class TestRun:
@@ -557,6 +581,19 @@ class TestOracle:
         assert "benchmark: t" in text
         assert "speedup" in text
         assert compared.stdout.rstrip("\n") in text.rstrip("\n")
+
+    def test_a_run_with_no_calibrated_benchmark_gives_an_empty_oracle(self, runner, tmp_path):
+        space = tmp_path / "u.json"
+        parameters = [{"name": "A", "settings": [1, 2, 4]}, {"name": "B", "settings": [100, 200]}]
+        space.write_text(json.dumps({"parameters": parameters, "benchmarks": ["u"]}), encoding="utf-8")
+        ran, run_dir = do_run(runner, tmp_path, **{"--space": space})  # the table holds no row of u
+        assert ran.exit_code == 2
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 0
+        assert result.stdout == ""
+        assert result.stderr == "warning: skipping u: run has no normalization data\n"
+        payload = json.loads((run_dir / "oracle" / ORACLE_FILE).read_text(encoding="utf-8"))
+        assert payload["benchmarks"] == {}
 
     def test_custom_out_dir(self, runner, tmp_path):
         _, run_dir = do_run(runner, tmp_path)
@@ -903,6 +940,45 @@ class TestSerialEvaluation:
         assert not out_dir.exists()
 
 
+class TestSigtermHandler:
+    """A command makes SIGTERM raise while it runs, unless it runs off the
+    main thread or the program that embeds it handles SIGTERM already."""
+
+    @pytest.mark.parametrize("embedder", [False, True], ids=["default", "embedders-handler"])
+    def test_the_handler_is_the_commands_only_while_it_runs(self, runner, tmp_path, monkeypatch, embedder):
+        def handler(signum, frame):
+            pass
+
+        seen = []
+
+        class Recording:
+            def evaluate(self, config, benchmark):
+                seen.append(signal.getsignal(signal.SIGTERM))
+                return tiny_metrics(config["A"], config["B"])
+
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: Recording())
+        previous = signal.signal(signal.SIGTERM, handler if embedder else signal.SIG_DFL)
+        try:
+            result, _ = do_run(runner, tmp_path)
+            after = signal.getsignal(signal.SIGTERM)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert result.exit_code == 0, result.output
+        assert set(seen) == {handler if embedder else cli._terminate}
+        assert after == (handler if embedder else signal.SIG_DFL)
+
+    def test_a_command_off_the_main_thread_runs(self, runner, tmp_path):
+        results = []
+        thread = threading.Thread(target=lambda: results.append(do_run(runner, tmp_path, **{"--jobs": 1})))
+        thread.start()
+        thread.join()
+        [(result, out_dir)] = results
+        assert result.exit_code == 0, result.output
+        assert "t: F=0.351399 [A=4 B=200] (5 unique evaluations)" in result.stdout
+        assert (out_dir / RESULT_FILE).is_file()
+        assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = invoke(runner, "--version")
@@ -956,6 +1032,20 @@ def with_entry(path, value):
             del entry[last]
         else:
             entry[last] = value
+        return doc
+
+    return corrupt
+
+
+def with_logged_best(config, a, b):
+    """Set benchmark t's best point in result.json to ``config``, with the
+    metrics and objective of the logged configuration A=a, B=b."""
+
+    def corrupt(doc):
+        entry = doc["benchmarks"]["t"]
+        metrics = tiny_metrics(a, b)
+        ctx = NormalizationContext(entry["normalization"]["maxima"])
+        entry.update(best_config=config, best_metrics=metrics, objective=objective(metrics, ctx, doc["weights"]))
         return doc
 
     return corrupt
@@ -1030,6 +1120,12 @@ class TestExitCodePolicy:
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", DROP), "oracle-best-metrics-without-time"),
             case("compare", ORACLE_FILE, with_entry("best_config.A", DROP), "oracle-best-config-without-parameter"),
+            # A setting is a value of its type: the JSON boolean true equals 1, but is no setting.
+            case("compare", ORACLE_FILE, with_entry("best_config.A", True), "oracle-best-config-boolean"),
+            case(
+                "compare", RESULT_FILE, with_logged_best({"A": True, "B": 100}, 1, 100),
+                "result-best-config-boolean",
+            ),
         ],
     )
     def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt, names):
@@ -1300,21 +1396,48 @@ def child_pids(pid):
     return children
 
 
+def worker_pids(pid):
+    """The pids of the children of ``pid`` that run the reference worker."""
+    workers = []
+    for child in child_pids(pid):
+        try:
+            if b"dsekit.mock_worker" in Path(f"/proc/{child}/cmdline").read_bytes():
+                workers.append(child)
+        except OSError:  # the process ended while it was read
+            continue
+    return workers
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes through /proc")
 class TestForkedChildren:
-    """No forked child outlives the command that forked it."""
+    """No child outlives the command that started it: neither a forked one
+    nor an ``exec:`` worker. SIGTERM unwinds a command as SIGINT does, then
+    ends it by SIGTERM."""
 
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-    @pytest.mark.parametrize("command", ["oracle", "sweep"])
-    def test_signal_to_the_command_leaves_no_child(self, runner, tmp_path, command, signum):
+    @pytest.mark.parametrize("command", ["oracle", "sweep", "run-exec", "oracle-exec"])
+    def test_signal_to_the_command_leaves_no_child(self, runner, tmp_path, tiny_space_file, command, signum):
         space = ["--space", "parsec-large", "--profile", "lowpower", "--evaluator", "synthetic:synth-fluid"]
+        # two workers that never answer benchmark t, so the command waits on them
+        worker = f"exec:{sys.executable} -m dsekit.mock_worker"
+        hanging = [worker + " --hang-on t", "--jobs", 2, "--timeout", 600]
+        tiny = ["--space", tiny_space_file, "-T", 3, "--weights", "power=0.1,time=0.9"]
         if command == "oracle":
             run_dir = tmp_path / "run"
             assert invoke(runner, "run", *space, "-T", 1, "--out", run_dir, "--jobs", 1).exit_code == 0
             args = ["oracle", run_dir, "--jobs", 3]
-        else:
+        elif command == "sweep":
             # every threshold covers the whole space, so each search is long
             args = ["sweep", *space, "--thresholds", "86400,86401", "--out", tmp_path / "sweep", "--jobs", 2]
+        elif command == "run-exec":
+            args = ["run", *tiny, "--out", tmp_path / "run", "--evaluator", *hanging]
+        else:
+            run_dir = tmp_path / "run"
+            assert invoke(runner, "run", *tiny, "--out", run_dir, "--evaluator", worker, "--jobs", 1).exit_code == 0
+            manifest = run_dir / MANIFEST_FILE
+            document = json.loads(manifest.read_text(encoding="utf-8"))
+            manifest.write_text(json.dumps({**document, "evaluator": hanging[0]}), encoding="utf-8")
+            args = ["oracle", run_dir, *hanging[1:]]
         proc = subprocess.Popen(
             [sys.executable, "-m", "dsekit.cli", *map(str, args)],
             stdout=subprocess.DEVNULL,
@@ -1323,10 +1446,14 @@ class TestForkedChildren:
         )
         try:
             deadline = time.monotonic() + 30
-            while not child_pids(proc.pid):
-                assert proc.poll() is None, "the command ended before it forked"
-                assert time.monotonic() < deadline, "no child was forked"
+            exec_backend = command.endswith("-exec")
+            # for an exec: backend, both workers, so no spawn is under way when the signal lands
+            while len(worker_pids(proc.pid)) < 2 if exec_backend else not child_pids(proc.pid):
+                assert proc.poll() is None, "the command ended before it started a child"
+                assert time.monotonic() < deadline, "no child was started"
                 time.sleep(0.01)
+            if exec_backend:
+                time.sleep(0.2)  # the workers run the worker's code; let the command reach its wait
             os.kill(proc.pid, signum)
             code = proc.wait(timeout=10)
             with pytest.raises(ProcessLookupError):
