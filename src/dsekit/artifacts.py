@@ -21,7 +21,9 @@ timestamp and output path, so two runs of the same experiment hash alike.
 A run directory is written from parts: ``render_part`` renders the entries
 and CSV rows of some benchmarks (a group that may have been searched in
 another process), and ``write_run_dir`` writes the headers and the parts
-in benchmark order.
+in benchmark order. An ``evals.csv`` line, one per logged evaluation, is
+joined here as ``csv.writer`` would write it: a string cell is rendered by
+``csv.writer`` once per distinct value, a number by ``str``, never quoted.
 """
 
 from __future__ import annotations
@@ -190,11 +192,12 @@ def render_part(
     fronts: Mapping[str, Sequence[EvalRecord]],
     chosen: Mapping[str, EvalRecord],
 ) -> RunPart:
-    """The run's benchmarks, rendered as their part of a run directory."""
+    """The run's benchmarks, rendered as their part of a run directory; each
+    ``evals.csv`` line in one pass over its record, read by name."""
     metrics = list(run.weights)
     return RunPart(
         entries={name: _result_entry(result) for name, result in run.benchmarks.items()},
-        evals=_csv_text(_evals_rows(run, metrics)),
+        evals=_evals_text(run, metrics),
         significance=_csv_text(_significance_rows(run)),
         pareto=_csv_text(_pareto_rows(run, metrics, fronts, chosen)),
     )
@@ -299,17 +302,31 @@ def _partition_payload(part: Partition | None) -> dict | None:
     }
 
 
-def _evals_rows(run: RunResult, metrics: Sequence[str]) -> Iterator[tuple]:
+class _StringCells(dict):
+    """The CSV text of each string cell, rendered by ``csv.writer`` on first
+    use, in a row of two cells: a row of one empty cell is written ``""``."""
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = _csv_text([(value, "")])[: -len(",\r\n")]
+        return text
+
+
+def _evals_text(run: RunResult, metrics: Sequence[str]) -> str:
     param_values, metric_values = values_getter(run.space.names), values_getter(metrics)
-    blank = [""] * len(metrics)
+    blank = ("",) * len(metrics)
+    strings = _StringCells()
+    line = ",".join(["%s"] * (4 + len(run.space.names) + 2 * len(metrics))) + "\r\n"
+    lines = []
     for result in run.benchmarks.values():
         for record in result.records:
-            yield (
-                record.benchmark, record.phase, record.seq, *param_values(record.config),
+            lines.append(line % (
+                strings[record.benchmark], strings[record.phase], record.seq,
+                *[strings[v] if type(v) is str else v for v in param_values(record.config)],
                 *metric_values(record.metrics),
                 *(metric_values(record.normalized) if record.normalized else blank),
                 "" if record.objective is None else record.objective,
-            )
+            ))
+    return "".join(lines)
 
 
 def _significance_rows(run: RunResult) -> Iterator[list]:

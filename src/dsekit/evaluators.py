@@ -5,8 +5,8 @@ returns a new dict on each call and is deterministic: identical inputs
 produce bit-identical outputs. The built-in backends are:
 
 * ``SyntheticEvaluator`` — a closed-form analytic multicore model (Amdahl
-  speedup, cache miss chain, dynamic power) with fixed constants, used for
-  reproducible experiments without a simulator.
+  speedup, cache miss chain, dynamic power), built once per profile with its
+  fixed constants bound; for reproducible experiments without a simulator.
 * ``SepMonoEvaluator`` — metrics separable and strictly monotone per
   parameter, so the true optimum is known; used for optimality proofs.
 * ``TableEvaluator`` — replays metric values from a CSV file.
@@ -90,17 +90,9 @@ SYNTHETIC_PROFILES: dict[str, SyntheticProfile] = {
 }
 
 
-def _require(config: Config, name: str) -> float:
-    try:
-        return float(config[name])  # type: ignore[arg-type]
-    except KeyError:
-        raise EvaluationError(
-            f"synthetic model requires parameter {name!r} in the configuration"
-        ) from None
-
-
-def synthetic_evaluate(config: Config, profile: SyntheticProfile) -> dict[str, float]:
-    """Closed-form power/time model of a multicore under one workload.
+def _model(profile: SyntheticProfile) -> Callable[[Config], dict[str, float]]:
+    """Closed-form power/time model of a multicore under one workload, built
+    once per profile with its constants bound.
 
     Required parameters: cores, freq (MHz), l1i, l1d, l2, l3 (kB). Optional:
     width, rob, bpred — when present they raise instruction-level parallelism,
@@ -109,42 +101,51 @@ def synthetic_evaluate(config: Config, profile: SyntheticProfile) -> dict[str, f
     working set fits; more cores trade power for time), not any particular
     machine.
     """
-    cores = _require(config, "cores")
-    freq = _require(config, "freq")
-    l1i = _require(config, "l1i")
-    l1d = _require(config, "l1d")
-    l2 = _require(config, "l2")
-    l3 = _require(config, "l3")
-    w = profile.working_set_kb
+    w, p, serial = profile.working_set_kb, profile.parallel_fraction, 1.0 - profile.parallel_fraction
+    base_cpi, instructions = profile.base_cpi, profile.instructions
 
-    m_l1i = min(1.0, w / (8 * l1i))
-    m_l1d = min(1.0, w / (4 * l1d))
-    m_l2 = min(1.0, w / (2 * l2))
-    m_l3 = min(1.0, w / (8 * l3))
+    def evaluate(config: Config) -> dict[str, float]:
+        try:  # names the first missing parameter, in this order
+            cores, freq = float(config["cores"]), float(config["freq"])
+            l1i, l1d = float(config["l1i"]), float(config["l1d"])
+            l2, l3 = float(config["l2"]), float(config["l3"])
+        except KeyError as exc:
+            name = exc.args[0]
+            raise EvaluationError(f"synthetic model requires parameter {name!r} in the configuration") from None
 
-    ilp = 1.0
-    if "width" in config:
-        ilp += 0.15 * math.log2(float(config["width"]) / 2)  # type: ignore[arg-type]
-    if "rob" in config:
-        ilp += 0.10 * math.log2(float(config["rob"]) / 32)  # type: ignore[arg-type]
-    if "bpred" in config and str(config["bpred"]).lower().endswith("x2"):
-        ilp += 0.05
+        m_l1i = m if (m := w / (8 * l1i)) < 1.0 else 1.0  # min(1.0, m), NaN included
+        m_l1d = m if (m := w / (4 * l1d)) < 1.0 else 1.0
+        m_l2 = m if (m := w / (2 * l2)) < 1.0 else 1.0
+        m_l3 = m if (m := w / (8 * l3)) < 1.0 else 1.0
 
-    cpi = profile.base_cpi / ilp + 0.2 * (
-        4 * (m_l1d + 0.5 * m_l1i) + 12 * m_l1d * m_l2 + 80 * m_l1d * m_l2 * m_l3
-    )
-    speedup = 1.0 / ((1.0 - profile.parallel_fraction) + profile.parallel_fraction / cores)
-    time_ms = profile.instructions * cpi / (freq * 1000.0 * speedup)
-    power_w = (
-        cores * (0.3 + 1.2 * (freq / 3200.0) ** 3 * ilp)
-        + 1e-4 * cores * (l1i + l1d + l2)
-        + 2e-5 * l3
-    )
-    return {"power": power_w, "time": time_ms}
+        ilp = 1.0
+        if "width" in config:
+            ilp += 0.15 * math.log2(float(config["width"]) / 2)  # type: ignore[arg-type]
+        if "rob" in config:
+            ilp += 0.10 * math.log2(float(config["rob"]) / 32)  # type: ignore[arg-type]
+        if "bpred" in config and str(config["bpred"]).lower().endswith("x2"):
+            ilp += 0.05
+
+        cpi = base_cpi / ilp + 0.2 * (
+            4 * (m_l1d + 0.5 * m_l1i) + 12 * m_l1d * m_l2 + 80 * m_l1d * m_l2 * m_l3
+        )
+        speedup = 1.0 / (serial + p / cores)
+        time_ms = instructions * cpi / (freq * 1000.0 * speedup)
+        power_w = (
+            cores * (0.3 + 1.2 * (freq / 3200.0) ** 3 * ilp)
+            + 1e-4 * cores * (l1i + l1d + l2)
+            + 2e-5 * l3
+        )
+        return {"power": power_w, "time": time_ms}
+
+    return evaluate
+
+
+_MODELS = {name: _model(profile) for name, profile in SYNTHETIC_PROFILES.items()}
 
 
 class SyntheticEvaluator:
-    """Analytic-model backend.
+    """Analytic-model backend: one profile's model per evaluation.
 
     With an explicit profile, every benchmark is evaluated under it. Without
     one, the benchmark name must itself be a built-in profile name
@@ -159,18 +160,17 @@ class SyntheticEvaluator:
                 f"unknown synthetic profile {profile!r}; "
                 f"available: {', '.join(SYNTHETIC_PROFILES)}"
             )
-        self._profile = profile
+        self._model = None if profile is None else _MODELS[profile]
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:
-        name = self._profile if self._profile is not None else benchmark
-        profile = SYNTHETIC_PROFILES.get(name)
-        if profile is None:
+        model = self._model or _MODELS.get(benchmark)
+        if model is None:
             raise UnknownBenchmarkError(
                 f"unknown benchmark {benchmark!r}: no synthetic profile of that "
                 f"name; pass an explicit profile to map all benchmarks onto one"
             )
         try:
-            return synthetic_evaluate(config, profile)
+            return model(config)
         except (ArithmeticError, TypeError, ValueError) as exc:  # a setting outside the model
             raise EvaluationError(
                 f"synthetic model cannot evaluate configuration {dict(config)}: {exc}"

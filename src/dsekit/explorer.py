@@ -74,7 +74,7 @@ def map_ordered(fn, items):
     return map(fn, items)
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
     """One logged evaluation — the first request of a configuration in a run.
 
@@ -137,8 +137,10 @@ class _Session:
     Every evaluation of the search goes through ``evaluate``. A response is
     checked, logged, normalized and scored (by ``score``, built once by
     ``calibrate``) once, on the first request of its configuration; later
-    requests return the same record. ``log`` maps each configuration's key
-    to its record; its values, in request order, are the log.
+    requests return the same record, and once calibrated a new record is
+    scored as it is made. ``log`` maps each configuration's key (``key``, the
+    space's ``config_key``) to its record; its values, in request order, are
+    the log.
     """
 
     def __init__(
@@ -156,18 +158,20 @@ class _Session:
         self.ctx: NormalizationContext | None = None
         self.score: Callable[[dict[str, float]], float] | None = None
         self.log: dict[tuple, EvalRecord] = {}
+        self.key = space.config_key
         self.total_requests = 0
 
     def evaluate(self, config: Config, phase: str) -> EvalRecord:
         metrics = self.evaluator.evaluate(config, self.benchmark)
         self.total_requests += 1
-        key = self.space.config_key(config)
+        key = self.key(config)
         record = self.log.get(key)
         if record is None:
             metrics = check_metrics(self.benchmark, metrics, self.metric_names)
             record = EvalRecord(self.benchmark, phase, len(self.log), dict(config), metrics)
             if self.ctx is not None:
-                self._score(record)
+                record.normalized = self.ctx.normalize(metrics)
+                record.objective = self.score(metrics)  # type: ignore[misc]
             self.log[key] = record
         return record
 
@@ -178,12 +182,8 @@ class _Session:
         check_weights(self.benchmark, self.ctx, self.weights)
         self.score = scorer(self.ctx, self.weights)
         for record in records:
-            self._score(record)
-
-    def _score(self, record: EvalRecord) -> None:
-        assert self.ctx is not None and self.score is not None
-        record.normalized = self.ctx.normalize(record.metrics)
-        record.objective = self.score(record.metrics)
+            record.normalized = self.ctx.normalize(record.metrics)
+            record.objective = self.score(record.metrics)
 
     def result(
         self,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .design_space import values_getter
 from .explorer import EvalRecord
 from .objective import NormalizationContext, WeightVector, objective
 
@@ -22,15 +23,15 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
     Records with identical metric vectors collapse to the earliest log entry.
     The records of a run carry their metrics in the weights' order, so the
     result is sorted ascending by the weights' first metric (the full metric
-    tuple as tie-breaker).
+    tuple as tie-breaker); one getter reads each key by the first record's names.
     """
     if not records:
         raise ValueError("empty evaluation log")
-    metric_names = list(records[0].metrics)
+    values = values_getter(list(records[0].metrics))
 
     earliest: dict[tuple, EvalRecord] = {}
     for record in records:
-        key = tuple(record.metrics[name] for name in metric_names)
+        key = values(record.metrics)
         if key not in earliest or record.seq < earliest[key].seq:
             earliest[key] = record
 
@@ -43,9 +44,11 @@ def pareto_front(records: Sequence[EvalRecord]) -> list[EvalRecord]:
     # whole front, which bounds the total at n + |front|^2 checks.
     front: list[tuple[tuple, EvalRecord]] = []
     for key in sorted(earliest):
-        record = earliest[key]
-        if not any(_dominates_tuple(kept, key) for kept, _ in reversed(front)):
-            front.append((key, record))
+        for kept, _ in reversed(front):
+            if _dominates_tuple(kept, key):
+                break
+        else:
+            front.append((key, earliest[key]))
     return [record for _, record in front]
 
 

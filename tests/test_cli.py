@@ -121,6 +121,49 @@ def synthetic_space(tmp_path, benchmarks=SYNTH_BENCHMARKS, **settings):
     return path
 
 
+#: The ``evals.csv`` and ``pareto.csv`` of ``awkward_run``, byte for byte:
+#: string settings that need quoting, one with a leading space, and an empty one.
+AWKWARD_EVALS = (
+    "benchmark,phase,seq,cores,freq,l1i,l1d,l2,l3,bpred,power,time,norm_power,norm_time,objective\r\n"
+    "synth-blk,oneshot,0,4,2800,32,32,512,4096,BPredX,4.727945,911.7736816406251,1.0,1.0,1.0\r\n"
+    "synth-blk,oneshot,1,4,2800,32,32,512,4096,,4.727945,911.7736816406251,1.0,1.0,1.0\r\n"
+    'synth-blk,exhaustive,2,4,2800,32,32,512,4096,"a,b X2",4.88872625,882.4369469467476,'
+    "1.0340065821408668,0.9678245432122041,0.9744427471050705\r\n"
+    'synth-blk,exhaustive,3,4,2800,32,32,512,4096,"say ""x2""",4.727945,911.7736816406251,1.0,1.0,1.0\r\n'
+    "synth-blk,exhaustive,4,4,2800,32,32,512,4096, lead,4.727945,911.7736816406251,1.0,1.0,1.0\r\n"
+    "synth-fluid,oneshot,0,4,2800,32,32,512,4096,BPredX,4.727945,911.1607142857141,1.0,1.0,1.0\r\n"
+    "synth-fluid,oneshot,1,4,2800,32,32,512,4096,,4.727945,911.1607142857141,1.0,1.0,1.0\r\n"
+    'synth-fluid,exhaustive,2,4,2800,32,32,512,4096,"a,b X2",4.88872625,895.6845238095236,'
+    "1.0340065821408668,0.9830148619957537,0.9881140340102651\r\n"
+    'synth-fluid,exhaustive,3,4,2800,32,32,512,4096,"say ""x2""",4.727945,911.1607142857141,1.0,1.0,1.0\r\n'
+    "synth-fluid,exhaustive,4,4,2800,32,32,512,4096, lead,4.727945,911.1607142857141,1.0,1.0,1.0\r\n"
+)
+AWKWARD_PARETO = (
+    "benchmark,power,time,objective,cores,freq,l1i,l1d,l2,l3,bpred,chosen\r\n"
+    "synth-blk,4.727945,911.7736816406251,1.0,4,2800,32,32,512,4096,BPredX,0\r\n"
+    'synth-blk,4.88872625,882.4369469467476,0.9744427471050705,4,2800,32,32,512,4096,"a,b X2",1\r\n'
+    "synth-fluid,4.727945,911.1607142857141,1.0,4,2800,32,32,512,4096,BPredX,0\r\n"
+    'synth-fluid,4.88872625,895.6845238095236,0.9881140340102651,4,2800,32,32,512,4096,"a,b X2",1\r\n'
+)
+
+
+def awkward_run(runner, tmp_path):
+    """A synthetic run over one setting of each required parameter and
+    ``bpred`` settings that are awkward in a CSV cell; returns its directory."""
+    bpred = ["BPredX", "a,b X2", 'say "x2"', " lead", ""]
+    space_file = synthetic_space(
+        tmp_path, ["synth-blk", "synth-fluid"],
+        cores=[4], freq=[2800], l1i=[32], l1d=[32], l2=[512], l3=[4096], bpred=bpred,
+    )
+    out_dir = tmp_path / "awkward"
+    result = invoke(
+        runner, "run", "--space", space_file, "-T", 5, "--profile", "highperf",
+        "--evaluator", "synthetic", "--out", out_dir, "--jobs", 1,
+    )
+    assert result.exit_code == 0, result.output
+    return out_dir
+
+
 def tree(root):
     """Every file under ``root`` but the manifests, as (path, bytes) pairs."""
     return [
@@ -528,6 +571,13 @@ class TestRun:
         oneshot = [r.config for r in run_result.benchmarks["t"].records[:3]]
         assert oneshot == [{"A": 1, "mode": "0"}, {"A": 2, "mode": "0"}, {"A": 1, "mode": "1"}]
 
+    def test_awkward_string_settings_are_written_as_csv_writes_them(self, runner, tmp_path):
+        run_dir = awkward_run(runner, tmp_path)
+        assert (run_dir / EVALS_FILE).read_bytes() == AWKWARD_EVALS.encode()
+        assert (run_dir / PARETO_FILE).read_bytes() == AWKWARD_PARETO.encode()
+        assert invoke(runner, "oracle", run_dir).exit_code == 0
+        assert invoke(runner, "compare", run_dir, run_dir / "oracle").exit_code == 0
+
     def test_partition_warning_reaches_stderr(self, runner, tmp_path):
         result, _ = do_run(runner, tmp_path, threshold=2)
         assert result.exit_code == 0
@@ -718,6 +768,21 @@ class TestCompareMismatch:
         result = invoke(runner, "compare", tmp_path / "b", run_a / "oracle")
         assert result.exit_code == 1
         assert "disagree on space_sha256" in result.stderr
+
+
+    def test_benchmark_failed_in_the_run_exits_1(self, runner, tmp_path):
+        run_dir = awkward_run(runner, tmp_path)
+        assert invoke(runner, "oracle", run_dir).exit_code == 0
+        path = run_dir / RESULT_FILE
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["benchmarks"]["synth-fluid"].update(
+            error="boom", best_config=None, best_metrics=None, objective=None
+        )
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = invoke(runner, "compare", run_dir, run_dir / "oracle")
+        assert result.exit_code == 1
+        assert result.stderr == "error: benchmark 'synth-fluid' failed in the methodology run: boom\n"
+        assert not (run_dir / COMPARE_JSON_FILE).exists()
 
 
 class TestSweep:

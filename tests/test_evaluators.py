@@ -20,7 +20,7 @@ from dsekit.errors import (
     TableLoadError,
     UnknownBenchmarkError,
 )
-from dsekit.evaluators import SYNTHETIC_PROFILES, look_ahead, synthetic_evaluate
+from dsekit.evaluators import SYNTHETIC_PROFILES, look_ahead
 
 from .bruteforce import sepmono_metrics, synthetic_metrics
 from .conftest import TINY_WEIGHTS, tiny_metrics
@@ -55,25 +55,20 @@ class TestSynthetic:
     @given(config=synth_configs(extended=False))
     @settings(max_examples=40, deadline=None)
     def test_matches_independent_model(self, profile, config):
-        got = synthetic_evaluate(config, SYNTHETIC_PROFILES[profile])
-        want = synthetic_metrics(config, profile)
-        assert got["power"] == pytest.approx(want["power"], rel=1e-12)
-        assert got["time"] == pytest.approx(want["time"], rel=1e-12)
+        # bit for bit: the model does the reference's arithmetic in its order
+        assert SyntheticEvaluator(profile).evaluate(config, "b") == synthetic_metrics(config, profile)
 
     @given(config=synth_configs(extended=True))
     @settings(max_examples=40, deadline=None)
     def test_extended_parameters_match_independent_model(self, config):
-        got = synthetic_evaluate(config, SYNTHETIC_PROFILES["synth-blk"])
-        want = synthetic_metrics(config, "synth-blk")
-        assert got["power"] == pytest.approx(want["power"], rel=1e-12)
-        assert got["time"] == pytest.approx(want["time"], rel=1e-12)
+        assert SyntheticEvaluator("synth-blk").evaluate(config, "b") == synthetic_metrics(config, "synth-blk")
 
     def test_wider_machine_is_faster_and_hotter(self):
         narrow = {"cores": 4, "freq": 2800, "l1i": 32, "l1d": 32, "l2": 512,
                   "l3": 4096, "width": 2, "rob": 32, "bpred": "BPredX"}
         wide = dict(narrow, width=16, rob=256, bpred="BPredX2")
-        m_narrow = synthetic_evaluate(narrow, SYNTHETIC_PROFILES["synth-blk"])
-        m_wide = synthetic_evaluate(wide, SYNTHETIC_PROFILES["synth-blk"])
+        m_narrow = SyntheticEvaluator("synth-blk").evaluate(narrow, "b")
+        m_wide = SyntheticEvaluator("synth-blk").evaluate(wide, "b")
         assert m_wide["time"] < m_narrow["time"]
         assert m_wide["power"] > m_narrow["power"]
 
@@ -93,8 +88,10 @@ class TestSynthetic:
             SyntheticEvaluator("synth-nope")
 
     def test_missing_required_parameter(self):
-        with pytest.raises(EvaluationError, match="cores"):
-            SyntheticEvaluator("synth-blk").evaluate({"freq": 2800}, "b")
+        # the first missing one, in the order cores, freq, l1i, l1d, l2, l3
+        for config, missing in [({"freq": 2800}, "'cores'"), ({"cores": 2, "freq": 1700}, "'l1i'")]:
+            with pytest.raises(EvaluationError, match=f"requires parameter {missing} in"):
+                SyntheticEvaluator("synth-blk").evaluate(config, "b")
 
     @pytest.mark.parametrize(
         "setting",
@@ -105,8 +102,9 @@ class TestSynthetic:
             {"width": 0},  # math domain error from log2
             {"rob": -32},  # math domain error from log2
             {"freq": 1e200},  # OverflowError from the cube
+            {"width": None},  # present, so used: TypeError from float()
         ],
-        ids=["zero-cores", "string-cores", "null-cores", "zero-width", "negative-rob", "huge-freq"],
+        ids=["zero-cores", "string-cores", "null-cores", "zero-width", "negative-rob", "huge-freq", "null-width"],
     )
     def test_setting_outside_the_model_is_an_evaluation_error(self, setting):
         config = {"cores": 4, "freq": 2800, "l1i": 32, "l1d": 32, "l2": 512, "l3": 4096, **setting}
