@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .design_space import DesignSpace, load_space, save_space, space_to_dict, values_getter
+from .design_space import DesignSpace, load_space, save_space, space_to_dict, validate, values_getter
 from .evaluators import cell_reader
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, is_metric_value, validate_weights
@@ -104,14 +104,17 @@ def _check_entries(
     path: Path, payload: Mapping, types: Mapping, space: DesignSpace, weights: Mapping
 ) -> None:
     """Each benchmark entry of the document at ``path`` holds ``types``' keys
-    with their JSON types (never a boolean), a best configuration of ``space``
-    and best metrics of ``weights``, unless null; else a ValueError naming it."""
+    with their JSON types (never a boolean), a finite objective, a best
+    configuration of ``space`` and best metrics of ``weights``, unless null;
+    else a ValueError naming it."""
     settings = {p.name: [(type(s), s) for s in p.settings] for p in space.parameters}  # typed: True == 1
     with _reading(path):
         for name, entry in payload["benchmarks"].items():
             for key, (kind, spelled) in types.items():
                 if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
                     raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
+            if entry["objective"] is not None and not is_metric_value(entry["objective"]):
+                raise ValueError(f"benchmark {name!r}: 'objective' is {entry['objective']!r}, not finite")
             config = entry["best_config"]
             if config is not None and (
                 config.keys() != set(space.names)
@@ -364,9 +367,10 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     """Rebuild a RunResult (manifest, results, full log) from a run directory.
 
     A missing key, a wrong shape or a wrong value type in one of its files is
-    a ValueError that names the file. So are weights that are invalid or not
-    the manifest's, maxima or best points that are not of those weights and
-    the space, an ``evals.csv`` header other than the one ``write_run_dir``
+    a ValueError that names the file. So are a space that ``validate``
+    refuses or that the manifest does not hash, weights that are invalid or
+    not the manifest's, maxima or best points that are not of those weights
+    and the space, an ``evals.csv`` header other than the one ``write_run_dir``
     writes, a row with more cells than it or a blank metric cell, and log
     rows of a benchmark that ``result.json`` does not hold. So is a
     ``result.json`` entry that ``evals.csv`` contradicts: a unique
@@ -379,7 +383,13 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     for key, kind in _MANIFEST_KEYS.items():
         if not isinstance(manifest.get(key), kind):
             raise ValueError(f"{manifest_path}: {key!r} is missing or not a {kind.__name__}")
-    space = load_space(run_dir / SPACE_FILE)
+    space_path = run_dir / SPACE_FILE
+    space = load_space(space_path)
+    violations = validate(space)
+    if not violations and space_hash(space) != manifest["space_sha256"]:
+        violations = [f"not the space whose hash {MANIFEST_FILE} records"]
+    if violations:
+        raise ValueError(f"{space_path}: " + "; ".join(violations))
     result_path = run_dir / RESULT_FILE
     payload = _load_json(result_path)
     evals_path = run_dir / EVALS_FILE

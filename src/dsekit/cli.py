@@ -10,9 +10,10 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 ``run`` is a ``sweep`` of one threshold: both declare their inputs with
 ``_search_options`` and hand them to ``_search_command``, which checks
 every input before it builds the backend, searches each (threshold,
-benchmark) pair in a forked child for an in-process backend, at most
-``--jobs`` at once, and writes every run directory in this process from
-the parts the searches rendered.
+benchmark) pair through ``oracle_compare._fanned`` (in a forked child for
+an in-process backend, at most ``--jobs`` at once, else in turn), and
+writes every run directory in this process from the parts the searches
+rendered.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_eval
 from .explorer import RunResult, check_inputs, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
 from .oracle_compare import compare as compare_runs
-from .oracle_compare import _forked, enumeration_guard, oracle_search
+from .oracle_compare import _fanned, enumeration_guard, oracle_search
 from .pareto import pareto_front, select_tradeoff
 
 EXIT_VALIDATION = 1
@@ -136,7 +137,7 @@ _JOBS_OPTION = click.option(
     callback=_resolve_jobs,
     help="Worker processes of an exec: evaluator, or, for an in-process one, the "
     "forked children alive at once, each searching one benchmark at one threshold "
-    "(run, sweep) or scoring one slice of the enumeration for all benchmarks "
+    "(run, sweep) or scoring one index range of the enumeration for all benchmarks "
     "(oracle) [default: the CPUs available]. Results do not depend on it.",
 )
 
@@ -231,18 +232,17 @@ def _search_command(
 
     Every input is checked, and the space's warnings printed, before the
     backend is built, so a refused command starts no worker, reads no
-    table and writes nothing. With a backend without ``submit`` (an
-    in-process one), `jobs` > 1 and more than one (threshold, benchmark)
-    pair, each pair is searched through its own cache in a forked child, at
-    most `jobs` at once, the largest threshold first; each child returns
-    its part, or the exception it raised. Otherwise the thresholds are
-    searched in turn in this process through one cache, so an ``exec:``
-    backend is never asked twice for a configuration, and each directory
-    is written as soon as its threshold is searched. Either way the
-    directories are written in threshold order, up to the first threshold
-    with a failed search, where the exception of its first failed
-    benchmark is raised. So the files written and the error raised are
-    those of one serial loop over the thresholds.
+    table and writes nothing. Each (threshold, benchmark) pair is searched
+    through one cache, which returns its part or the exception it raised,
+    by ``_fanned``: in forked children, at most `jobs` at once, the largest
+    threshold first, each with an empty copy of the cache; or in turn in
+    this process, sharing the cache, so an ``exec:`` backend is never asked
+    twice for a configuration, and only as the directories are written.
+    The directories are written in threshold order, each from its
+    benchmarks' outcomes in order, up to the first failed search, whose
+    exception is raised. So the files written and the error raised are
+    those of one serial loop over the thresholds, which makes no search
+    after a failed one.
     """
     space = _load_space(space_spec)
     weights = _resolve_weights(weights_text, profile)
@@ -252,30 +252,26 @@ def _search_command(
     for warning in validation_warnings(space):
         click.echo(f"warning: {warning}", err=True)
     with _evaluator(evaluator_spec, space, timeout, jobs) as evaluator:
+        cache = CachedEvaluator(evaluator)
+
+        def search(pair: tuple[int, str]) -> tuple:
+            index, benchmark = pair
+            try:
+                return _rendered(run_search(space, cache, weights, thresholds[index], [benchmark])), None
+            except Exception as exc:
+                return None, exc
+
         pairs = list(product(range(len(thresholds)), space.benchmarks))
-        if hasattr(evaluator, "submit") or jobs == 1 or len(pairs) == 1:
-            cache = CachedEvaluator(evaluator)
-            rows = ([(_rendered(run_search(space, cache, weights, t)), None)] for t in thresholds)
-        else:
-
-            def search(pair: tuple[int, str]) -> tuple:
-                index, benchmark = pair
-                try:
-                    result = run_search(space, evaluator, weights, thresholds[index], [benchmark])
-                    return _rendered(result), None
-                except BaseException as exc:  # an interrupt too: the parent raises it in order
-                    return None, exc
-
-            # the largest threshold first, since the work of a search grows with it
-            order = sorted(pairs, key=lambda pair: -thresholds[pair[0]])
-            outcomes = dict(zip(order, _forked(search, order, jobs)))
-            rows = ([outcomes[k, name] for name in space.benchmarks] for k in range(len(thresholds)))
+        # the largest threshold first, since the work of a search grows with it
+        outcomes = iter(_fanned(search, pairs, jobs, evaluator, first=lambda pair: -thresholds[pair[0]]))
         entries = []
-        for threshold, out, row in zip(thresholds, outs, rows):
-            for _, error in row:
+        for threshold, out in zip(thresholds, outs):
+            parts = []
+            for _ in space.benchmarks:
+                part, error = next(outcomes)
                 if error is not None:
                     raise error
-            parts = [part for part, _ in row]
+                parts.append(part)
             manifest = artifacts.build_manifest(
                 space,
                 space_file=space_spec,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -132,9 +132,10 @@ def cardinality(space: DesignSpace) -> int:
 
 
 def enumerate_configs(
-    space: DesignSpace, fixed: Mapping[str, Setting] | None = None
+    space: DesignSpace, fixed: Mapping[str, Setting] | None = None, start: int = 0, stop: int | None = None
 ) -> Iterator[Config]:
-    """Stream every configuration of `space` that holds `fixed` constant.
+    """Stream the configurations of `space` that hold `fixed` constant, at positions
+    `start` (>= 0) up to `stop` of that stream; no dict is built for a skipped one.
 
     The stream is lexicographic in declaration order, with the last parameter
     varying fastest; a fixed parameter takes only its fixed value. Emitted
@@ -148,7 +149,7 @@ def enumerate_configs(
             raise ValueError(f"fixed value {value!r} is not a setting of {name!r}")
     names = space.names
     settings = [(fixed[p.name],) if p.name in fixed else p.settings for p in space.parameters]
-    for combo in product(*settings):
+    for combo in islice(product(*settings), start, stop):
         yield dict(zip(names, combo))
 
 

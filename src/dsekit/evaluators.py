@@ -23,9 +23,9 @@ that can work ahead also has ``submit(config, benchmark) -> bool``, a hint
 that the caller will ask for that configuration later; ``look_ahead`` feeds
 it a stream of independent requests. Only ``ExternalEvaluator`` (and a cache
 around it) has one, so a search evaluates the in-process backends one
-request at a time. The CLI spreads them over forked processes instead:
-``run`` and ``sweep`` by (threshold, benchmark) pairs (``cli``), the
-oracle by slices of the enumeration (``oracle_compare``).
+request at a time. The CLI spreads them over forked processes instead
+(``oracle_compare._fanned``): ``run`` and ``sweep`` by (threshold,
+benchmark) pairs, the oracle by index ranges of the enumeration.
 """
 
 from __future__ import annotations

@@ -8,14 +8,13 @@ over full enumeration. The oracle reuses each run benchmark's normalization
 context, so objective values are directly comparable.
 
 One pass scores every benchmark: each configuration for each benchmark in
-turn, in contiguous slices of the enumeration forked with ``jobs`` > 1 and
-merged in order, so the answers and the error do not depend on ``jobs``.
-The pass stops at its first failure, in enumeration order, and makes no
-request after it. An ``exec:`` backend is never forked; its worker pool is
-fed ahead.
-The fork helper, ``_forked``, a pool of at most ``jobs`` forked children,
-also serves the CLI, which searches each (threshold, benchmark) pair of
-``run`` and ``sweep`` in a child of its own.
+turn, in up to ``jobs`` equal index ranges of the one enumeration, merged
+in order, so the answers and the error do not depend on ``jobs``. The pass
+stops at its first failure, in enumeration order, and makes no request
+after it. ``_fanned`` alone decides when work is forked, for the oracle's
+ranges and for the CLI's (threshold, benchmark) searches of ``run`` and
+``sweep``: into at most ``jobs`` children (``_forked``) for a backend
+without ``submit``; an ``exec:`` worker pool is fed ahead instead.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ import os
 import selectors
 import signal
 from dataclasses import dataclass
-from itertools import chain, product
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, cardinality, enumerate_configs
 from .errors import DseError, GuardExceededError
@@ -82,13 +80,13 @@ def oracle_search(
     `contexts` order within a configuration), and no request follows it.
 
     The space is enumerated once, each configuration scored for every
-    benchmark in turn; with `jobs` > 1, in up to `jobs` contiguous slices,
-    each in a child made with ``os.fork`` (POSIX only), which reads a
-    ``CachedEvaluator`` passed in but does not fill it: fork only from a
-    process that runs no other threads. A backend with ``submit`` (an
-    ``exec:`` pool) is never forked; its requests are fed ahead. The serial
-    ``oracle_search(space, benchmark, evaluator, weights, ctx)`` returns one
-    benchmark's OracleResult."""
+    benchmark in turn, in up to `jobs` equal index ranges (``_fanned``):
+    with `jobs` > 1, each in a child made with ``os.fork`` (POSIX only),
+    which reads a ``CachedEvaluator`` passed in but does not fill it: fork
+    only from a process that runs no other threads. A backend with
+    ``submit`` (an ``exec:`` pool) takes the ranges in turn, each fed ahead.
+    The serial ``oracle_search(space, benchmark, evaluator, weights, ctx)``
+    returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
         return oracle_search(space, {contexts: jobs}, evaluator, weights)[contexts]  # type: ignore
     limit = enumeration_guard()
@@ -105,11 +103,14 @@ def oracle_search(
     if not scorers:
         return {}
     names = list(weights)
-    slices = [] if jobs == 1 or hasattr(evaluator, "submit") else _slices(space, jobs)
-    if len(slices) > 1:  # per slice, in order; the earliest slice's error is raised
-        outcomes = _forked(lambda configs: _best_of(configs(), evaluator, names, scorers), slices, jobs)
-    else:
-        outcomes = [_best_of(enumerate_configs(space), evaluator, names, scorers)]
+    bounds = [size * i // jobs for i in range(jobs + 1)]
+    ranges = [range(start, stop) for start, stop in zip(bounds, bounds[1:]) if start < stop]
+
+    def best_in(positions: range) -> list[_Best]:
+        configs = enumerate_configs(space, start=positions.start, stop=positions.stop)
+        return _best_of(configs, evaluator, names, scorers)
+
+    outcomes = list(_fanned(best_in, ranges, jobs, evaluator))  # the earliest range's error is raised
     results = {}
     for index, benchmark in enumerate(scorers):
         # the strict minimum, earliest on ties, as in one serial loop
@@ -121,8 +122,6 @@ def oracle_search(
 _Best = tuple[float, Optional[Config], Optional[dict[str, float]]]
 _Item = TypeVar("_Item")
 _Value = TypeVar("_Value")
-#: Leading-parameter prefixes wanted per job, so slices come out near-equal.
-_PREFIXES_PER_JOB = 8
 #: Bytes read from a child's pipe per ready event: the default pipe capacity.
 _PIPE_READ = 1 << 16
 
@@ -149,37 +148,23 @@ def _best_of(
     return bests
 
 
-def _slices(space: DesignSpace, jobs: int) -> list[Callable[[], Iterator[Config]]]:
-    """Up to `jobs` contiguous slices of the enumeration, each a function
-    that streams its configurations in the global order.
-
-    Leading parameters are fixed, in declaration order, until their
-    combinations (prefixes) number at least ``_PREFIXES_PER_JOB * jobs`` or
-    the parameters run out; each slice takes a contiguous run of prefixes
-    and enumerates the remaining parameters under each.
-    """
-    lead = 0
-    count = 1
-    while lead < len(space.parameters) and count < _PREFIXES_PER_JOB * jobs:
-        count *= len(space.parameters[lead])
-        lead += 1
-    names = space.names
-    prefixes = list(product(*(p.settings for p in space.parameters[:lead])))
-
-    def configs(group: list[tuple]) -> Callable[[], Iterator[Config]]:
-        return lambda: chain.from_iterable(
-            enumerate_configs(space, dict(zip(names, prefix))) for prefix in group
-        )
-
-    return [configs(group) for group in _contiguous(prefixes, jobs)]
-
-
-def _contiguous(items: Sequence[_Item], parts: int) -> list[Sequence[_Item]]:
-    """`items` cut into up to `parts` nonempty contiguous runs, in order;
-    when they cannot all be the same length, the earlier runs are one longer."""
-    count = min(parts, len(items))
-    bounds = [-(-len(items) * i // count) for i in range(count + 1)]
-    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
+def _fanned(
+    fn: Callable[[_Item], _Value],
+    items: Sequence[_Item],
+    jobs: int,
+    evaluator: Evaluator,
+    first: Optional[Callable[[_Item], Any]] = None,
+) -> Iterable[_Value]:
+    """``fn(item)`` for each of `items`, in item order. The calls are forked
+    (``_forked``, at most `jobs` children at once, started in the order of
+    the key `first` if given) only when the backend `evaluator` has no
+    ``submit``, `jobs` > 1 and there are two items or more; else each is
+    made in this process, in order, only as its value is taken."""
+    if hasattr(evaluator, "submit") or jobs == 1 or len(items) < 2:
+        return map(fn, items)
+    order = sorted(range(len(items)), key=lambda i: first(items[i])) if first else range(len(items))
+    values = dict(zip(order, _forked(fn, [items[i] for i in order], jobs)))
+    return [values[i] for i in range(len(items))]
 
 
 def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) -> list[_Value]:

@@ -28,7 +28,7 @@ from dsekit.artifacts import (
     replay_hash,
     space_hash,
 )
-from dsekit import cli, errors
+from dsekit import cli, errors, oracle_compare
 from dsekit.cli import main
 from dsekit.evaluators import SyntheticEvaluator
 from dsekit.explorer import run as run_search
@@ -707,6 +707,25 @@ class TestOracle:
         assert result.stderr == "error: u fault\n"
         assert not (run_dir / "oracle").exists()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("settings", [[], [200, 100]], ids=["empty", "reordered"])
+    def test_space_refused_or_not_the_hashed_one_exits_1(self, runner, tmp_path, settings, jobs):
+        # the table lacks A=2: the run fails after calibration, its maxima recorded
+        rows = write_tiny_csv(tmp_path / "tiny.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "tiny.csv").write_text("".join(r for r in rows if ",2," not in r), encoding="utf-8")
+        ran, run_dir = do_run(runner, tmp_path)
+        assert ran.exit_code == 2
+        assert json.loads((run_dir / RESULT_FILE).read_text(encoding="utf-8"))["benchmarks"]["t"]["normalization"]["maxima"]
+        space = json.loads((run_dir / SPACE_FILE).read_text(encoding="utf-8"))
+        space["parameters"][1]["settings"] = settings
+        (run_dir / SPACE_FILE).write_text(json.dumps(space), encoding="utf-8")
+        result = invoke(runner, "oracle", run_dir, "--jobs", jobs)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {run_dir / SPACE_FILE}: ")
+        assert not (run_dir / "oracle").exists()
+
     def test_backend_metric_order_does_not_reach_the_outputs(self, runner, tmp_path, monkeypatch):
         """A backend that answers time before power writes the run directory
         and oracle of one that answers power first, as the weights order them."""
@@ -782,6 +801,21 @@ class TestCompareMismatch:
         result = invoke(runner, "compare", run_dir, run_dir / "oracle")
         assert result.exit_code == 1
         assert result.stderr == "error: benchmark 'synth-fluid' failed in the methodology run: boom\n"
+        assert not (run_dir / COMPARE_JSON_FILE).exists()
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+    def test_non_finite_oracle_objective_exits_1(self, runner, tmp_path, value):
+        _, run_dir = do_run(runner, tmp_path)
+        assert invoke(runner, "oracle", run_dir).exit_code == 0
+        path = run_dir / "oracle" / ORACLE_FILE
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for entry in doc["benchmarks"].values():
+            entry["objective"] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = invoke(runner, "compare", run_dir, run_dir / "oracle")
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {path}: malformed: benchmark 't': 'objective' is {value!r}, not finite\n"
         assert not (run_dir / COMPARE_JSON_FILE).exists()
 
 
@@ -1415,13 +1449,13 @@ class TestJobs:
 
     def test_sweep_split_over_two_children_writes_the_serial_bytes(self, runner, tmp_path, monkeypatch):
         dispatched = []
-        forked = cli._forked
+        forked = oracle_compare._forked
 
         def recorded(fn, items, jobs):
             dispatched.append(list(items))
             return forked(fn, items, jobs)
 
-        monkeypatch.setattr(cli, "_forked", recorded)
+        monkeypatch.setattr(oracle_compare, "_forked", recorded)
         common = ["--space", synthetic_space(tmp_path), "--weights", "power=0.6,time=0.4", "--evaluator", "synthetic"]
         outputs = []
         for jobs in (1, 2):
@@ -1433,6 +1467,50 @@ class TestJobs:
         assert outputs[0] == outputs[1]
         # one search per (threshold, benchmark), the largest threshold first
         assert dispatched == [[(k, name) for k in (1, 0, 2) for name in SYNTH_BENCHMARKS]]
+
+
+    def test_sweep_with_a_submit_backend_is_never_forked(self, runner, tmp_path, monkeypatch):
+        class Pooled(SyntheticEvaluator):
+            """The synthetic model behind the ``submit`` hint of an exec: pool."""
+
+            def submit(self, config, benchmark):
+                return False
+
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: Pooled())
+        common = ["--space", synthetic_space(tmp_path), "--weights", "power=0.6,time=0.4", "--evaluator", "synthetic"]
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            result = invoke(runner, "sweep", *common, "--thresholds", "8,32,1", "--out", out, "--jobs", jobs)
+            assert result.exit_code == 0, result.output
+            outputs.append((result.stdout, result.stderr, tree(out)))
+        assert forks == []
+        assert len(outputs[0][2]) == 1 + 3 * 5
+        assert outputs[0] == outputs[1]
+
+    def test_serial_sweep_writes_each_directory_and_stops_at_a_failed_search(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        searched = []
+        failing = failing_search({("synth-fluid", 8)})
+
+        def recorded(space, evaluator, weights, threshold, benchmarks=None):
+            written = sorted(path.name for path in out.iterdir()) if out.exists() else []
+            searched.append((threshold, *benchmarks, written))
+            return failing(space, evaluator, weights, threshold, benchmarks)
+
+        monkeypatch.setattr(cli, "run_search", recorded)
+        result = invoke(
+            runner, "sweep", "--space", synthetic_space(tmp_path), "--profile", "lowpower",
+            "--evaluator", "synthetic", "--thresholds", "1,8,32", "--out", out, "--jobs", 1,
+        )
+        assert (result.exit_code, result.stderr) == (1, "error: no search of synth-fluid at T=8\n")
+        assert searched == [
+            (1, "synth-blk", []), (1, "synth-fluid", []), (1, "synth-ocean", []),
+            (8, "synth-blk", ["run01-T1"]), (8, "synth-fluid", ["run01-T1"]),
+        ]
 
 
 def failing_search(failures):

@@ -161,6 +161,21 @@ class TestEnumerate:
         assert got == want
         assert all(list(c) == names for c in got)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_slice_the_enumeration(self, data):
+        space = data.draw(small_spaces())
+        fixed = {
+            name: data.draw(st.sampled_from(space.parameter(name).settings))
+            for name in data.draw(st.lists(st.sampled_from(space.names), unique=True))
+        }
+        # past the end and start > stop included
+        start = data.draw(st.integers(0, cardinality(space) + 2))
+        stop = data.draw(st.none() | st.integers(0, cardinality(space) + 2))
+        got = [list(c.items()) for c in enumerate_configs(space, fixed, start, stop)]
+        want = [list(c.items()) for c in enumerate_configs(space, fixed)][start:stop]
+        assert got == want
+
 
 class TestSerialization:
     def test_round_trip_dict(self, tiny_space):

@@ -22,17 +22,15 @@ from dsekit.objective import NormalizationContext, check_metrics, objective
 from dsekit.oracle_compare import (
     DEFAULT_GUARD,
     GUARD_ENV,
-    _contiguous,
     _forked,
-    _slices,
     enumeration_guard,
 )
 
 from .conftest import TINY_WEIGHTS, tiny_metrics
 
 TINY_BEST_F = 0.3513986013986014
-#: Oracle job counts each search case runs at: serial, and 2, 3 and 6 slices
-#: of the tiny space's six configurations.
+#: Oracle job counts each search case runs at: serial, and 2, 3 and 6 index
+#: ranges of the tiny space's six configurations.
 JOBS = (1, 2, 3, 8)
 
 
@@ -143,8 +141,8 @@ class TestOracleSearch:
         events = []
         enumerate_all = oc.enumerate_configs
 
-        def enumerate_logged(space):
-            for config in enumerate_all(space):
+        def enumerate_logged(space, fixed=None, start=0, stop=None):
+            for config in enumerate_all(space, fixed, start, stop):
                 events.append("next")
                 yield config
 
@@ -508,20 +506,35 @@ class TestSlices:
         ],
         ids=["tiny", "single-settings", "parsec-small"],
     )
-    def test_slices_concatenate_to_the_enumeration(self, space):
-        # items, not dicts: the key order is written out too
-        whole = [list(c.items()) for c in enumerate_configs(space)]
-        for jobs in range(2, 9):
-            slices = [[list(c.items()) for c in configs()] for configs in _slices(space, jobs)]
-            assert 1 <= len(slices) <= jobs
-            assert all(slices)
-            assert [c for part in slices for c in part] == whole
+    def test_slices_concatenate_to_the_enumeration(self, space, monkeypatch):
+        """The oracle's index ranges, which a pooled backend takes in turn in
+        this process, are near-equal and concatenate to the enumeration."""
+        import dsekit.oracle_compare as oc
 
-    def test_contiguous_runs_give_the_extra_items_to_the_earlier_runs(self):
-        names = ("synth-blk", "synth-fluid", "synth-ocean")
-        assert _contiguous(names, 2) == [names[:2], names[2:]]
-        assert _contiguous(names, 5) == [names[:1], names[1:2], names[2:]]
-        assert [len(run) for run in _contiguous(range(7), 3)] == [3, 2, 2]
+        class Pooled:
+            def submit(self, config, benchmark):
+                return False  # no free slot: each request waits for its turn
+
+            def evaluate(self, config, benchmark):
+                return {"power": 1.0, "time": 1.0}
+
+        slices = []
+
+        def enumerate_recorded(space, fixed=None, start=0, stop=None):
+            slices.append([])
+            for config in enumerate_configs(space, fixed, start, stop):
+                slices[-1].append(list(config.items()))  # items: the key order is checked too
+                yield config
+
+        monkeypatch.setattr(oc, "enumerate_configs", enumerate_recorded)
+        whole = [list(c.items()) for c in enumerate_configs(space)]
+        contexts = {"t": NormalizationContext({"power": 1.0, "time": 1.0})}
+        for jobs in range(2, 9):
+            slices.clear()
+            oracle_search(space, contexts, Pooled(), TINY_WEIGHTS, jobs)
+            assert len(slices) == min(jobs, len(whole))
+            assert max(map(len, slices)) - min(map(len, slices)) <= 1
+            assert [c for part in slices for c in part] == whole
 
 
 class TestCompare:
