@@ -14,6 +14,12 @@ benchmark) pair through ``oracle_compare._fanned`` (in a forked child for
 an in-process backend, at most ``--jobs`` at once, else in turn), and
 writes every run directory in this process from the parts the searches
 rendered.
+
+Only click, the standard library, ``errors`` and ``objective`` (its
+``WEIGHT_PROFILES`` are the ``--profile`` choices) load with this module.
+Every other name the commands use stays a module attribute (``_NAMES``),
+bound on first access; a command binds those not bound yet just before its
+callback runs, keeping a patched one, as ``perfbench/tracing.py`` needs.
 """
 
 from __future__ import annotations
@@ -30,22 +36,35 @@ from typing import Iterator
 
 import click
 
-from . import __version__, artifacts
-from .design_space import (
-    DesignSpace,
-    cardinality,
-    load_space,
-    shipped_space_path,
-    validate,
-    validation_warnings,
-)
+from . import __version__, _bind_on_first_use
 from .errors import DseError, EvaluationError
-from .evaluators import CachedEvaluator, Evaluator, ExternalEvaluator, make_evaluator
-from .explorer import RunResult, check_inputs, run as run_search
 from .objective import WEIGHT_PROFILES, parse_weights
-from .oracle_compare import compare as compare_runs
-from .oracle_compare import _fanned, enumeration_guard, oracle_search
-from .pareto import pareto_front, select_tradeoff
+
+#: The names the commands use from the other modules: (home module, its name
+#: there, None for the module itself).
+_NAMES = {
+    "artifacts": ("artifacts", None),
+    "DesignSpace": ("design_space", "DesignSpace"),
+    "cardinality": ("design_space", "cardinality"),
+    "load_space": ("design_space", "load_space"),
+    "shipped_space_path": ("design_space", "shipped_space_path"),
+    "validate": ("design_space", "validate"),
+    "validation_warnings": ("design_space", "validation_warnings"),
+    "CachedEvaluator": ("evaluators", "CachedEvaluator"),
+    "Evaluator": ("evaluators", "Evaluator"),
+    "ExternalEvaluator": ("evaluators", "ExternalEvaluator"),
+    "make_evaluator": ("evaluators", "make_evaluator"),
+    "RunResult": ("explorer", "RunResult"),
+    "check_inputs": ("explorer", "check_inputs"),
+    "run_search": ("explorer", "run"),
+    "compare_runs": ("oracle_compare", "compare"),
+    "_fanned": ("oracle_compare", "_fanned"),
+    "enumeration_guard": ("oracle_compare", "enumeration_guard"),
+    "oracle_search": ("oracle_compare", "oracle_search"),
+    "pareto_front": ("pareto", "pareto_front"),
+    "select_tradeoff": ("pareto", "select_tradeoff"),
+}
+__getattr__ = _bind_on_first_use(globals(), _NAMES)
 
 EXIT_VALIDATION = 1
 EXIT_EVALUATOR = 2
@@ -72,10 +91,21 @@ def _terminate(signum, frame) -> None:
     raise _Terminated
 
 
+class _Command(click.Command):
+    """A command that binds every name of ``_NAMES`` not bound yet, then runs."""
+
+    def invoke(self, ctx: click.Context):
+        for name in _NAMES.keys() - globals().keys():
+            __getattr__(name)
+        return super().invoke(ctx)
+
+
 class _Main(click.Group):
     """The command group; a mapped failure prints ``error: ...`` and exits. A
     SIGTERM, unless handled already or off the main thread, unwinds the
     command as SIGINT does, then ends the process by SIGTERM."""
+
+    command_class = _Command
 
     def invoke(self, ctx: click.Context):
         owned = threading.current_thread() is threading.main_thread()

@@ -111,6 +111,13 @@ def validate(space: DesignSpace) -> list[str]:
     return violations
 
 
+def check_space(space: DesignSpace) -> None:
+    """``run``'s and ``oracle_search``'s check: a ValueError unless valid."""
+    violations = validate(space)
+    if violations:
+        raise ValueError("invalid space: " + "; ".join(violations))
+
+
 def validation_warnings(space: DesignSpace) -> list[str]:
     """Non-fatal advisories, e.g. numeric settings not in ascending order."""
     warnings = []

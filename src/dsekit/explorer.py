@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .design_space import Config, DesignSpace, enumerate_configs, validate
+from .design_space import Config, DesignSpace, check_space, enumerate_configs
 from .errors import DegenerateMetricError, EvaluationError
 from .evaluators import CachedEvaluator, Evaluator, look_ahead
 from .objective import (  # noqa: F401 -- objective: see map_ordered
@@ -320,9 +320,7 @@ def _greedy(
 def check_inputs(space: DesignSpace, weights: WeightVector, threshold: int) -> None:
     """The checks ``run`` makes before any evaluation: a ValueError unless
     the space, the threshold and the weights are valid."""
-    violations = validate(space)
-    if violations:
-        raise ValueError("invalid space: " + "; ".join(violations))
+    check_space(space)
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     violations = validate_weights(weights)

@@ -26,7 +26,7 @@ import signal
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from .design_space import Config, DesignSpace, cardinality, enumerate_configs
+from .design_space import Config, DesignSpace, cardinality, check_space, enumerate_configs
 from .errors import DseError, GuardExceededError
 from .evaluators import Evaluator, look_ahead
 from .explorer import RunResult, map_ordered  # noqa: F401 -- see explorer.map_ordered
@@ -74,8 +74,9 @@ def oracle_search(
     maps it to its methodology run context; per benchmark, the strict-minimum
     F wins, earliest on ties, its metrics in the weights' order. A response
     must hold exactly the weights' metrics, all finite (else EvaluationError).
-    Every benchmark's weights are checked before any request, the first
-    refusal raised (DegenerateMetricError); then the first evaluation failure
+    Before any request, an invalid space raises ``run``'s ValueError, then
+    every benchmark's weights are checked, the first refusal raised
+    (DegenerateMetricError); then the first evaluation failure
     is raised, in enumeration order (configuration-major, the benchmarks in
     `contexts` order within a configuration), and no request follows it.
 
@@ -89,6 +90,7 @@ def oracle_search(
     returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
         return oracle_search(space, {contexts: jobs}, evaluator, weights)[contexts]  # type: ignore
+    check_space(space)
     limit = enumeration_guard()
     size = cardinality(space)
     if size > limit:

@@ -632,6 +632,27 @@ class TestOracle:
         assert "speedup" in text
         assert compared.stdout.rstrip("\n") in text.rstrip("\n")
 
+    def test_oracle_and_compare_call_the_names_patched_on_cli(self, runner, tmp_path, monkeypatch):
+        # as perfbench/tracing.py wraps them to time each layer
+        _, run_dir = do_run(runner, tmp_path)
+        calls = []
+
+        def recorded(name):
+            function = getattr(cli, name)
+
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+
+            monkeypatch.setattr(cli, name, call)
+
+        recorded("oracle_search")
+        recorded("compare_runs")
+        assert invoke(runner, "oracle", run_dir).exit_code == 0
+        assert calls == ["oracle_search"]
+        assert invoke(runner, "compare", run_dir, run_dir / "oracle").exit_code == 0
+        assert calls == ["oracle_search", "compare_runs"]
+
     def test_a_run_with_no_calibrated_benchmark_gives_an_empty_oracle(self, runner, tmp_path):
         space = tmp_path / "u.json"
         parameters = [{"name": "A", "settings": [1, 2, 4]}, {"name": "B", "settings": [100, 200]}]

@@ -348,6 +348,25 @@ class TestOnePassForEveryBenchmark:
         assert made == []
         assert forks == []
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_an_invalid_space_is_refused_as_run_refuses_it(self, forks, jobs):
+        made = []
+
+        class Requests:
+            def evaluate(self, config, benchmark):
+                made.append(benchmark)
+                return tiny_metrics(config["A"], config["B"])
+
+        space = make_space([("A", [1, 2]), ("B", [])], ["t"])
+        ctx = NormalizationContext({"power": 2.4, "time": 26.0})
+        refusal = "^invalid space: parameter 'B' has an empty settings list$"
+        with pytest.raises(ValueError, match=refusal):
+            oracle_search(space, {"t": ctx}, Requests(), TINY_WEIGHTS, jobs)
+        with pytest.raises(ValueError, match=refusal):
+            run(space, Requests(), TINY_WEIGHTS, 1)
+        assert made == []
+        assert forks == []
+
     def test_a_benchmark_after_a_failed_one_gets_no_further_requests(self, tiny_space):
         made = []
 
