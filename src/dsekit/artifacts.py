@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, validate, values_getter
-from .evaluators import cell_reader
+from .evaluators import csv_rows
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, is_metric_value, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
@@ -67,7 +67,8 @@ _RESULT_ENTRY_TYPES = {
     "unique_evaluations": (int, "an integer"),
     "total_requests": (int, "an integer"),
 }
-#: Per-benchmark ``oracle.json`` values that ``compare`` reads, with their JSON types.
+#: Per-benchmark ``oracle.json`` values, in the order written, with their JSON
+#: types: the ``OracleResult`` fields that ``compare`` reads.
 _ORACLE_ENTRY_TYPES = {
     "best_config": (dict, "an object"),
     "best_metrics": (dict, "an object"),
@@ -371,8 +372,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     refuses or that the manifest does not hash, weights that are invalid or
     not the manifest's, maxima or best points that are not of those weights
     and the space, an ``evals.csv`` header other than the one ``write_run_dir``
-    writes, a row with more cells than it or a blank metric cell, and log
-    rows of a benchmark that ``result.json`` does not hold. So is a
+    writes, a row ``csv_rows`` refuses, a blank metric cell, a blank score of
+    a benchmark whose ``error`` is null and log rows of a benchmark that
+    ``result.json`` does not hold. So is a
     ``result.json`` entry that ``evals.csv`` contradicts: a unique
     evaluation count other than its row count, or a best point (configuration,
     metrics and objective) that is not one of its rows; the floats
@@ -402,23 +404,24 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             violations.append(f"{MANIFEST_FILE} has {manifest['weights']}")
         if violations:
             raise ValueError(f"weights {weights}: " + "; ".join(violations))
+        succeeded = {name for name, entry in payload["benchmarks"].items() if entry.get("error") is None}
 
     records: dict[str, list[EvalRecord]] = {}
+    score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
     with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
         reader = csv.DictReader(fh)
         header = _evals_header(space, list(weights))
         if reader.fieldnames != header:
             raise ValueError(f"header {reader.fieldnames} is not {header}")
-        read = cell_reader(space)
-        for row in reader:
-            if None in row:  # DictReader's key for the cells beyond the header
-                raise ValueError(f"line {reader.line_num} has more cells than the header")
+        for line, _, config, row in csv_rows(reader, space):
+            if "" in score_texts(row) and row["benchmark"] in succeeded:
+                raise ValueError(f"line {line}: a blank score, but benchmark {row['benchmark']!r} succeeded")
             normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
             record = EvalRecord(
                 benchmark=row["benchmark"],
                 phase=row["phase"],
                 seq=int(row["seq"]),
-                config={p: read(p, row[p]) for p in space.names},
+                config=config,
                 metrics={m: float(row[m]) for m in weights},
                 normalized=normalized or None,
                 objective=float(row["objective"]) if row["objective"] else None,
@@ -482,15 +485,7 @@ def oracle_payload(
         "evaluator": run_manifest["evaluator"],
         "run_replay_hash": run_manifest["replay_hash"],
         "guard": guard,
-        "benchmarks": {
-            name: {
-                "best_config": r.best_config,
-                "best_metrics": r.best_metrics,
-                "objective": r.objective,
-                "evaluations": r.evaluations,
-            }
-            for name, r in results.items()
-        },
+        "benchmarks": {name: {key: getattr(r, key) for key in _ORACLE_ENTRY_TYPES} for name, r in results.items()},
     }
 
 
@@ -514,13 +509,7 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
             )
     _check_entries(path, payload, _ORACLE_ENTRY_TYPES, run.space, run.weights)
     return {
-        name: OracleResult(
-            benchmark=name,
-            best_config=entry["best_config"],
-            best_metrics=entry["best_metrics"],
-            objective=entry["objective"],
-            evaluations=entry["evaluations"],
-        )
+        name: OracleResult(benchmark=name, **{key: entry[key] for key in _ORACLE_ENTRY_TYPES})
         for name, entry in payload["benchmarks"].items()
     }
 

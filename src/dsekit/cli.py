@@ -57,9 +57,9 @@ _NAMES = {
     "RunResult": ("explorer", "RunResult"),
     "check_inputs": ("explorer", "check_inputs"),
     "run_search": ("explorer", "run"),
+    "check_oracle_inputs": ("oracle_compare", "check_oracle_inputs"),
     "compare_runs": ("oracle_compare", "compare"),
     "_fanned": ("oracle_compare", "_fanned"),
-    "enumeration_guard": ("oracle_compare", "enumeration_guard"),
     "oracle_search": ("oracle_compare", "oracle_search"),
     "pareto_front": ("pareto", "pareto_front"),
     "select_tradeoff": ("pareto", "select_tradeoff"),
@@ -385,7 +385,6 @@ def run_cmd(threshold: int, out_dir: Path, **options) -> None:
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
     """Exhaustively search the space a run used, in one pass for all its benchmarks."""
     manifest, run_result = artifacts.load_run(run_dir)
-    guard = enumeration_guard()
     space = run_result.space
     contexts = {}
     for benchmark, bench in run_result.benchmarks.items():
@@ -393,6 +392,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
             click.echo(f"warning: skipping {benchmark}: run has no normalization data", err=True)
         else:
             contexts[benchmark] = bench.normalization
+    guard = check_oracle_inputs(space, contexts, run_result.weights)  # before the backend is built
     with _evaluator(manifest["evaluator"], space, timeout, jobs) as evaluator:
         results = oracle_search(space, contexts, evaluator, run_result.weights, jobs)
     for benchmark, best in results.items():

@@ -212,24 +212,39 @@ class SepMonoEvaluator:
 # CSV table replay backend
 
 
-def cell_reader(space: DesignSpace) -> Callable[[str, str], Setting]:
-    """The reader of one CSV file's parameter cells: ``read(name, text)`` is the
-    setting of parameter ``name`` whose ``str`` is ``text`` (the setting "0" stays
-    a string), else the int, float or string it spells (2800.0 may spell 2800)."""
+def csv_rows(reader: DictReader, space: DesignSpace) -> Iterator[tuple[int, tuple, Config, dict[str, str]]]:
+    """Each row of a CSV file of ``space``'s configurations: its line, its key
+    ``(benchmark, config_key)``, its configuration and its cells. A parameter
+    cell is the setting whose ``str`` is its text (the setting "0" stays a
+    string), else the int, float or string it spells (2800.0 may spell 2800).
+    A row with more or fewer cells than the header, or a second row of one
+    key, is a ValueError that names its line."""
     texts = {p.name: {str(s): s for s in p.settings} for p in space.parameters}
+    key_of = space.config_key
+    keys: set[tuple] = set()
+    for row in reader:
+        line = reader.line_num
+        if None in row:  # DictReader's key for the cells beyond the header
+            raise ValueError(f"line {line} has more cells than the header")
+        if None in row.values():  # and its value for the cells a row lacks
+            raise ValueError(f"line {line} has fewer cells than the header")
+        config = {name: _setting(settings, row[name]) for name, settings in texts.items()}
+        key = (row["benchmark"], key_of(config))
+        if key in keys:
+            raise ValueError(f"line {line}: duplicate row for benchmark {row['benchmark']!r}, config {config}")
+        keys.add(key)
+        yield line, key, config, row
 
-    def read(name: str, text: str) -> Setting:
-        setting = texts[name].get(text)
-        if setting is not None:
-            return setting
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                continue
-        return text
 
-    return read
+def _setting(texts: Mapping[str, Setting], text: str) -> Setting:
+    if text in texts:
+        return texts[text]
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
 
 
 class TableEvaluator:
@@ -256,8 +271,7 @@ class TableEvaluator:
                 raise TableLoadError(f"{path}: empty table")
             if header[0] != "benchmark":
                 raise TableLoadError(f"{path}: first column must be 'benchmark'")
-            param_names = [n for n in header[1:] if n in set(space.names)]
-            missing = set(space.names) - set(param_names)
+            missing = set(space.names).difference(header[1:])
             if missing:
                 raise TableLoadError(f"{path}: missing parameter columns {sorted(missing)}")
             metric_names = [n for n in header[1:] if n not in set(space.names)]
@@ -265,24 +279,14 @@ class TableEvaluator:
                 raise TableLoadError(f"{path}: no metric columns")
 
             rows: dict[tuple, dict[str, float]] = {}
-            read = cell_reader(space)
-            for row in reader:
-                lineno = reader.line_num
-                if None in row:  # DictReader's key for the cells beyond the header
-                    raise TableLoadError(f"{path}: line {lineno} has more cells than the header")
-                if None in row.values():  # and its value for the cells a row lacks
-                    raise TableLoadError(f"{path}: line {lineno} has fewer cells than the header")
-                config = {n: read(n, row[n]) for n in param_names}
-                key = (row["benchmark"], space.config_key(config))
-                if key in rows:
-                    raise TableLoadError(
-                        f"{path}: line {lineno}: duplicate row for benchmark "
-                        f"{row['benchmark']!r}, config {config}"
-                    )
-                try:
-                    rows[key] = {n: float(row[n]) for n in metric_names}
-                except ValueError as exc:
-                    raise TableLoadError(f"{path}: line {lineno}: {exc}") from None
+            try:
+                for line, key, _, cells in csv_rows(reader, space):
+                    try:
+                        rows[key] = {n: float(cells[n]) for n in metric_names}
+                    except ValueError as exc:
+                        raise TableLoadError(f"{path}: line {line}: {exc}") from None
+            except ValueError as exc:  # a row that csv_rows refuses
+                raise TableLoadError(f"{path}: {exc}") from None
         return cls(space, rows)
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:

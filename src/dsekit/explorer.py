@@ -25,15 +25,15 @@ returns the first such minimum. On a tie the phase winner stays.
 
 Each benchmark gets one ``_Session``, the only code that evaluates; it
 asks for one configuration at a time, in the order above. The one-shot set
-and the exhaustive product do not depend on their own results, so each is
-also handed to the backend ahead of its turn (``look_ahead``), which lets a
-worker pool evaluate them in parallel; the greedy walk decides each step
-from the last one and stays sequential. The session counts requests and
-distinct configurations. It checks each new response on arrival against
-the weights, which name and order the metrics, logs it in their order,
-then normalizes and scores it once.
-It builds its benchmark's normalization context from the one-shot records,
-checks the weights against it once and returns it as
+and the exhaustive product do not depend on their own results, so the
+session streams each (``_Session.stream``), handing it to the backend ahead
+of its turn (``look_ahead``), which lets a worker pool evaluate them in
+parallel; the greedy walk decides each step from the last one and stays
+sequential. The session counts requests and distinct configurations. It
+checks each new response on arrival against the weights, which name and
+order the metrics, logs it in their order, then normalizes and scores it
+once. It builds its benchmark's normalization context from the one-shot
+records, checks the weights against it once and returns it as
 ``BenchmarkResult.normalization``. The log keeps one record per distinct
 configuration per benchmark, tagged with the phase that first requested
 it, so its length is exactly the unique-evaluation count that
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .design_space import Config, DesignSpace, check_space, enumerate_configs
 from .errors import DegenerateMetricError, EvaluationError
@@ -175,6 +175,12 @@ class _Session:
             self.log[key] = record
         return record
 
+    def stream(self, configs: Iterable[Config], phase: str) -> Iterator[EvalRecord]:
+        """The records of `configs`, a phase's independent requests, in order;
+        each is handed to the backend ahead of its turn (``look_ahead``)."""
+        for config in look_ahead(self.evaluator, configs, [self.benchmark]):
+            yield self.evaluate(config, phase)
+
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
         """Build the normalization context from the one-shot records, refuse
         weight on its degenerate metrics, then score the records."""
@@ -212,10 +218,7 @@ def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     base = {p.name: p.first for p in space.parameters}
     multi = [space.parameter(name) for name in space.multi_setting_names()]
     configs = [base] + [{**base, p.name: p.last} for p in multi]
-    records = [
-        session.evaluate(config, PHASE_ONESHOT)
-        for config in look_ahead(session.evaluator, configs, [session.benchmark])
-    ]
+    records = list(session.stream(configs, PHASE_ONESHOT))
     session.calibrate(records)
 
     f_base = records[0].objective
@@ -279,14 +282,8 @@ def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
     space = session.space
     members = set(part.exhaustive)
     fixed = {name: best[name] for name in space.names if name not in members}
-    winner: EvalRecord | None = None
-    configs = enumerate_configs(space, fixed)
-    for config in look_ahead(session.evaluator, configs, [session.benchmark]):
-        record = session.evaluate(config, PHASE_EXHAUSTIVE)
-        if winner is None or record.objective < winner.objective:
-            winner = record
-    assert winner is not None
-    return winner
+    records = session.stream(enumerate_configs(space, fixed), PHASE_EXHAUSTIVE)
+    return min(records, key=lambda record: record.objective)  # the first of equal minima
 
 
 def _greedy(

@@ -54,6 +54,24 @@ def enumeration_guard() -> int:
     return DEFAULT_GUARD
 
 
+def check_oracle_inputs(
+    space: DesignSpace, contexts: Mapping[str, NormalizationContext], weights: WeightVector
+) -> int:
+    """``oracle_search``'s refusals, which the CLI makes before it builds the
+    backend: an invalid space (``run``'s ValueError), a cardinality above the
+    guard, then each benchmark's weights; returns the guard."""
+    check_space(space)
+    limit = enumeration_guard()
+    if (size := cardinality(space)) > limit:
+        raise GuardExceededError(
+            f"space cardinality {size} exceeds the enumeration guard {limit}; "
+            f"raise it via {GUARD_ENV} to run the oracle anyway"
+        )
+    for benchmark, ctx in contexts.items():
+        check_weights(benchmark, ctx, weights)
+    return limit
+
+
 @dataclass
 class OracleResult:
     benchmark: str
@@ -74,11 +92,10 @@ def oracle_search(
     maps it to its methodology run context; per benchmark, the strict-minimum
     F wins, earliest on ties, its metrics in the weights' order. A response
     must hold exactly the weights' metrics, all finite (else EvaluationError).
-    Before any request, an invalid space raises ``run``'s ValueError, then
-    every benchmark's weights are checked, the first refusal raised
-    (DegenerateMetricError); then the first evaluation failure
-    is raised, in enumeration order (configuration-major, the benchmarks in
-    `contexts` order within a configuration), and no request follows it.
+    Before any request, ``check_oracle_inputs`` makes its refusals; then
+    the first evaluation failure is raised, in enumeration order
+    (configuration-major, the benchmarks in `contexts` order within a
+    configuration), and no request follows it.
 
     The space is enumerated once, each configuration scored for every
     benchmark in turn, in up to `jobs` equal index ranges (``_fanned``):
@@ -90,17 +107,8 @@ def oracle_search(
     returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
         return oracle_search(space, {contexts: jobs}, evaluator, weights)[contexts]  # type: ignore
-    check_space(space)
-    limit = enumeration_guard()
+    check_oracle_inputs(space, contexts, weights)
     size = cardinality(space)
-    if size > limit:
-        raise GuardExceededError(
-            f"space cardinality {size} exceeds the enumeration guard {limit}; "
-            f"raise it via {GUARD_ENV} to run the oracle anyway"
-        )
-
-    for benchmark, ctx in contexts.items():
-        check_weights(benchmark, ctx, weights)
     scorers = {benchmark: scorer(ctx, weights) for benchmark, ctx in contexts.items()}
     if not scorers:
         return {}

@@ -679,6 +679,16 @@ class TestOracle:
         assert result.exit_code == 1
         assert "enumeration guard" in result.stderr
 
+    def test_guard_refuses_before_the_backend_is_built(self, runner, tmp_path, monkeypatch):
+        _, run_dir = do_run(runner, tmp_path)
+        built = []
+        monkeypatch.setattr(cli, "make_evaluator", lambda *args, **kwargs: built.append(args))
+        result = invoke(runner, "oracle", run_dir, env={"DSE_ORACLE_GUARD": "5"})
+        assert result.exit_code == 1
+        assert "error: space cardinality 6 exceeds the enumeration guard 5" in result.stderr
+        assert built == []
+        assert not (run_dir / "oracle").exists()
+
     def test_missing_run_dir(self, runner, tmp_path):
         result = invoke(runner, "oracle", tmp_path / "absent")
         assert result.exit_code == 3
@@ -1296,8 +1306,21 @@ class TestExitCodePolicy:
                 "could not convert string to float: ''",
             ),
             (lambda header, rows: (header, [rows[0] + ["1.0"], *rows[1:]]), "more cells than the header"),
+            (lambda header, rows: (header, [rows[0][:-1], *rows[1:]]), "line 2 has fewer cells than the header"),
+            (lambda header, rows: (header, [rows[0], *rows]), "line 3: duplicate row for benchmark 't'"),
+            (
+                lambda header, rows: (header, [[*rows[0][:-1], ""], *rows[1:]]),
+                "line 2: a blank score, but benchmark 't' succeeded",
+            ),
         ],
-        ids=["extra-metric-column", "blank-metric-cell", "extra-cell-in-a-row"],
+        ids=[
+            "extra-metric-column",
+            "blank-metric-cell",
+            "extra-cell-in-a-row",
+            "missing-cell-in-a-row",
+            "duplicate-row",
+            "blank-objective-of-a-benchmark-that-succeeded",
+        ],
     )
     def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
         _, run_dir = do_run(runner, tmp_path)

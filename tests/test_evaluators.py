@@ -20,7 +20,7 @@ from dsekit.errors import (
     TableLoadError,
     UnknownBenchmarkError,
 )
-from dsekit.evaluators import SYNTHETIC_PROFILES, look_ahead
+from dsekit.evaluators import SYNTHETIC_PROFILES, csv_rows, look_ahead
 
 from .bruteforce import sepmono_metrics, synthetic_metrics
 from .conftest import TINY_WEIGHTS, tiny_metrics
@@ -221,6 +221,17 @@ class TestTable:
         with pytest.raises(TableLoadError) as caught:
             TableEvaluator.load(path, tiny_space)
         assert str(caught.value) == f"{path}: line 3 has {more} cells than the header"
+
+    @pytest.mark.parametrize("text, setting", [("2", 2), ("2.0", 2.0), ("x2", "x2")])
+    def test_a_cell_reads_as_a_setting_else_a_number_else_its_text(self, tiny_space, tmp_path, text, setting):
+        path = tmp_path / "t.csv"
+        path.write_text(f"benchmark,A,B,power\nt,{text},100,1.0\n", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            [(line, key, config, cells)] = csv_rows(csv.DictReader(fh), tiny_space)
+        assert (line, key) == (2, ("t", (setting, 100)))
+        assert config == {"A": setting, "B": 100} and type(config["A"]) is type(setting)
+        assert cells["A"] == text
+        assert TableEvaluator.load(path, tiny_space).evaluate(config, "t") == {"power": 1.0}
 
 
 class Mirror:
@@ -423,6 +434,10 @@ class TestMakeEvaluator:
         ev = make_evaluator("exec:cat -u", tiny_space, timeout=7.0)
         assert ev.timeout == 7.0
         assert ev._argv == ["cat", "-u"]
+
+    def test_exec_needs_a_command_line(self, tiny_space):
+        with pytest.raises(ValueError, match="exec evaluator needs a command line"):
+            make_evaluator("exec:", tiny_space)
 
     def test_unknown_kind(self, tiny_space):
         with pytest.raises(ValueError, match="unknown evaluator spec"):

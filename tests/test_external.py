@@ -212,6 +212,10 @@ class TestErrorTaxonomy:
         with pytest.raises(ValueError, match="timeout must be a finite number > 0"):
             ExternalEvaluator(WORKER, timeout=timeout)
 
+    def test_jobs_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            ExternalEvaluator(WORKER, jobs=0)
+
 
 class TestLifecycle:
     def test_fatal_error_respawns_on_next_call(self, tmp_path):
@@ -249,6 +253,30 @@ for line in sys.stdin:
             with pytest.raises(EvaluatorTerminatedError, match="exit 0"):
                 ev.evaluate({"A": 2}, "t")  # its line can no longer be sent
             assert ev.evaluate({"A": 3}, "t") == {"m": 1.0}
+
+    def test_a_worker_that_closes_stdout_but_runs_on_is_killed(self, tmp_path):
+        command = script_worker(tmp_path, "import os, time\nos.close(1)\ntime.sleep(60)")
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            assert ev.submit({"A": 1}, "t")
+            proc = ev._workers[0].proc
+            with pytest.raises(EvaluatorTerminatedError, match=r"worker closed stdout \(exit None\)"):
+                ev.evaluate({"A": 1}, "t")
+            assert proc.poll() is not None
+            assert ev._workers == []
+
+    def test_a_response_line_with_no_request_pending_replaces_the_worker(self, tmp_path):
+        command = script_worker(
+            tmp_path,
+            'line = json.dumps({"id": request["id"], "metrics": {"m": float(request["config"]["A"])}})\n'
+            'sys.stdout.write(line + "\\n" + line + "\\n")  # each answer twice, in one write\n'
+            "sys.stdout.flush()",
+        )
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            for a in (1, 2):
+                assert ev.submit({"A": a}, "t")
+                worker = ev._workers[0]
+                assert ev.evaluate({"A": a}, "t") == {"m": float(a)}
+                assert worker not in ev._workers and worker.proc.poll() is not None
 
     def test_ids_keep_increasing_across_respawns(self, tmp_path):
         command = script_worker(
