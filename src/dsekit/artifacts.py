@@ -33,10 +33,10 @@ import hashlib
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_space, save_space, space_to_dict, validate, values_getter
@@ -58,14 +58,19 @@ SWEEP_FILE = "sweep.csv"
 
 #: Manifest keys, with their JSON types, that ``oracle`` and ``compare`` read.
 _MANIFEST_KEYS = {"space_sha256": str, "weights": dict, "evaluator": str, "replay_hash": str}
-#: Per-benchmark ``result.json`` values that ``compare`` reads, with their JSON types.
+#: Per-benchmark ``result.json`` values, in the order written, with their JSON
+#: types: the ``BenchmarkResult`` fields other than ``benchmark`` and
+#: ``records``, in field order.
 _RESULT_ENTRY_TYPES = {
     "best_config": ((dict, type(None)), "an object or null"),
     "best_metrics": ((dict, type(None)), "an object or null"),
     "objective": ((int, float, type(None)), "a number or null"),
     "significance": (dict, "an object"),
+    "partition": ((dict, type(None)), "an object or null"),
+    "normalization": (dict, "an object"),
     "unique_evaluations": (int, "an integer"),
     "total_requests": (int, "an integer"),
+    "error": ((str, type(None)), "a string or null"),
 }
 #: Per-benchmark ``oracle.json`` values, in the order written, with their JSON
 #: types: the ``OracleResult`` fields that ``compare`` reads.
@@ -108,7 +113,7 @@ def _check_entries(
     with their JSON types (never a boolean), a finite objective, a best
     configuration of ``space`` and best metrics of ``weights``, unless null;
     else a ValueError naming it."""
-    settings = {p.name: [(type(s), s) for s in p.settings] for p in space.parameters}  # typed: True == 1
+    in_space = _space_test(space)
     with _reading(path):
         for name, entry in payload["benchmarks"].items():
             for key, (kind, spelled) in types.items():
@@ -117,13 +122,27 @@ def _check_entries(
             if entry["objective"] is not None and not is_metric_value(entry["objective"]):
                 raise ValueError(f"benchmark {name!r}: 'objective' is {entry['objective']!r}, not finite")
             config = entry["best_config"]
-            if config is not None and (
-                config.keys() != set(space.names)
-                or any((type(value), value) not in settings[p] for p, value in config.items())
-            ):
+            if config is not None and not in_space(config):
                 raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
             if entry["best_metrics"] is not None:
                 _check_metrics(f"benchmark {name!r}: 'best_metrics'", entry["best_metrics"], weights)
+
+
+def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
+    """Whether a configuration sets exactly ``space``'s parameters, each to
+    one of its settings by type and value (``True`` is not ``1``), as a
+    function built once per space: one set lookup per value."""
+    settings = {p.name: {(type(s), s) for s in p.settings} for p in space.parameters}
+
+    def in_space(config: Mapping) -> bool:
+        if config.keys() != settings.keys():
+            return False
+        for name, value in config.items():
+            if (type(value), value) not in settings[name]:
+                return False
+        return True
+
+    return in_space
 
 
 def _check_metrics(what: str, values: Mapping, weights: Mapping) -> None:
@@ -275,35 +294,14 @@ def _csv_text(rows: Iterable[Sequence]) -> str:
 
 
 def _result_entry(result: BenchmarkResult) -> dict:
-    return {
-        "best_config": result.best_config,
-        "best_metrics": result.best_metrics,
-        "objective": result.objective,
-        "significance": result.significance,
-        "partition": _partition_payload(result.partition),
-        "normalization": _normalization_payload(result.normalization),
-        "unique_evaluations": result.unique_evaluations,
-        "total_requests": result.total_requests,
-        "error": result.error,
-    }
-
-
-def _normalization_payload(ctx: NormalizationContext | None) -> dict:
-    if ctx is None:
-        return {"maxima": {}, "degenerate": []}
-    return {"maxima": ctx.maxima, "degenerate": sorted(ctx.degenerate)}
-
-
-def _partition_payload(part: Partition | None) -> dict | None:
-    if part is None:
-        return None
-    return {
-        "exhaustive": list(part.exhaustive),
-        "greedy": list(part.greedy),
-        "oneshot": list(part.oneshot),
-        "num_exhaustive": part.num_exhaustive,
-        "warnings": list(part.warnings),
-    }
+    """``result``'s ``result.json`` entry: its value of each key of
+    ``_RESULT_ENTRY_TYPES``, the partition and normalization as objects."""
+    entry = {key: getattr(result, key) for key in _RESULT_ENTRY_TYPES}
+    if result.partition is not None:
+        entry["partition"] = asdict(result.partition)
+    ctx = result.normalization or NormalizationContext({})  # None if the search failed before calibration
+    entry["normalization"] = {"maxima": ctx.maxima, "degenerate": sorted(ctx.degenerate)}
+    return entry
 
 
 class _StringCells(dict):
@@ -372,9 +370,10 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     refuses or that the manifest does not hash, weights that are invalid or
     not the manifest's, maxima or best points that are not of those weights
     and the space, an ``evals.csv`` header other than the one ``write_run_dir``
-    writes, a row ``csv_rows`` refuses, a blank metric cell, a blank score of
-    a benchmark whose ``error`` is null and log rows of a benchmark that
-    ``result.json`` does not hold. So is a
+    writes, a row ``csv_rows`` refuses, a row whose configuration is not in
+    the space, a blank metric cell, a blank score of a benchmark whose
+    ``error`` is null and log rows of a benchmark that ``result.json`` does
+    not hold. So is a
     ``result.json`` entry that ``evals.csv`` contradicts: a unique
     evaluation count other than its row count, or a best point (configuration,
     metrics and objective) that is not one of its rows; the floats
@@ -404,9 +403,10 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             violations.append(f"{MANIFEST_FILE} has {manifest['weights']}")
         if violations:
             raise ValueError(f"weights {weights}: " + "; ".join(violations))
-        succeeded = {name for name, entry in payload["benchmarks"].items() if entry.get("error") is None}
+        succeeded = {name for name, entry in payload["benchmarks"].items() if entry["error"] is None}
 
     records: dict[str, list[EvalRecord]] = {}
+    in_space = _space_test(space)
     score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
     with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
         reader = csv.DictReader(fh)
@@ -414,6 +414,8 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
         if reader.fieldnames != header:
             raise ValueError(f"header {reader.fieldnames} is not {header}")
         for line, _, config, row in csv_rows(reader, space):
+            if not in_space(config):
+                raise ValueError(f"line {line}: {config} is not in the space")
             if "" in score_texts(row) and row["benchmark"] in succeeded:
                 raise ValueError(f"line {line}: a blank score, but benchmark {row['benchmark']!r} succeeded")
             normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
@@ -446,30 +448,17 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             best = entry["best_config"], entry["best_metrics"], entry["objective"]
             if best[0] is not None and best not in [(r.config, r.metrics, r.objective) for r in logged]:
                 raise ValueError(f"benchmark {name!r}: the best point is not one {EVALS_FILE} logs")
-            part = entry.get("partition")
+            part = entry["partition"]
+            if part is not None:  # its arrays back to the tuples they were written from
+                entry["partition"] = Partition(
+                    **{key: tuple(value) if isinstance(value, list) else value for key, value in part.items()}
+                )
             maxima = entry["normalization"]["maxima"]
             if maxima:  # empty when the benchmark failed before calibration
                 _check_metrics(f"benchmark {name!r}: normalization maxima", maxima, weights)
+            entry["normalization"] = NormalizationContext(maxima) if maxima else None
             benchmarks[name] = BenchmarkResult(
-                benchmark=name,
-                best_config=entry["best_config"],
-                best_metrics=entry["best_metrics"],
-                objective=entry["objective"],
-                significance=entry["significance"],
-                partition=Partition(
-                    exhaustive=tuple(part["exhaustive"]),
-                    greedy=tuple(part["greedy"]),
-                    oneshot=tuple(part["oneshot"]),
-                    num_exhaustive=part["num_exhaustive"],
-                    warnings=tuple(part["warnings"]),
-                )
-                if part
-                else None,
-                normalization=NormalizationContext(maxima) if maxima else None,
-                unique_evaluations=entry["unique_evaluations"],
-                total_requests=entry["total_requests"],
-                records=logged,
-                error=entry.get("error"),
+                benchmark=name, records=logged, **{key: entry[key] for key in _RESULT_ENTRY_TYPES}
             )
     return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
 

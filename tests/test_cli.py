@@ -387,8 +387,18 @@ class TestRun:
         assert replay_hash(changed) == manifest["replay_hash"]
         assert replay_hash(dict(manifest, threshold=4)) != manifest["replay_hash"]
 
-    def test_load_run_round_trip(self, runner, tmp_path):
-        _, out_dir = do_run(runner, tmp_path)
+    def test_load_run_round_trip(self, runner, tmp_path, monkeypatch):
+        searched = {}
+
+        def recorded(*args):
+            result = run_search(*args)
+            searched.update(result.benchmarks)
+            return result
+
+        monkeypatch.setattr(cli, "run_search", recorded)
+        # the table holds no rows of benchmark u, so its search fails
+        result, out_dir = do_run(runner, tmp_path, **{"--space": two_benchmark_space(tmp_path)})
+        assert result.exit_code == 2
         manifest, run_result = load_run(out_dir)
         assert manifest["replay_hash"]
         assert space_hash(run_result.space) == manifest["space_sha256"]
@@ -397,6 +407,18 @@ class TestRun:
         assert len(bench.records) == 5
         assert bench.records[0].config == {"A": 1, "B": 100}
         assert bench.records[0].normalized is not None
+        assert list(searched) == list(run_result.benchmarks) == ["t", "u"]
+        assert bench.partition.exhaustive == ("A",) and run_result.benchmarks["u"].error
+        fields = (
+            "best_config", "best_metrics", "objective", "significance", "partition",
+            "normalization", "unique_evaluations", "total_requests", "error",
+        )
+        for name, returned in searched.items():
+            loaded = run_result.benchmarks[name]
+            for field in fields:
+                assert getattr(loaded, field) == getattr(returned, field), (name, field)
+            logged = [(r.phase, r.seq, r.config, r.metrics, r.objective) for r in loaded.records]
+            assert logged == [(r.phase, r.seq, r.config, r.metrics, r.objective) for r in returned.records]
 
     def test_profile_flag(self, runner, tmp_path):
         result, out_dir = do_run(
@@ -1256,6 +1278,14 @@ class TestExitCodePolicy:
                 "compare", RESULT_FILE, with_logged_best({"A": True, "B": 100}, 1, 100),
                 "result-best-config-boolean",
             ),
+            case(
+                "oracle", RESULT_FILE, with_entry("partition", []), "result-partition-list",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition' is not an object or null",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("error", 5), "result-error-number",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'error' is not a string or null",
+            ),
         ],
     )
     def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt, names):
@@ -1312,6 +1342,11 @@ class TestExitCodePolicy:
                 lambda header, rows: (header, [[*rows[0][:-1], ""], *rows[1:]]),
                 "line 2: a blank score, but benchmark 't' succeeded",
             ),
+            # the first row, A=1 B=100, is not the best point
+            (
+                lambda header, rows: (header, [[*rows[0][:3], "x2", *rows[0][4:]], *rows[1:]]),
+                "line 2: {'A': 'x2', 'B': 100} is not in the space",
+            ),
         ],
         ids=[
             "extra-metric-column",
@@ -1320,6 +1355,7 @@ class TestExitCodePolicy:
             "missing-cell-in-a-row",
             "duplicate-row",
             "blank-objective-of-a-benchmark-that-succeeded",
+            "cell-outside-the-space",
         ],
     )
     def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
