@@ -56,8 +56,12 @@ COMPARE_JSON_FILE = "compare.json"
 COMPARE_TXT_FILE = "compare.txt"
 SWEEP_FILE = "sweep.csv"
 
-#: Manifest keys, with their JSON types, that ``oracle`` and ``compare`` read.
-_MANIFEST_KEYS = {"space_sha256": str, "weights": dict, "evaluator": str, "replay_hash": str}
+#: A run's identity: the manifest keys, with their JSON types, that an
+#: ``oracle.json`` copies from its run's manifest, in this order. ``load_run``
+#: type-checks them and ``load_oracle`` requires each to match.
+_RUN_IDENTITY = {"space_sha256": str, "weights": dict, "evaluator": str}
+#: The manifest keys that ``replay_hash`` covers: all that determines results.
+_REPLAYED = ("space_sha256", "threshold", "weights", "evaluator", "version")
 #: Per-benchmark ``result.json`` values, in the order written, with their JSON
 #: types: the ``BenchmarkResult`` fields other than ``benchmark`` and
 #: ``records``, in field order.
@@ -155,21 +159,18 @@ def _check_metrics(what: str, values: Mapping, weights: Mapping) -> None:
             raise ValueError(f"{what}: {metric!r} is {value!r}, not a finite number")
 
 
-def space_hash(space: DesignSpace) -> str:
-    canonical = json.dumps(space_to_dict(space), sort_keys=True, separators=(",", ":"))
+def _digest(document: Mapping) -> str:
+    """The sha256 of ``document``'s canonical JSON: sorted keys, no spaces."""
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def space_hash(space: DesignSpace) -> str:
+    return _digest(space_to_dict(space))
 
 
 def replay_hash(manifest: Mapping) -> str:
-    relevant = {
-        "space_sha256": manifest["space_sha256"],
-        "threshold": manifest["threshold"],
-        "weights": manifest["weights"],
-        "evaluator": manifest["evaluator"],
-        "version": manifest["version"],
-    }
-    canonical = json.dumps(relevant, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest({key: manifest[key] for key in _REPLAYED})
 
 
 def build_manifest(
@@ -369,19 +370,19 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     a ValueError that names the file. So are a space that ``validate``
     refuses or that the manifest does not hash, weights that are invalid or
     not the manifest's, maxima or best points that are not of those weights
-    and the space, an ``evals.csv`` header other than the one ``write_run_dir``
-    writes, a row ``csv_rows`` refuses, a row whose configuration is not in
-    the space, a blank metric cell, a blank score of a benchmark whose
-    ``error`` is null and log rows of a benchmark that ``result.json`` does
-    not hold. So is a
-    ``result.json`` entry that ``evals.csv`` contradicts: a unique
-    evaluation count other than its row count, or a best point (configuration,
-    metrics and objective) that is not one of its rows; the floats
-    round-trip exactly.
+    and the space, a partition that ``_partition`` refuses, a significance
+    that is not a finite number of a parameter, an ``evals.csv`` header
+    other than the one ``write_run_dir`` writes, a row ``csv_rows`` refuses,
+    a row whose configuration is not in the space, a blank metric cell, a
+    blank score of a benchmark whose ``error`` is null and log rows of a
+    benchmark that ``result.json`` does not hold. So is a ``result.json``
+    entry that ``evals.csv`` contradicts: a unique evaluation count other
+    than its row count, or a best point (configuration, metrics and
+    objective) that is not one of its rows; the floats round-trip exactly.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = _load_json(manifest_path)
-    for key, kind in _MANIFEST_KEYS.items():
+    for key, kind in {**_RUN_IDENTITY, "replay_hash": str}.items():
         if not isinstance(manifest.get(key), kind):
             raise ValueError(f"{manifest_path}: {key!r} is missing or not a {kind.__name__}")
     space_path = run_dir / SPACE_FILE
@@ -437,6 +438,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             f"{evals_path}: rows of benchmark {stray[0]!r}, which {RESULT_FILE} does not hold"
         )
     benchmarks: dict[str, BenchmarkResult] = {}
+    parameters = set(space.names)
     with _reading(result_path):
         for name, entry in payload["benchmarks"].items():
             logged = records.get(name, [])
@@ -448,11 +450,14 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             best = entry["best_config"], entry["best_metrics"], entry["objective"]
             if best[0] is not None and best not in [(r.config, r.metrics, r.objective) for r in logged]:
                 raise ValueError(f"benchmark {name!r}: the best point is not one {EVALS_FILE} logs")
-            part = entry["partition"]
-            if part is not None:  # its arrays back to the tuples they were written from
-                entry["partition"] = Partition(
-                    **{key: tuple(value) if isinstance(value, list) else value for key, value in part.items()}
-                )
+            for parameter, value in entry["significance"].items():
+                if parameter not in parameters or not is_metric_value(value):
+                    raise ValueError(
+                        f"benchmark {name!r}: 'significance': {parameter!r} is {value!r}, "
+                        "not a finite number of a parameter of the space"
+                    )
+            if entry["partition"] is not None:
+                entry["partition"] = _partition(f"benchmark {name!r}: 'partition'", entry["partition"], parameters)
             maxima = entry["normalization"]["maxima"]
             if maxima:  # empty when the benchmark failed before calibration
                 _check_metrics(f"benchmark {name!r}: normalization maxima", maxima, weights)
@@ -463,24 +468,39 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
 
 
-def oracle_payload(
-    run_manifest: Mapping,
-    guard: int,
-    results: Mapping[str, OracleResult],
-) -> dict:
-    return {
-        "space_sha256": run_manifest["space_sha256"],
-        "weights": run_manifest["weights"],
-        "evaluator": run_manifest["evaluator"],
+def _partition(what: str, part: Mapping, parameters: set[str]) -> Partition:
+    """The Partition a ``result.json`` entry's ``partition`` object was written
+    from; a ValueError that starts with ``what`` unless its three sets are
+    arrays of ``parameters``, no name in two places, ``num_exhaustive`` is a
+    positive integer and ``warnings`` an array of strings."""
+    placed: list = []
+    for key in ("exhaustive", "greedy", "oneshot"):
+        names = part[key]
+        if not isinstance(names, list) or not all(isinstance(n, str) and n in parameters for n in names):
+            raise ValueError(f"{what}: {key!r} is {names!r}, not an array of the space's parameters")
+        placed += names
+    if len(set(placed)) != len(placed):
+        raise ValueError(f"{what} places a parameter twice: {placed}")
+    count = part["num_exhaustive"]
+    if type(count) is not int or count < 1:
+        raise ValueError(f"{what}: 'num_exhaustive' is {count!r}, not a positive integer")
+    warnings = part["warnings"]
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise ValueError(f"{what}: 'warnings' is {warnings!r}, not an array of strings")
+    return Partition(**{key: tuple(value) if isinstance(value, list) else value for key, value in part.items()})
+
+
+def write_oracle(out: Path, run_manifest: Mapping, guard: int, results: Mapping[str, OracleResult]) -> None:
+    """Write the oracle document of the run ``run_manifest`` describes: its
+    identity and replay hash, the guard, and each benchmark's values of
+    ``_ORACLE_ENTRY_TYPES``."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / ORACLE_FILE, {
+        **{key: run_manifest[key] for key in _RUN_IDENTITY},
         "run_replay_hash": run_manifest["replay_hash"],
         "guard": guard,
         "benchmarks": {name: {key: getattr(r, key) for key in _ORACLE_ENTRY_TYPES} for name, r in results.items()},
-    }
-
-
-def write_oracle(out: Path, payload: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / ORACLE_FILE, payload)
+    })
 
 
 def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str, OracleResult]:
@@ -490,7 +510,7 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
     ``_check_entries`` refuses."""
     path = oracle_dir / ORACLE_FILE
     payload = _load_json(path)
-    for field in ("space_sha256", "weights", "evaluator"):
+    for field in _RUN_IDENTITY:
         if payload.get(field) != manifest[field]:
             raise ValueError(
                 f"oracle and run manifests disagree on {field}: "

@@ -11,9 +11,9 @@ code: ``OSError`` → 3, ``EvaluationError`` → 2, any other ``DseError`` or
 ``_search_options`` and hand them to ``_search_command``, which checks
 every input before it builds the backend, searches each (threshold,
 benchmark) pair through ``oracle_compare._fanned`` (in a forked child for
-an in-process backend, at most ``--jobs`` at once, else in turn), and
-writes every run directory in this process from the parts the searches
-rendered.
+an in-process backend, at most ``--jobs`` and the CPUs available at once,
+else in turn), and writes every run directory in this process from the
+parts the searches rendered.
 
 Only click, the standard library, ``errors`` and ``objective`` (its
 ``WEIGHT_PROFILES`` are the ``--profile`` choices) load with this module.
@@ -25,7 +25,6 @@ callback runs, keeping a patched one, as ``perfbench/tracing.py`` needs.
 from __future__ import annotations
 
 import math
-import os
 import signal
 import sys
 import threading
@@ -151,10 +150,9 @@ def _resolve_weights(weights_text: str | None, profile: str | None) -> dict[str,
 def _resolve_jobs(ctx: click.Context, param: click.Parameter, jobs: int | None) -> int:
     """``--jobs`` as given, else the CPUs this process may use."""
     if jobs is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            return os.cpu_count() or 1
+        from .oracle_compare import cpus_available  # the module every --jobs command runs
+
+        return cpus_available()
     if jobs < 1:
         raise ValueError("--jobs must be >= 1")
     return jobs
@@ -166,9 +164,10 @@ _JOBS_OPTION = click.option(
     default=None,
     callback=_resolve_jobs,
     help="Worker processes of an exec: evaluator, or, for an in-process one, the "
-    "forked children alive at once, each searching one benchmark at one threshold "
-    "(run, sweep) or scoring one index range of the enumeration for all benchmarks "
-    "(oracle) [default: the CPUs available]. Results do not depend on it.",
+    "forked children alive at once, at most the CPUs available, each searching one "
+    "benchmark at one threshold (run, sweep) or scoring one index range of the "
+    "enumeration for all benchmarks (oracle) [default: the CPUs available]. "
+    "Results do not depend on it.",
 )
 
 
@@ -264,10 +263,11 @@ def _search_command(
     backend is built, so a refused command starts no worker, reads no
     table and writes nothing. Each (threshold, benchmark) pair is searched
     through one cache, which returns its part or the exception it raised,
-    by ``_fanned``: in forked children, at most `jobs` at once, the largest
-    threshold first, each with an empty copy of the cache; or in turn in
-    this process, sharing the cache, so an ``exec:`` backend is never asked
-    twice for a configuration, and only as the directories are written.
+    by ``_fanned``: in forked children, at most `jobs` and the CPUs
+    available at once, the largest threshold first, each with an empty copy
+    of the cache; or in turn in this process, sharing the cache, so an
+    ``exec:`` backend is never asked twice for a configuration, and only as
+    the directories are written.
     The directories are written in threshold order, each from its
     benchmarks' outcomes in order, up to the first failed search, whose
     exception is raised. So the files written and the error raised are
@@ -399,7 +399,7 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
         config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
         click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
     out = out_dir if out_dir is not None else run_dir / "oracle"
-    artifacts.write_oracle(out, artifacts.oracle_payload(manifest, guard, results))
+    artifacts.write_oracle(out, manifest, guard, results)
 
 
 @main.command(name="compare")

@@ -80,7 +80,7 @@ def main(
             benchmark = request["benchmark"]
             config = request["config"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            print(json.dumps({"id": -1, "error": "malformed request"}), flush=True)
+            _respond({"id": -1, "error": "malformed request"})
             continue
 
         if hang_on is not None and benchmark == hang_on:
@@ -106,7 +106,14 @@ def main(
                 response = {"id": request_id, "error": error}
         if skew_id_on is not None and benchmark == skew_id_on:
             response["id"] = request_id + 1
-        print(json.dumps(response), flush=True)
+        _respond(response)
+
+
+def _respond(response: dict) -> None:
+    """Write one response line with one write, then flush: ``print`` writes
+    the text and the newline apart, two system calls on unbuffered stdout."""
+    sys.stdout.write(json.dumps(response) + "\n")
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

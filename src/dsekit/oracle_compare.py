@@ -13,8 +13,9 @@ in order, so the answers and the error do not depend on ``jobs``. The pass
 stops at its first failure, in enumeration order, and makes no request
 after it. ``_fanned`` alone decides when work is forked, for the oracle's
 ranges and for the CLI's (threshold, benchmark) searches of ``run`` and
-``sweep``: into at most ``jobs`` children (``_forked``) for a backend
-without ``submit``; an ``exec:`` worker pool is fed ahead instead.
+``sweep``: into at most ``jobs`` children (``_forked``), and never more
+than the CPUs available, for a backend without ``submit``; an ``exec:``
+worker pool is fed ahead instead.
 """
 
 from __future__ import annotations
@@ -98,11 +99,12 @@ def oracle_search(
     configuration), and no request follows it.
 
     The space is enumerated once, each configuration scored for every
-    benchmark in turn, in up to `jobs` equal index ranges (``_fanned``):
-    with `jobs` > 1, each in a child made with ``os.fork`` (POSIX only),
-    which reads a ``CachedEvaluator`` passed in but does not fill it: fork
-    only from a process that runs no other threads. A backend with
-    ``submit`` (an ``exec:`` pool) takes the ranges in turn, each fed ahead.
+    benchmark in turn, in up to ``_width(jobs, evaluator)`` equal index
+    ranges (``_fanned``): with more than one, each in a child made with
+    ``os.fork`` (POSIX only), which reads a ``CachedEvaluator`` passed in
+    but does not fill it: fork only from a process that runs no other
+    threads. A backend with ``submit`` (an ``exec:`` pool) takes the
+    ranges in turn, each fed ahead.
     The serial ``oracle_search(space, benchmark, evaluator, weights, ctx)``
     returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
@@ -113,7 +115,8 @@ def oracle_search(
     if not scorers:
         return {}
     names = list(weights)
-    bounds = [size * i // jobs for i in range(jobs + 1)]
+    width = _width(jobs, evaluator)
+    bounds = [size * i // width for i in range(width + 1)]
     ranges = [range(start, stop) for start, stop in zip(bounds, bounds[1:]) if start < stop]
 
     def best_in(positions: range) -> list[_Best]:
@@ -166,15 +169,32 @@ def _fanned(
     first: Optional[Callable[[_Item], Any]] = None,
 ) -> Iterable[_Value]:
     """``fn(item)`` for each of `items`, in item order. The calls are forked
-    (``_forked``, at most `jobs` children at once, started in the order of
-    the key `first` if given) only when the backend `evaluator` has no
-    ``submit``, `jobs` > 1 and there are two items or more; else each is
-    made in this process, in order, only as its value is taken."""
-    if hasattr(evaluator, "submit") or jobs == 1 or len(items) < 2:
+    (``_forked``, at most ``_width(jobs, evaluator)`` children at once,
+    started in the order of the key `first` if given) only when the backend
+    `evaluator` has no ``submit``, that width is above 1 and there are two
+    items or more; else each is made in this process, in order, only as its
+    value is taken."""
+    width = _width(jobs, evaluator)
+    if hasattr(evaluator, "submit") or width == 1 or len(items) < 2:
         return map(fn, items)
     order = sorted(range(len(items)), key=lambda i: first(items[i])) if first else range(len(items))
-    values = dict(zip(order, _forked(fn, [items[i] for i in order], jobs)))
+    values = dict(zip(order, _forked(fn, [items[i] for i in order], width)))
     return [values[i] for i in range(len(items))]
+
+
+def _width(jobs: int, evaluator: Evaluator) -> int:
+    """How many ways ``_fanned`` spreads work: `jobs` for a backend with
+    ``submit`` (an ``exec:`` pool of `jobs` workers, fed in this process),
+    else at most the CPUs available, one forked child on each."""
+    return jobs if hasattr(evaluator, "submit") else min(jobs, cpus_available())
+
+
+def cpus_available() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _forked(fn: Callable[[_Item], _Value], items: Sequence[_Item], jobs: int) -> list[_Value]:

@@ -841,6 +841,15 @@ class TestCompareMismatch:
         assert result.exit_code == 1
         assert "disagree on space_sha256" in result.stderr
 
+    def test_different_evaluator_rejected(self, runner, tmp_path):
+        # the same table under another path: the same space, weights and answers
+        _, run_a = do_run(runner, tmp_path, out="a")
+        invoke(runner, "oracle", run_a)
+        copy = write_tiny_csv(tmp_path / "copy.csv")
+        _, run_b = do_run(runner, tmp_path, out="b", **{"--evaluator": f"table:{copy}"})
+        result = invoke(runner, "compare", run_b, run_a / "oracle")
+        assert result.exit_code == 1
+        assert "disagree on evaluator" in result.stderr
 
     def test_benchmark_failed_in_the_run_exits_1(self, runner, tmp_path):
         run_dir = awkward_run(runner, tmp_path)
@@ -1281,6 +1290,19 @@ class TestExitCodePolicy:
             case(
                 "oracle", RESULT_FILE, with_entry("partition", []), "result-partition-list",
                 names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition' is not an object or null",
+            ),
+            # The partition and significance name the space's parameters.
+            case(
+                "oracle", RESULT_FILE, with_entry("partition.exhaustive", 5), "result-partition-exhaustive-number",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition': 'exhaustive' is 5",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("partition.warnings", "abc"), "result-partition-warnings-string",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition': 'warnings' is 'abc'",
+            ),
+            case(
+                "compare", RESULT_FILE, with_entry("significance.A", "x"), "result-significance-string",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance': 'A' is 'x'",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("error", 5), "result-error-number",

@@ -267,6 +267,20 @@ class TestExhaustivePhase:
         assert bench.best_config == {"A": 1}
         assert bench.objective == 1.0
 
+    def test_greedy_walk_starts_from_the_minimum(self):
+        # A's minimum is its middle setting, neither its first, last nor worst;
+        # the answer alone cannot show the phase's winner, since the logged
+        # minimum would replace a worse one, but the greedy walk starts there.
+        space = make_space([("A", [1, 2, 3]), ("C", [1, 2, 3])], ["b"])
+        cache = RequestLog(Additive(A={1: 5.0, 2: 1.0, 3: 9.0}, C={1: 0.0, 2: 0.5, 3: 1.0}))
+        bench = run(space, cache, {"m": 1.0}, 3).benchmarks["b"]
+        assert bench.partition.exhaustive == ("A",)
+        assert bench.partition.greedy == ("C",)
+        # 3 one-shot requests, 3 exhaustive ones; C walks up from B_C = 1
+        assert cache.log[3:6] == [{"A": a, "C": 1} for a in (1, 2, 3)]
+        assert cache.log[6:] == [{"A": 2, "C": 1}, {"A": 2, "C": 2}]
+        assert bench.best_config == {"A": 2, "C": 1}
+
 
 class TestGreedyPhase:
     def run_greedy(self, table):

@@ -1,5 +1,6 @@
 """External worker protocol: round trips, error taxonomy, worker lifecycle, pool."""
 
+import io
 import json
 import sys
 
@@ -339,6 +340,33 @@ class TestMockWorkerDirect:
         responses = self.run_worker([json.dumps(request)])
         assert responses[0]["id"] == 2
         assert "error" in responses[0]
+
+    def test_each_response_line_is_one_write(self, monkeypatch):
+        # on unbuffered stdout each write is a system call, and the reader a wakeup
+        from dsekit import mock_worker
+
+        class Writes(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        requests = [{"id": 1, "benchmark": "t", "config": {"A": 1, "B": 100}}, "{broken"]
+        requests.append({"id": 2, "benchmark": "t", "config": {"A": 2, "B": 200}})
+        lines = [r if isinstance(r, str) else json.dumps(r) for r in requests]
+        stdout = Writes()
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        mock_worker.main([], standalone_mode=False)
+        assert [json.loads(text) for text in stdout.writes] == [
+            {"id": 1, "metrics": tiny_metrics(1, 100)},
+            {"id": -1, "error": "malformed request"},
+            {"id": 2, "metrics": tiny_metrics(2, 200)},
+        ]
+        assert all(text.count("\n") == 1 and text.endswith("\n") for text in stdout.writes)
 
 
 class TestPool:

@@ -16,6 +16,7 @@ from dsekit import (
     oracle_search,
     run,
 )
+from dsekit import oracle_compare
 from dsekit.design_space import enumerate_configs, load_shipped_space, make_space
 from dsekit.errors import DseError
 from dsekit.objective import NormalizationContext, check_metrics, objective
@@ -23,6 +24,7 @@ from dsekit.oracle_compare import (
     DEFAULT_GUARD,
     GUARD_ENV,
     _forked,
+    cpus_available,
     enumeration_guard,
 )
 
@@ -30,7 +32,7 @@ from .conftest import TINY_WEIGHTS, tiny_metrics
 
 TINY_BEST_F = 0.3513986013986014
 #: Oracle job counts each search case runs at: serial, and 2, 3 and 6 index
-#: ranges of the tiny space's six configurations.
+#: ranges of the tiny space's six configurations, as far as there are CPUs.
 JOBS = (1, 2, 3, 8)
 
 
@@ -88,7 +90,16 @@ class TestOracleSearch:
             assert oracle.objective == pytest.approx(TINY_BEST_F, rel=1e-12)
             assert oracle.best_metrics == {"power": 2.4, "time": 7.0}
             assert oracle.evaluations == 6
-        assert len(forks) == 2 + 3 + 6
+        # one child per index range: at most the CPUs available and the configurations
+        widths = [min(jobs, cpus_available(), 6) for jobs in JOBS]
+        assert len(forks) == sum(width for width in widths if width > 1)
+        assert_reaped(forks)
+
+    def test_forks_no_more_children_than_there_are_cpus(self, tiny_space, tiny_evaluator, forks):
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, 64)["t"]
+        assert oracle.best_config == {"A": 4, "B": 200}
+        assert len(forks) <= cpus_available()
         assert_reaped(forks)
 
     def test_earliest_config_wins_ties(self, tiny_space):
@@ -198,7 +209,9 @@ class TestOracleSearch:
                 oracle_search(tiny_space, tiny_contexts(result), TwoFaults(), TINY_WEIGHTS, jobs)["t"]
         assert_reaped(forks)
 
-    def test_failure_does_not_wait_for_later_slices(self, tiny_space, tiny_evaluator, forks):
+    def test_failure_does_not_wait_for_later_slices(self, tiny_space, tiny_evaluator, forks, monkeypatch):
+        monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 3)
+
         class SlowTail:
             def evaluate(self, config, benchmark):
                 if config == {"A": 1, "B": 100}:
@@ -241,6 +254,7 @@ class TestOracleSearch:
             return pid
 
         result = self.tiny_run(tiny_space, tiny_evaluator)
+        monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 3)  # three ranges, forked at once
         monkeypatch.setattr(os, "fork", interrupted)
         with pytest.raises(KeyboardInterrupt):
             oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, 3)["t"]
