@@ -92,13 +92,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 @contextmanager
 def _reading(path: Path | str):
-    """Report a missing key or a wrong shape in the document at ``path`` as
-    a ValueError that names the file."""
+    """Report a missing key, a wrong shape, a number beyond the range of a
+    float or nesting too deep to decode in the document at ``path`` as a
+    ValueError that names the file."""
     try:
         yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, AttributeError, ValueError, csv.Error) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError, RecursionError, csv.Error) as exc:
         raise ValueError(f"{path}: malformed: {exc}") from None
 
 

@@ -205,7 +205,7 @@ def load_space(path: str | Path) -> DesignSpace:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     return space_from_dict(data)
 

@@ -370,7 +370,7 @@ def _parse_response(line: bytes, request_id: int) -> dict[str, float]:
         raise ProtocolError(f"response line is not UTF-8: {exc}") from None
     try:
         response = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
         raise ProtocolError(f"malformed response line: {exc}") from None
     if not isinstance(response, dict):
         raise ProtocolError(f"response is not a JSON object: {text.strip()}")

@@ -1308,6 +1308,14 @@ class TestExitCodePolicy:
                 "oracle", RESULT_FILE, with_entry("error", 5), "result-error-number",
                 names=f"{RESULT_FILE}: malformed: benchmark 't': 'error' is not a string or null",
             ),
+            *(
+                case(
+                    command, RESULT_FILE, lambda doc: {**doc, "weights": {"power": 10**400, "time": 0.9}},
+                    f"{command}-result-weight-beyond-float-range",
+                    names=f"{RESULT_FILE}: malformed: int too large to convert to float",
+                )
+                for command in ("oracle", "compare")
+            ),
         ],
     )
     def test_malformed_document_exits_1(self, runner, tmp_path, monkeypatch, command, document, corrupt, names):
@@ -1325,6 +1333,23 @@ class TestExitCodePolicy:
         if command == "oracle":
             assert backend.threads == set()
             assert not oracle_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, document", [("oracle", SPACE_FILE), ("oracle", MANIFEST_FILE), ("compare", ORACLE_FILE)]
+    )
+    def test_document_nested_too_deep_exits_1(self, runner, tmp_path, command, document):
+        # written as it stands: json.dumps cannot build this text
+        _, run_dir = do_run(runner, tmp_path)
+        oracle_dir = run_dir / "oracle"
+        if command == "compare":
+            assert invoke(runner, "oracle", run_dir).exit_code == 0
+        path = (oracle_dir if document == ORACLE_FILE else run_dir) / document
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        result = invoke(runner, command, run_dir, *([oracle_dir] if command == "compare" else []))
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {path}: ") and "maximum recursion depth exceeded" in line
+        assert oracle_dir.exists() == (command == "compare")
 
     def test_metric_beyond_float_range_in_a_document_exits_1(self, runner, tmp_path):
         _, run_dir = do_run(runner, tmp_path)
@@ -1558,6 +1583,7 @@ class TestJobs:
             return forked(fn, items, jobs)
 
         monkeypatch.setattr(oracle_compare, "_forked", recorded)
+        monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 2)
         common = ["--space", synthetic_space(tmp_path), "--weights", "power=0.6,time=0.4", "--evaluator", "synthetic"]
         outputs = []
         for jobs in (1, 2):
@@ -1653,6 +1679,10 @@ def worker_pids(pid):
     return workers
 
 
+#: The CLI, with two CPUs to fork on whatever the host has.
+FORKING_CLI = "from dsekit import cli, oracle_compare; oracle_compare.cpus_available = lambda: 2; cli.main()"
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes through /proc")
 class TestForkedChildren:
     """No child outlives the command that started it: neither a forked one
@@ -1684,7 +1714,7 @@ class TestForkedChildren:
             manifest.write_text(json.dumps({**document, "evaluator": hanging[0]}), encoding="utf-8")
             args = ["oracle", run_dir, *hanging[1:]]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "dsekit.cli", *map(str, args)],
+            [sys.executable, "-c", FORKING_CLI, *map(str, args)],
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             start_new_session=True,

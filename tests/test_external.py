@@ -5,6 +5,7 @@ import json
 import sys
 
 import pytest
+from click.testing import CliRunner
 
 from dsekit import (
     EvaluationError,
@@ -16,6 +17,7 @@ from dsekit import (
     make_space,
     run,
 )
+from dsekit.cli import main
 
 from .conftest import TINY_WEIGHTS, TinyEvaluator, tiny_metrics
 
@@ -138,6 +140,22 @@ class TestErrorTaxonomy:
         with ExternalEvaluator(command, timeout=30.0) as ev:
             with pytest.raises(ProtocolError, match="malformed response"):
                 ev.evaluate({"A": 1}, "t")
+
+    def test_response_nested_too_deep_fails_only_the_benchmark(self, tmp_path, tiny_space_file):
+        command = script_worker(tmp_path, 'print("[" * 100000 + "]" * 100000, flush=True)')
+        with ExternalEvaluator(command, timeout=30.0) as ev:
+            with pytest.raises(ProtocolError, match="malformed response line: maximum recursion depth"):
+                ev.evaluate({"A": 1}, "t")
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["run", "--space", str(tiny_space_file), "-T", "3", "--profile", "lowpower",
+             "--evaluator", "exec:" + " ".join(command), "--out", str(out)],
+            catch_exceptions=False,
+        )
+        assert result.exit_code == 2
+        assert "t: FAILED: malformed response line: " in result.stdout
+        assert (out / "result.json").is_file()
 
     def test_id_mismatch_raises_protocol_error(self):
         command = worker_command("--skew-id-on", "skewed")

@@ -177,8 +177,9 @@ class TestOracleSearch:
         ids=["nan", "extra-key", "missing-key"],
     )
     def test_malformed_response_raises_evaluation_error(
-        self, tiny_space, tiny_evaluator, corrupt, forks
+        self, tiny_space, tiny_evaluator, corrupt, forks, monkeypatch
     ):
+        monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 3)
         # (2, 200) is the fourth configuration: in the second or a later slice
         class Corrupt:
             def evaluate(self, config, benchmark):
@@ -227,7 +228,9 @@ class TestOracleSearch:
         assert time.monotonic() - start < 10
         assert_reaped(forks)
 
-    def test_unpicklable_error_is_named_in_a_runtime_error(self, tiny_space, tiny_evaluator):
+    def test_unpicklable_error_is_named_in_a_runtime_error(self, tiny_space, tiny_evaluator, monkeypatch):
+        monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 2)  # raised in a forked child
+
         class Unpicklable(Exception):
             pass
 
