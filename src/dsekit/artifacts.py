@@ -32,14 +32,13 @@ import csv
 import hashlib
 import io
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .design_space import DesignSpace, load_space, save_space, space_to_dict, validate, values_getter
+from .design_space import DesignSpace, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
 from .evaluators import csv_rows
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
 from .objective import NormalizationContext, is_metric_value, validate_weights
@@ -90,27 +89,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-@contextmanager
-def _reading(path: Path | str):
-    """Report a missing key, a wrong shape, a number beyond the range of a
-    float or nesting too deep to decode in the document at ``path`` as a
-    ValueError that names the file."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, AttributeError, ValueError, OverflowError, RecursionError, csv.Error) as exc:
-        raise ValueError(f"{path}: malformed: {exc}") from None
-
-
-def _load_json(path: Path) -> dict:
-    with _reading(path):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    return payload
-
-
 def _check_entries(
     path: Path, payload: Mapping, types: Mapping, space: DesignSpace, weights: Mapping
 ) -> None:
@@ -119,7 +97,7 @@ def _check_entries(
     configuration of ``space`` and best metrics of ``weights``, unless null;
     else a ValueError naming it."""
     in_space = _space_test(space)
-    with _reading(path):
+    with reading(path):
         for name, entry in payload["benchmarks"].items():
             for key, (kind, spelled) in types.items():
                 if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
@@ -382,7 +360,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     objective) that is not one of its rows; the floats round-trip exactly.
     """
     manifest_path = run_dir / MANIFEST_FILE
-    manifest = _load_json(manifest_path)
+    manifest = load_json(manifest_path)
     for key, kind in {**_RUN_IDENTITY, "replay_hash": str}.items():
         if not isinstance(manifest.get(key), kind):
             raise ValueError(f"{manifest_path}: {key!r} is missing or not a {kind.__name__}")
@@ -394,10 +372,10 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     if violations:
         raise ValueError(f"{space_path}: " + "; ".join(violations))
     result_path = run_dir / RESULT_FILE
-    payload = _load_json(result_path)
+    payload = load_json(result_path)
     evals_path = run_dir / EVALS_FILE
 
-    with _reading(result_path):
+    with reading(result_path):
         payload["threshold"]  # required, though the manifest's threshold is the one in force
         weights = {name: float(w) for name, w in payload["weights"].items()}
         violations = validate_weights(weights)
@@ -410,7 +388,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     records: dict[str, list[EvalRecord]] = {}
     in_space = _space_test(space)
     score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
-    with open(evals_path, newline="", encoding="utf-8") as fh, _reading(evals_path):
+    with open(evals_path, newline="", encoding="utf-8") as fh, reading(evals_path):
         reader = csv.DictReader(fh)
         header = _evals_header(space, list(weights))
         if reader.fieldnames != header:
@@ -440,7 +418,7 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
         )
     benchmarks: dict[str, BenchmarkResult] = {}
     parameters = set(space.names)
-    with _reading(result_path):
+    with reading(result_path):
         for name, entry in payload["benchmarks"].items():
             logged = records.get(name, [])
             if entry["unique_evaluations"] != len(logged):
@@ -510,7 +488,7 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
     evaluator other than the manifest's is a ValueError, and so is an entry
     ``_check_entries`` refuses."""
     path = oracle_dir / ORACLE_FILE
-    payload = _load_json(path)
+    payload = load_json(path)
     for field in _RUN_IDENTITY:
         if payload.get(field) != manifest[field]:
             raise ValueError(

@@ -8,7 +8,9 @@ plain dicts mapping parameter name to one of its settings.
 
 from __future__ import annotations
 
+import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
@@ -169,45 +171,53 @@ def space_to_dict(space: DesignSpace) -> dict:
     }
 
 
+@contextmanager
+def reading(path: str | Path):
+    """Report a missing key, a wrong shape, a value that is not its type's
+    (undecodable text or CSV, a number beyond the range of a float, nesting
+    too deep to decode) in the file at ``path`` as a ValueError that names
+    the file. An OSError, such as a missing file, passes unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError, OverflowError, RecursionError, csv.Error) as exc:
+        raise ValueError(f"{path}: malformed: {exc}") from None
+
+
+def load_json(path: str | Path) -> dict:
+    """The JSON object in the file at ``path`` (UTF-8), read and parsed once;
+    anything else is a ValueError that names the file."""
+    with reading(path):
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return payload
+
+
 def _parameter(entry: Mapping) -> Parameter:
     """A parameter entry: a string name and a JSON array of numbers and strings."""
     name = entry["name"]
     if not isinstance(name, str):
-        raise ValueError(
-            f"malformed space definition: parameter name {name!r} must be a string"
-        )
+        raise ValueError(f"parameter name {name!r} must be a string")
     settings = entry["settings"]
     if not isinstance(settings, list) or not all(
         isinstance(s, (int, float, str)) and not isinstance(s, bool) for s in settings
     ):
-        raise ValueError(
-            f"malformed space definition: parameter {name!r}: "
-            "settings must be a JSON array of numbers and strings"
-        )
+        raise ValueError(f"parameter {name!r}: settings must be a JSON array of numbers and strings")
     return Parameter(name, tuple(settings))
 
 
-def space_from_dict(data: Mapping) -> DesignSpace:
-    try:
+def load_space(path: str | Path) -> DesignSpace:
+    """Load a space definition file (JSON, UTF-8); any other file is a
+    ValueError that names it."""
+    data = load_json(path)
+    with reading(path):
         parameters = tuple(_parameter(entry) for entry in data["parameters"])
         benchmarks = data["benchmarks"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed space definition: {exc}") from exc
-    if not isinstance(benchmarks, list) or not all(isinstance(b, str) for b in benchmarks):
-        raise ValueError(
-            "malformed space definition: benchmarks must be a JSON array of strings"
-        )
+        if not isinstance(benchmarks, list) or not all(isinstance(b, str) for b in benchmarks):
+            raise ValueError("benchmarks must be a JSON array of strings")
     return DesignSpace(parameters=parameters, benchmarks=tuple(benchmarks))
-
-
-def load_space(path: str | Path) -> DesignSpace:
-    """Load a space definition file (JSON, UTF-8)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep to decode
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    return space_from_dict(data)
 
 
 def save_space(space: DesignSpace, path: str | Path) -> None:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from .design_space import Config, DesignSpace, Setting, values_getter
+from .design_space import Config, DesignSpace, Setting, reading, values_getter
 from .errors import (
     EvaluationError,
     EvaluationTimeoutError,
@@ -264,29 +264,27 @@ class TableEvaluator:
 
     @classmethod
     def load(cls, path: str | Path, space: DesignSpace) -> "TableEvaluator":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = DictReader(fh)
-            header = reader.fieldnames
-            if header is None:
-                raise TableLoadError(f"{path}: empty table")
-            if header[0] != "benchmark":
-                raise TableLoadError(f"{path}: first column must be 'benchmark'")
-            missing = set(space.names).difference(header[1:])
-            if missing:
-                raise TableLoadError(f"{path}: missing parameter columns {sorted(missing)}")
-            metric_names = [n for n in header[1:] if n not in set(space.names)]
-            if not metric_names:
-                raise TableLoadError(f"{path}: no metric columns")
-
-            rows: dict[tuple, dict[str, float]] = {}
-            try:
-                for line, key, _, cells in csv_rows(reader, space):
-                    try:
-                        rows[key] = {n: float(cells[n]) for n in metric_names}
-                    except ValueError as exc:
-                        raise TableLoadError(f"{path}: line {line}: {exc}") from None
-            except ValueError as exc:  # a row that csv_rows refuses
-                raise TableLoadError(f"{path}: {exc}") from None
+        """The table at ``path``; one that is not a table of ``space``'s
+        configurations is a TableLoadError that names the file."""
+        try:
+            with open(path, newline="", encoding="utf-8") as fh, reading(path):
+                reader = DictReader(fh)
+                header = reader.fieldnames
+                if header is None:
+                    raise ValueError("empty table")
+                if header[0] != "benchmark":
+                    raise ValueError("first column must be 'benchmark'")
+                missing = set(space.names).difference(header[1:])
+                if missing:
+                    raise ValueError(f"missing parameter columns {sorted(missing)}")
+                metric_names = [n for n in header[1:] if n not in set(space.names)]
+                if not metric_names:
+                    raise ValueError("no metric columns")
+                rows = {
+                    key: {n: float(cells[n]) for n in metric_names} for _, key, _, cells in csv_rows(reader, space)
+                }
+        except ValueError as exc:
+            raise TableLoadError(str(exc)) from None
         return cls(space, rows)
 
     def evaluate(self, config: Config, benchmark: str) -> dict[str, float]:

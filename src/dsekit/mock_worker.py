@@ -79,7 +79,7 @@ def main(
             request_id = request["id"]
             benchmark = request["benchmark"]
             config = request["config"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError):  # RecursionError: nested too deep
             _respond({"id": -1, "error": "malformed request"})
             continue
 

@@ -15,7 +15,7 @@ after it. ``_fanned`` alone decides when work is forked, for the oracle's
 ranges and for the CLI's (threshold, benchmark) searches of ``run`` and
 ``sweep``: into at most ``jobs`` children (``_forked``), and never more
 than the CPUs available, for a backend without ``submit``; an ``exec:``
-worker pool is fed ahead instead.
+worker pool is fed the one enumeration ahead instead, as one stream.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def oracle_search(
     ``os.fork`` (POSIX only), which reads a ``CachedEvaluator`` passed in
     but does not fill it: fork only from a process that runs no other
     threads. A backend with ``submit`` (an ``exec:`` pool) takes the
-    ranges in turn, each fed ahead.
+    whole enumeration as one range, fed ahead.
     The serial ``oracle_search(space, benchmark, evaluator, weights, ctx)``
     returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
@@ -170,12 +170,11 @@ def _fanned(
 ) -> Iterable[_Value]:
     """``fn(item)`` for each of `items`, in item order. The calls are forked
     (``_forked``, at most ``_width(jobs, evaluator)`` children at once,
-    started in the order of the key `first` if given) only when the backend
-    `evaluator` has no ``submit``, that width is above 1 and there are two
-    items or more; else each is made in this process, in order, only as its
-    value is taken."""
+    started in the order of the key `first` if given) only when that width
+    is above 1 and there are two items or more; else each is made in this
+    process, in order, only as its value is taken."""
     width = _width(jobs, evaluator)
-    if hasattr(evaluator, "submit") or width == 1 or len(items) < 2:
+    if width == 1 or len(items) < 2:
         return map(fn, items)
     order = sorted(range(len(items)), key=lambda i: first(items[i])) if first else range(len(items))
     values = dict(zip(order, _forked(fn, [items[i] for i in order], width)))
@@ -183,10 +182,10 @@ def _fanned(
 
 
 def _width(jobs: int, evaluator: Evaluator) -> int:
-    """How many ways ``_fanned`` spreads work: `jobs` for a backend with
-    ``submit`` (an ``exec:`` pool of `jobs` workers, fed in this process),
-    else at most the CPUs available, one forked child on each."""
-    return jobs if hasattr(evaluator, "submit") else min(jobs, cpus_available())
+    """How many ways ``_fanned`` spreads work: one for a backend with
+    ``submit`` (an ``exec:`` pool, fed ahead in this process as one stream),
+    else at most `jobs` and the CPUs available, one forked child on each."""
+    return 1 if hasattr(evaluator, "submit") else min(jobs, cpus_available())
 
 
 def cpus_available() -> int:

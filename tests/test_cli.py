@@ -1212,6 +1212,22 @@ def with_logged_best(config, a, b):
     return corrupt
 
 
+def non_utf8(data):
+    """``data`` with a byte no UTF-8 text holds in its middle."""
+    return data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :]
+
+
+NON_UTF8_ERROR = "malformed: 'utf-8' codec can't decode byte 0xff"
+
+
+def long_cell(data):
+    """CSV ``data`` whose first row starts with a cell beyond ``csv``'s field limit."""
+    return data.replace(b"\r\n", b"\r\n" + b"x" * 200_000, 1)
+
+
+LONG_CELL_ERROR = "malformed: field larger than field limit (131072)"
+
+
 def case(command, document, corrupt, id, names=None):
     """A malformed-document case; the error line names ``names``, by default
     the document."""
@@ -1260,6 +1276,18 @@ class TestExitCodePolicy:
             ),
             case("compare", ORACLE_FILE, without("benchmarks"), "oracle-without-benchmarks"),
             case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
+            *(
+                case("oracle", document, lambda doc: [doc], f"{document.split('.')[0]}-is-a-list",
+                     names=f"{document}: not a JSON object")
+                for document in (SPACE_FILE, MANIFEST_FILE, RESULT_FILE)
+            ),
+            *(
+                case(command, document, lambda doc: non_utf8(json.dumps(doc).encode()),
+                     f"{document.split('.')[0]}-non-utf-8", names=f"{document}: {NON_UTF8_ERROR}")
+                for command, document in (
+                    ("oracle", SPACE_FILE), ("oracle", MANIFEST_FILE), ("oracle", RESULT_FILE), ("compare", ORACLE_FILE)
+                )
+            ),
             case("compare", ORACLE_FILE, with_entry("best_config", [1, 2]), "oracle-best-config-list"),
             case("compare", ORACLE_FILE, with_entry("objective", "0.5"), "oracle-objective-string"),
             case(
@@ -1324,18 +1352,25 @@ class TestExitCodePolicy:
         if command == "compare":
             assert invoke(runner, "oracle", run_dir).exit_code == 0
         path = (oracle_dir if document == ORACLE_FILE else run_dir) / document
-        path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+        written = corrupt(json.loads(path.read_text(encoding="utf-8")))  # bytes are written as they stand
+        path.write_bytes(written if isinstance(written, bytes) else json.dumps(written).encode())
         backend = TinyBackend()
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, command, run_dir, *([oracle_dir] if command == "compare" else []))
         assert result.exit_code == 1
-        assert "error:" in result.stderr and names in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and names in line
+        if names.startswith(document):  # a fault of the document, named by its path
+            assert line.startswith(f"error: {path}: ")
         if command == "oracle":
             assert backend.threads == set()
             assert not oracle_dir.exists()
+        else:
+            assert not (run_dir / COMPARE_JSON_FILE).exists()
 
     @pytest.mark.parametrize(
-        "command, document", [("oracle", SPACE_FILE), ("oracle", MANIFEST_FILE), ("compare", ORACLE_FILE)]
+        "command, document",
+        [("oracle", SPACE_FILE), ("oracle", MANIFEST_FILE), ("oracle", RESULT_FILE), ("compare", ORACLE_FILE)],
     )
     def test_document_nested_too_deep_exits_1(self, runner, tmp_path, command, document):
         # written as it stands: json.dumps cannot build this text
@@ -1350,6 +1385,18 @@ class TestExitCodePolicy:
         [line] = result.stderr.splitlines()
         assert line.startswith(f"error: {path}: ") and "maximum recursion depth exceeded" in line
         assert oracle_dir.exists() == (command == "compare")
+
+    @pytest.mark.parametrize(
+        "corrupt, error", [(non_utf8, NON_UTF8_ERROR), (long_cell, LONG_CELL_ERROR)], ids=["non-utf-8", "long-cell"]
+    )
+    def test_unreadable_table_exits_1(self, runner, tmp_path, corrupt, error):
+        table = write_tiny_csv(tmp_path / "tiny.csv")
+        table.write_bytes(corrupt(table.read_bytes()))
+        result, out_dir = do_run(runner, tmp_path)
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {table}: {error}")
+        assert not out_dir.exists()
 
     def test_metric_beyond_float_range_in_a_document_exits_1(self, runner, tmp_path):
         _, run_dir = do_run(runner, tmp_path)
@@ -1394,6 +1441,8 @@ class TestExitCodePolicy:
                 lambda header, rows: (header, [[*rows[0][:3], "x2", *rows[0][4:]], *rows[1:]]),
                 "line 2: {'A': 'x2', 'B': 100} is not in the space",
             ),
+            (lambda header, rows: (header, [["x" * 200_000, *rows[0][1:]], *rows[1:]]), LONG_CELL_ERROR),
+            (lambda header, rows: (header, [["t\udcff", *rows[0][1:]], *rows[1:]]), NON_UTF8_ERROR),
         ],
         ids=[
             "extra-metric-column",
@@ -1403,6 +1452,8 @@ class TestExitCodePolicy:
             "duplicate-row",
             "blank-objective-of-a-benchmark-that-succeeded",
             "cell-outside-the-space",
+            "cell-beyond-the-field-limit",
+            "non-utf-8-byte",
         ],
     )
     def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
@@ -1412,13 +1463,14 @@ class TestExitCodePolicy:
             header, *rows = csv.reader(fh)
         assert header[5] == "power"
         header, rows = edit(header, rows)
-        with open(evals, "w", newline="", encoding="utf-8") as fh:
+        with open(evals, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:  # "\udcff": byte 0xff
             csv.writer(fh).writerows([header, *rows])
         backend = TinyBackend()
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
-        assert f"{EVALS_FILE}: malformed: " in result.stderr and names in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"error: {evals}: malformed: ") and names in line
         assert backend.threads == set()
         assert not (run_dir / "oracle").exists()
 

@@ -1,5 +1,8 @@
+import ast
 import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,6 @@ from dsekit import (
 from dsekit.design_space import (
     save_space,
     shipped_space_path,
-    space_from_dict,
     space_to_dict,
     validation_warnings,
 )
@@ -178,35 +180,38 @@ class TestEnumerate:
 
 
 class TestSerialization:
-    def test_round_trip_dict(self, tiny_space):
-        assert space_from_dict(space_to_dict(tiny_space)) == tiny_space
-
     def test_round_trip_file(self, tiny_space, tmp_path):
         path = tmp_path / "space.json"
         save_space(tiny_space, path)
         assert load_space(path) == tiny_space
 
     def test_malformed_definitions(self, tmp_path):
-        with pytest.raises(ValueError, match="malformed"):
-            space_from_dict({"parameters": [{"name": "A"}], "benchmarks": []})
-        for settings in ("abc", [[1], [2]], [None, 2], [True, 2], {"a": 1}):
-            with pytest.raises(ValueError, match="malformed.*'A'.*settings"):
-                space_from_dict(
-                    {"parameters": [{"name": "A", "settings": settings}], "benchmarks": ["b"]}
-                )
-        with pytest.raises(ValueError, match="malformed.*parameter name None"):
-            space_from_dict(
-                {"parameters": [{"name": None, "settings": [1, 2]}], "benchmarks": ["b"]}
-            )
-        for benchmarks in ("abc", [1, "b"], None):
-            with pytest.raises(ValueError, match="malformed.*benchmarks"):
-                space_from_dict(
-                    {"parameters": [{"name": "A", "settings": [1, 2]}], "benchmarks": benchmarks}
-                )
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="invalid JSON"):
-            load_space(path)
+
+        def refused(data, message):  # bytes are written as they stand
+            path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+                load_space(path)
+
+        refused({"parameters": [{"name": "A"}], "benchmarks": []}, "missing key 'settings'")
+        for settings in ("abc", [[1], [2]], [None, 2], [True, 2], {"a": 1}):
+            refused(
+                {"parameters": [{"name": "A", "settings": settings}], "benchmarks": ["b"]},
+                "malformed: parameter 'A': settings must be a JSON array of numbers and strings",
+            )
+        refused(
+            {"parameters": [{"name": None, "settings": [1, 2]}], "benchmarks": ["b"]},
+            "malformed: parameter name None must be a string",
+        )
+        for benchmarks in ("abc", [1, "b"], None):
+            refused(
+                {"parameters": [{"name": "A", "settings": [1, 2]}], "benchmarks": benchmarks},
+                "malformed: benchmarks must be a JSON array of strings",
+            )
+        refused({"parameters": 5, "benchmarks": ["b"]}, "malformed: 'int' object is not iterable")
+        refused(b"{not json", "malformed: Expecting property name enclosed in double quotes")
+        refused(b"[1, 2]", "not a JSON object")
+        refused(b'{"benchmarks": ["\xff"]}', "malformed: 'utf-8' codec can't decode byte 0xff")
 
     def test_mixed_setting_types_survive_round_trip(self, tmp_path):
         space = make_space([("bpred", ["BPredX", "BPredX2"]), ("f", [1.5, 2.5])], ["b"])
@@ -231,3 +236,32 @@ class TestShippedSpaces:
     def test_files_are_plain_json(self):
         data = json.loads(shipped_space_path("parsec-small").read_text(encoding="utf-8"))
         assert set(data) == {"parameters", "benchmarks"}
+
+
+#: The functions that may parse JSON text: the one file reader, and the two
+#: ends of the exec: protocol (a response line, a request line).
+JSON_PARSERS = {("design_space", "load_json"), ("evaluators", "_parse_response"), ("mock_worker", "main")}
+
+
+def parse_sites(node, function=None):
+    """The innermost function around each use of ``json.load``/``json.loads``
+    under ``node`` (None at module level); an import from ``json`` counts."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.ImportFrom) and node.module == "json":
+        yield "from json import"
+    if isinstance(node, ast.Attribute) and node.attr in ("load", "loads"):
+        if isinstance(node.value, ast.Name) and node.value.id == "json":
+            yield function
+    for child in ast.iter_child_nodes(node):
+        yield from parse_sites(child, function)
+
+
+def test_json_is_parsed_only_by_the_one_reader_and_the_protocol():
+    """Every file dsekit reads goes through ``design_space.load_json``, so
+    one rule refuses a malformed one; the protocol lines have their own."""
+    found = set()
+    for source in (Path(__file__).parents[1] / "src" / "dsekit").glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        found.update((source.stem, function) for function in parse_sites(tree))
+    assert found == JSON_PARSERS

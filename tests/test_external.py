@@ -346,6 +346,14 @@ class TestMockWorkerDirect:
             {"id": -1, "error": "malformed request"},
         ]
 
+    def test_request_nested_too_deep_gets_error_response(self):
+        request = {"id": 3, "benchmark": "t", "config": {"A": 1, "B": 100}}
+        responses = self.run_worker(["[" * 100000 + "]" * 100000, json.dumps(request)])
+        assert responses == [
+            {"id": -1, "error": "malformed request"},
+            {"id": 3, "metrics": tiny_metrics(1, 100)},
+        ]
+
     def test_blank_lines_are_skipped(self):
         request = {"id": 9, "benchmark": "t", "config": {"A": 1, "B": 100}}
         responses = self.run_worker(["", json.dumps(request), "   "])

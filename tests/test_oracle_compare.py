@@ -543,14 +543,12 @@ class TestSlices:
         ids=["tiny", "single-settings", "parsec-small"],
     )
     def test_slices_concatenate_to_the_enumeration(self, space, monkeypatch):
-        """The oracle's index ranges, which a pooled backend takes in turn in
-        this process, are near-equal and concatenate to the enumeration."""
+        """The oracle's index ranges, one per forked child, are near-equal
+        and concatenate to the enumeration; each child is made in turn in
+        this process here, so the ranges can be watched."""
         import dsekit.oracle_compare as oc
 
-        class Pooled:
-            def submit(self, config, benchmark):
-                return False  # no free slot: each request waits for its turn
-
+        class Flat:
             def evaluate(self, config, benchmark):
                 return {"power": 1.0, "time": 1.0}
 
@@ -563,11 +561,13 @@ class TestSlices:
                 yield config
 
         monkeypatch.setattr(oc, "enumerate_configs", enumerate_recorded)
+        monkeypatch.setattr(oc, "_forked", lambda fn, items, jobs: [fn(item) for item in items])
+        monkeypatch.setattr(oc, "cpus_available", lambda: 8)
         whole = [list(c.items()) for c in enumerate_configs(space)]
         contexts = {"t": NormalizationContext({"power": 1.0, "time": 1.0})}
         for jobs in range(2, 9):
             slices.clear()
-            oracle_search(space, contexts, Pooled(), TINY_WEIGHTS, jobs)
+            oracle_search(space, contexts, Flat(), TINY_WEIGHTS, jobs)
             assert len(slices) == min(jobs, len(whole))
             assert max(map(len, slices)) - min(map(len, slices)) <= 1
             assert [c for part in slices for c in part] == whole

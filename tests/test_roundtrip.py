@@ -123,19 +123,36 @@ def test_invalid_weights_exit_1_before_a_worker_starts(tmp_path):
 @pytest.mark.parametrize(
     "text, error",
     [
-        ('{"parameters": [{"name": "cores", "settings": "abc"}], "benchmarks": ["b"]}', "parameter 'cores': settings"),
-        ('{"parameters": [{"name": "cores", "settings": [null, 2]}], "benchmarks": ["b"]}', "parameter 'cores': settings"),
-        ('{"parameters": [{"name": null, "settings": [1, 2]}], "benchmarks": ["b"]}', "parameter name None"),
-        ('{"parameters": [{"name": "cores", "settings": [1, 2]}], "benchmarks": "abc"}', "benchmarks must be"),
-        ("[" * 100000 + "]" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+        (
+            '{"parameters": [{"name": "cores", "settings": "abc"}], "benchmarks": ["b"]}',
+            "malformed: parameter 'cores': settings",
+        ),
+        (
+            '{"parameters": [{"name": "cores", "settings": [null, 2]}], "benchmarks": ["b"]}',
+            "malformed: parameter 'cores': settings",
+        ),
+        (
+            '{"parameters": [{"name": null, "settings": [1, 2]}], "benchmarks": ["b"]}',
+            "malformed: parameter name None",
+        ),
+        (
+            '{"parameters": [{"name": "cores", "settings": [1, 2]}], "benchmarks": "abc"}',
+            "malformed: benchmarks must be",
+        ),
+        ("[" * 100000 + "]" * 100000, "malformed: maximum recursion depth exceeded"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"parameters": [], "benchmarks": ["\udcff"]}', "malformed: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["string-settings", "null-setting", "null-name", "string-benchmarks", "nested-too-deep"],
+    ids=[
+        "string-settings", "null-setting", "null-name", "string-benchmarks", "nested-too-deep", "top-level-array",
+        "non-utf-8",
+    ],
 )
 def test_malformed_space_exits_1(tmp_path, command, text, error):
     path = tmp_path / "space.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # a lone surrogate escape is a non-UTF-8 byte
     search = ["--space", path, "-T", 1, "--profile", "lowpower", "--evaluator", "synthetic:synth-fluid"]
     args = [path] if command == "validate" else [*search, "--out", tmp_path / "out"]
     [line] = dsekit(command, *args, code=1).stderr.splitlines()
-    assert line.startswith("error: ") and error in line
+    assert line.startswith(f"error: {path}: {error}")
     assert not (tmp_path / "out").exists()
