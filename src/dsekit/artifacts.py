@@ -39,9 +39,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .design_space import DesignSpace, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
+from .errors import DegenerateMetricError
 from .evaluators import csv_rows
 from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
-from .objective import NormalizationContext, is_metric_value, validate_weights
+from .objective import NormalizationContext, check_weights, is_metric_value, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -351,13 +352,13 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     not the manifest's, maxima or best points that are not of those weights
     and the space, a partition that ``_partition`` refuses, a significance
     that is not a finite number of a parameter, an ``evals.csv`` header
-    other than the one ``write_run_dir`` writes, a row ``csv_rows`` refuses,
-    a row whose configuration is not in the space, a blank metric cell, a
-    blank score of a benchmark whose ``error`` is null and log rows of a
-    benchmark that ``result.json`` does not hold. So is a ``result.json``
-    entry that ``evals.csv`` contradicts: a unique evaluation count other
-    than its row count, or a best point (configuration, metrics and
-    objective) that is not one of its rows; the floats round-trip exactly.
+    other than the one ``write_run_dir`` writes, a row that ``csv_rows``
+    refuses, that is not in the space, or that holds a cell that is no number
+    or a blank score of a benchmark whose ``error`` is null (each named by
+    its line), log rows of a benchmark that ``result.json`` does not hold, a
+    ``result.json`` entry that ``evals.csv`` contradicts (a unique evaluation
+    count other than its row count, or a best point not among its rows; the
+    floats round-trip exactly) and a succeeded one ``check_weights`` refuses.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = load_json(manifest_path)
@@ -388,27 +389,30 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     records: dict[str, list[EvalRecord]] = {}
     in_space = _space_test(space)
     score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
+
+    def record(_, config: dict, row: dict[str, str]) -> EvalRecord:
+        if not in_space(config):
+            raise ValueError(f"{config} is not in the space")
+        if "" in score_texts(row) and row["benchmark"] in succeeded:
+            raise ValueError(f"a blank score, but benchmark {row['benchmark']!r} succeeded")
+        normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
+        return EvalRecord(
+            benchmark=row["benchmark"],
+            phase=row["phase"],
+            seq=int(row["seq"]),
+            config=config,
+            metrics={m: float(row[m]) for m in weights},
+            normalized=normalized or None,
+            objective=float(row["objective"]) if row["objective"] else None,
+        )
+
     with open(evals_path, newline="", encoding="utf-8") as fh, reading(evals_path):
         reader = csv.DictReader(fh)
         header = _evals_header(space, list(weights))
         if reader.fieldnames != header:
             raise ValueError(f"header {reader.fieldnames} is not {header}")
-        for line, _, config, row in csv_rows(reader, space):
-            if not in_space(config):
-                raise ValueError(f"line {line}: {config} is not in the space")
-            if "" in score_texts(row) and row["benchmark"] in succeeded:
-                raise ValueError(f"line {line}: a blank score, but benchmark {row['benchmark']!r} succeeded")
-            normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
-            record = EvalRecord(
-                benchmark=row["benchmark"],
-                phase=row["phase"],
-                seq=int(row["seq"]),
-                config=config,
-                metrics={m: float(row[m]) for m in weights},
-                normalized=normalized or None,
-                objective=float(row["objective"]) if row["objective"] else None,
-            )
-            records.setdefault(record.benchmark, []).append(record)
+        for logged in csv_rows(reader, space, record):
+            records.setdefault(logged.benchmark, []).append(logged)
 
     _check_entries(result_path, payload, _RESULT_ENTRY_TYPES, space, weights)
     stray = [name for name in records if name not in payload["benchmarks"]]
@@ -438,9 +442,14 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             if entry["partition"] is not None:
                 entry["partition"] = _partition(f"benchmark {name!r}: 'partition'", entry["partition"], parameters)
             maxima = entry["normalization"]["maxima"]
-            if maxima:  # empty when the benchmark failed before calibration
+            if maxima or name in succeeded:  # empty when the benchmark failed before calibration
                 _check_metrics(f"benchmark {name!r}: normalization maxima", maxima, weights)
             entry["normalization"] = NormalizationContext(maxima) if maxima else None
+            if name in succeeded:  # oracle scores it by these maxima
+                try:
+                    check_weights(name, entry["normalization"], weights)
+                except DegenerateMetricError as exc:
+                    raise ValueError(str(exc)) from None
             benchmarks[name] = BenchmarkResult(
                 benchmark=name, records=logged, **{key: entry[key] for key in _RESULT_ENTRY_TYPES}
             )

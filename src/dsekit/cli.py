@@ -383,15 +383,15 @@ def run_cmd(threshold: int, out_dir: Path, **options) -> None:
 @_JOBS_OPTION
 @_TIMEOUT_OPTION
 def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -> None:
-    """Exhaustively search the space a run used, in one pass for all its benchmarks."""
+    """Exhaustively search the space a run used, in one pass for all the benchmarks that succeeded in it."""
     manifest, run_result = artifacts.load_run(run_dir)
     space = run_result.space
     contexts = {}
     for benchmark, bench in run_result.benchmarks.items():
-        if bench.normalization is None:
-            click.echo(f"warning: skipping {benchmark}: run has no normalization data", err=True)
-        else:
+        if bench.error is None:
             contexts[benchmark] = bench.normalization
+        else:
+            click.echo(f"warning: skipping {benchmark}: it failed in the run", err=True)
     guard = check_oracle_inputs(space, contexts, run_result.weights)  # before the backend is built
     with _evaluator(manifest["evaluator"], space, timeout, jobs) as evaluator:
         results = oracle_search(space, contexts, evaluator, run_result.weights, jobs)

@@ -41,7 +41,7 @@ from collections import deque
 from csv import DictReader
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .design_space import Config, DesignSpace, Setting, reading, values_getter
 from .errors import (
@@ -212,13 +212,13 @@ class SepMonoEvaluator:
 # CSV table replay backend
 
 
-def csv_rows(reader: DictReader, space: DesignSpace) -> Iterator[tuple[int, tuple, Config, dict[str, str]]]:
-    """Each row of a CSV file of ``space``'s configurations: its line, its key
-    ``(benchmark, config_key)``, its configuration and its cells. A parameter
+def csv_rows(reader: DictReader, space: DesignSpace, parse: Callable[[tuple, Config, dict], Any]) -> Iterator[Any]:
+    """``parse(key, config, cells)`` of each row of a CSV file of ``space``'s
+    configurations, its key being ``(benchmark, config_key)``. A parameter
     cell is the setting whose ``str`` is its text (the setting "0" stays a
     string), else the int, float or string it spells (2800.0 may spell 2800).
-    A row with more or fewer cells than the header, or a second row of one
-    key, is a ValueError that names its line."""
+    A row with more or fewer cells than the header, a second row of one key
+    or a ValueError of ``parse`` is a ValueError that names its line."""
     texts = {p.name: {str(s): s for s in p.settings} for p in space.parameters}
     key_of = space.config_key
     keys: set[tuple] = set()
@@ -230,10 +230,14 @@ def csv_rows(reader: DictReader, space: DesignSpace) -> Iterator[tuple[int, tupl
             raise ValueError(f"line {line} has fewer cells than the header")
         config = {name: _setting(settings, row[name]) for name, settings in texts.items()}
         key = (row["benchmark"], key_of(config))
-        if key in keys:
-            raise ValueError(f"line {line}: duplicate row for benchmark {row['benchmark']!r}, config {config}")
-        keys.add(key)
-        yield line, key, config, row
+        try:
+            if key in keys:
+                raise ValueError(f"duplicate row for benchmark {row['benchmark']!r}, config {config}")
+            keys.add(key)
+            parsed = parse(key, config, row)
+        except ValueError as exc:
+            raise ValueError(f"line {line}: {exc}") from None
+        yield parsed
 
 
 def _setting(texts: Mapping[str, Setting], text: str) -> Setting:
@@ -280,9 +284,9 @@ class TableEvaluator:
                 metric_names = [n for n in header[1:] if n not in set(space.names)]
                 if not metric_names:
                     raise ValueError("no metric columns")
-                rows = {
-                    key: {n: float(cells[n]) for n in metric_names} for _, key, _, cells in csv_rows(reader, space)
-                }
+                rows = dict(
+                    csv_rows(reader, space, lambda key, _, cells: (key, {n: float(cells[n]) for n in metric_names}))
+                )
         except ValueError as exc:
             raise TableLoadError(str(exc)) from None
         return cls(space, rows)

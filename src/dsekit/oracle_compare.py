@@ -60,7 +60,7 @@ def check_oracle_inputs(
 ) -> int:
     """``oracle_search``'s refusals, which the CLI makes before it builds the
     backend: an invalid space (``run``'s ValueError), a cardinality above the
-    guard, then each benchmark's weights; returns the guard."""
+    guard, then each benchmark's context (not None) and weights; returns the guard."""
     check_space(space)
     limit = enumeration_guard()
     if (size := cardinality(space)) > limit:
@@ -69,6 +69,8 @@ def check_oracle_inputs(
             f"raise it via {GUARD_ENV} to run the oracle anyway"
         )
     for benchmark, ctx in contexts.items():
+        if ctx is None:
+            raise ValueError(f"benchmark {benchmark!r} has no normalization context")
         check_weights(benchmark, ctx, weights)
     return limit
 

@@ -684,7 +684,7 @@ class TestOracle:
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 0
         assert result.stdout == ""
-        assert result.stderr == "warning: skipping u: run has no normalization data\n"
+        assert result.stderr == "warning: skipping u: it failed in the run\n"
         payload = json.loads((run_dir / "oracle" / ORACLE_FILE).read_text(encoding="utf-8"))
         assert payload["benchmarks"] == {}
 
@@ -722,7 +722,7 @@ class TestOracle:
         assert "error: DSE_ORACLE_GUARD must be an integer" in result.stderr
         assert not (run_dir / "oracle").exists()
 
-    def test_run_failed_on_degenerate_weight_exits_1(self, runner, tmp_path, monkeypatch):
+    def test_run_failed_on_degenerate_weight_is_skipped(self, runner, tmp_path, monkeypatch):
         class ZeroPower:
             def evaluate(self, config, benchmark):
                 return {**tiny_metrics(config["A"], config["B"]), "power": 0.0}
@@ -736,8 +736,50 @@ class TestOracle:
             "degenerate": ["power"],
         }
         result = invoke(runner, "oracle", run_dir)
-        assert result.exit_code == 1
-        assert "error: metric 'power' is 0 in every one-shot record" in result.stderr
+        assert result.exit_code == 0
+        assert result.stderr == "warning: skipping t: it failed in the run\n"
+        payload = json.loads((run_dir / "oracle" / ORACLE_FILE).read_text(encoding="utf-8"))
+        assert payload["benchmarks"] == {}
+
+    def test_oracle_scores_only_the_benchmarks_that_succeeded(self, runner, tmp_path, monkeypatch):
+        # t succeeds, u fails after calibration, z on a weighted metric that is 0
+        class Three:
+            oracle = False
+
+            def __init__(self):
+                self.requests = {}
+
+            def evaluate(self, config, benchmark):
+                if self.oracle:
+                    self.requests[benchmark] = self.requests.get(benchmark, 0) + 1
+                if benchmark == "u" and config == {"A": 2, "B": 200}:
+                    raise errors.EvaluationError("no row of u")
+                metrics = tiny_metrics(config["A"], config["B"])
+                return {**metrics, "power": 0.0} if benchmark == "z" else metrics
+
+        backend = Three()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+        space = json.loads(two_benchmark_space(tmp_path).read_text(encoding="utf-8"))
+        (tmp_path / "three.json").write_text(json.dumps({**space, "benchmarks": ["t", "u", "z"]}), encoding="utf-8")
+        ran, run_dir = do_run(runner, tmp_path, **{"--space": tmp_path / "three.json"})
+        assert ran.exit_code == 2
+        entries = json.loads((run_dir / RESULT_FILE).read_text(encoding="utf-8"))["benchmarks"]
+        assert [name for name, entry in entries.items() if entry["error"] is not None] == ["u", "z"]
+        assert entries["u"]["normalization"]["maxima"]  # u failed after calibration
+        assert entries["z"]["error"].startswith("metric 'power' is 0 in every one-shot record")
+        backend.oracle = True
+        result = invoke(runner, "oracle", run_dir, "--jobs", 1)  # requests counted in this process
+        assert result.exit_code == 0
+        assert result.stdout == "t: F=0.351399 [A=4 B=200]\n"
+        assert result.stderr == (
+            "warning: skipping u: it failed in the run\nwarning: skipping z: it failed in the run\n"
+        )
+        assert backend.requests == {"t": 6}
+        payload = json.loads((run_dir / "oracle" / ORACLE_FILE).read_text(encoding="utf-8"))
+        assert list(payload["benchmarks"]) == ["t"]
+        compared = invoke(runner, "compare", run_dir, run_dir / "oracle")
+        assert compared.exit_code == 0
+        assert list(json.loads((run_dir / COMPARE_JSON_FILE).read_text(encoding="utf-8"))["benchmarks"]) == ["t"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_prints_no_objective_lines(self, runner, tmp_path, monkeypatch, jobs):
@@ -1303,7 +1345,11 @@ class TestExitCodePolicy:
             # The maxima alone decide degeneracy, whatever the stored list says.
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima.time", 0.0), "result-maxima-time-zero",
-                names="metric 'time' is 0 in every one-shot record",
+                names=f"{RESULT_FILE}: malformed: metric 'time' is 0 in every one-shot record for benchmark 't'",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("normalization.maxima", {}), "result-succeeded-without-maxima",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': normalization maxima names []",
             ),
             case("compare", ORACLE_FILE, with_entry("best_metrics.area", 1.0), "oracle-best-metrics-extra"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
@@ -1427,7 +1473,7 @@ class TestExitCodePolicy:
             (lambda header, rows: (header + ["area"], [row + ["1.0"] for row in rows]), "header"),
             (
                 lambda header, rows: (header, [[*rows[0][:5], "", *rows[0][6:]], *rows[1:]]),
-                "could not convert string to float: ''",
+                "line 2: could not convert string to float: ''",
             ),
             (lambda header, rows: (header, [rows[0] + ["1.0"], *rows[1:]]), "more cells than the header"),
             (lambda header, rows: (header, [rows[0][:-1], *rows[1:]]), "line 2 has fewer cells than the header"),

@@ -365,6 +365,28 @@ class TestOnePassForEveryBenchmark:
         assert made == []
         assert forks == []
 
+    def test_a_benchmark_that_failed_before_calibration_is_refused_before_any_request(self, forks):
+        space = make_space([("A", [1, 2, 4]), ("B", [100, 200])], ["t", "u"])
+        made = []
+
+        class FailsU:
+            def evaluate(self, config, benchmark):
+                made.append(benchmark)
+                if benchmark == "u":
+                    raise EvaluationError("u fault")
+                return tiny_metrics(config["A"], config["B"])
+
+        result = run(space, FailsU(), TINY_WEIGHTS, 3)
+        assert result.benchmarks["u"].normalization is None
+        # every benchmark's context, a failed one's included
+        contexts = {name: bench.normalization for name, bench in result.benchmarks.items()}
+        made.clear()
+        for jobs in JOBS:
+            with pytest.raises(ValueError, match="^benchmark 'u' has no normalization context$"):
+                oracle_search(space, contexts, FailsU(), TINY_WEIGHTS, jobs)
+        assert made == []
+        assert forks == []
+
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_an_invalid_space_is_refused_as_run_refuses_it(self, forks, jobs):
         made = []
