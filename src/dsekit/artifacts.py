@@ -41,8 +41,8 @@ from . import __version__
 from .design_space import DesignSpace, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
 from .errors import DegenerateMetricError
 from .evaluators import csv_rows
-from .explorer import BenchmarkResult, EvalRecord, Partition, RunResult
-from .objective import NormalizationContext, check_weights, is_metric_value, validate_weights
+from .explorer import PHASE_ONESHOT, BenchmarkResult, EvalRecord, RunResult, one_shot_significance, partition
+from .objective import NormalizationContext, build_context, check_weights, is_metric_value, scorer, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -108,8 +108,12 @@ def _check_entries(
             config = entry["best_config"]
             if config is not None and not in_space(config):
                 raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
-            if entry["best_metrics"] is not None:
-                _check_metrics(f"benchmark {name!r}: 'best_metrics'", entry["best_metrics"], weights)
+            metrics = entry["best_metrics"]
+            if metrics is not None and metrics.keys() != weights.keys():
+                raise ValueError(f"benchmark {name!r}: 'best_metrics' names {sorted(metrics)}, not the weights' {sorted(weights)}")
+            for metric, value in (metrics or {}).items():
+                if not is_metric_value(value):
+                    raise ValueError(f"benchmark {name!r}: 'best_metrics': {metric!r} is {value!r}, not a finite number")
 
 
 def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
@@ -127,16 +131,6 @@ def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
         return True
 
     return in_space
-
-
-def _check_metrics(what: str, values: Mapping, weights: Mapping) -> None:
-    """``values`` holds a finite number for exactly the metrics the weights
-    name; else a ValueError that starts with ``what``."""
-    if values.keys() != weights.keys():
-        raise ValueError(f"{what} names {sorted(values)}, not the weights' {sorted(weights)}")
-    for metric, value in values.items():
-        if not is_metric_value(value):
-            raise ValueError(f"{what}: {metric!r} is {value!r}, not a finite number")
 
 
 def _digest(document: Mapping) -> str:
@@ -275,8 +269,9 @@ def _csv_text(rows: Iterable[Sequence]) -> str:
 
 
 def _result_entry(result: BenchmarkResult) -> dict:
-    """``result``'s ``result.json`` entry: its value of each key of
-    ``_RESULT_ENTRY_TYPES``, the partition and normalization as objects."""
+    """``result``'s ``result.json`` entry, as written and as ``load_run``
+    checks it: its value of each key of ``_RESULT_ENTRY_TYPES``, the
+    partition and normalization as objects."""
     entry = {key: getattr(result, key) for key in _RESULT_ENTRY_TYPES}
     if result.partition is not None:
         entry["partition"] = asdict(result.partition)
@@ -347,24 +342,29 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     """Rebuild a RunResult (manifest, results, full log) from a run directory.
 
     A missing key, a wrong shape or a wrong value type in one of its files is
-    a ValueError that names the file. So are a space that ``validate``
-    refuses or that the manifest does not hash, weights that are invalid or
-    not the manifest's, maxima or best points that are not of those weights
-    and the space, a partition that ``_partition`` refuses, a significance
-    that is not a finite number of a parameter, an ``evals.csv`` header
-    other than the one ``write_run_dir`` writes, a row that ``csv_rows``
-    refuses, that is not in the space, or that holds a cell that is no number
-    or a blank score of a benchmark whose ``error`` is null (each named by
-    its line), log rows of a benchmark that ``result.json`` does not hold, a
-    ``result.json`` entry that ``evals.csv`` contradicts (a unique evaluation
-    count other than its row count, or a best point not among its rows; the
-    floats round-trip exactly) and a succeeded one ``check_weights`` refuses.
+    a ValueError that names the file. So are a manifest threshold that is no
+    positive integer; a space that ``validate`` refuses or the manifest does
+    not hash; a ``result.json`` threshold or weights other than the
+    manifest's, invalid weights, and benchmarks other than the space's, in
+    order; best points not of the weights and the space; an ``evals.csv``
+    header other than ``write_run_dir`` writes, and a row that ``csv_rows``
+    refuses, that is not in the space, or with a cell that is no finite number
+    or a blank score of a benchmark whose ``error`` is null (named by its
+    line); rows of a benchmark ``result.json`` lacks; and an entry that
+    ``evals.csv`` contradicts: a count other than its rows, a best point not
+    logged or not null exactly when ``error`` is not, a null ``error`` without
+    calibration, or a one-shot outcome that is not the ``_result_entry``
+    rendering of ``_one_shot_outcome`` of its rows. The results hold the
+    derived outcome.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = load_json(manifest_path)
     for key, kind in {**_RUN_IDENTITY, "replay_hash": str}.items():
         if not isinstance(manifest.get(key), kind):
             raise ValueError(f"{manifest_path}: {key!r} is missing or not a {kind.__name__}")
+    threshold = manifest.get("threshold")
+    if type(threshold) is not int or threshold < 1:
+        raise ValueError(f"{manifest_path}: 'threshold' is missing or not a positive integer")
     space_path = run_dir / SPACE_FILE
     space = load_space(space_path)
     violations = validate(space)
@@ -377,7 +377,8 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     evals_path = run_dir / EVALS_FILE
 
     with reading(result_path):
-        payload["threshold"]  # required, though the manifest's threshold is the one in force
+        if type(payload["threshold"]) is not int or payload["threshold"] != threshold:
+            raise ValueError(f"'threshold' is {payload['threshold']!r}, but {MANIFEST_FILE} has {threshold}")
         weights = {name: float(w) for name, w in payload["weights"].items()}
         violations = validate_weights(weights)
         if weights != manifest["weights"]:
@@ -385,25 +386,32 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
         if violations:
             raise ValueError(f"weights {weights}: " + "; ".join(violations))
         succeeded = {name for name, entry in payload["benchmarks"].items() if entry["error"] is None}
+        if list(payload["benchmarks"]) != list(space.benchmarks):
+            raise ValueError(f"benchmarks {list(payload['benchmarks'])} are not {SPACE_FILE}'s {list(space.benchmarks)}")
 
     records: dict[str, list[EvalRecord]] = {}
     in_space = _space_test(space)
     score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
+
+    def number(text: str) -> float:
+        if is_metric_value(value := float(text)):
+            return value
+        raise ValueError(f"{text!r} is not a finite number")
 
     def record(_, config: dict, row: dict[str, str]) -> EvalRecord:
         if not in_space(config):
             raise ValueError(f"{config} is not in the space")
         if "" in score_texts(row) and row["benchmark"] in succeeded:
             raise ValueError(f"a blank score, but benchmark {row['benchmark']!r} succeeded")
-        normalized = {m: float(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
+        normalized = {m: number(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
         return EvalRecord(
             benchmark=row["benchmark"],
             phase=row["phase"],
             seq=int(row["seq"]),
             config=config,
-            metrics={m: float(row[m]) for m in weights},
+            metrics={m: number(row[m]) for m in weights},
             normalized=normalized or None,
-            objective=float(row["objective"]) if row["objective"] else None,
+            objective=number(row["objective"]) if row["objective"] else None,
         )
 
     with open(evals_path, newline="", encoding="utf-8") as fh, reading(evals_path):
@@ -421,7 +429,6 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             f"{evals_path}: rows of benchmark {stray[0]!r}, which {RESULT_FILE} does not hold"
         )
     benchmarks: dict[str, BenchmarkResult] = {}
-    parameters = set(space.names)
     with reading(result_path):
         for name, entry in payload["benchmarks"].items():
             logged = records.get(name, [])
@@ -431,51 +438,51 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
                     f"but {EVALS_FILE} logs {len(logged)} evaluations"
                 )
             best = entry["best_config"], entry["best_metrics"], entry["objective"]
-            if best[0] is not None and best not in [(r.config, r.metrics, r.objective) for r in logged]:
+            if (best == (None, None, None)) != (name not in succeeded):
+                raise ValueError(f"benchmark {name!r}: the best point must be null exactly when 'error' is not")
+            if name in succeeded and best not in [(r.config, r.metrics, r.objective) for r in logged]:
                 raise ValueError(f"benchmark {name!r}: the best point is not one {EVALS_FILE} logs")
-            for parameter, value in entry["significance"].items():
-                if parameter not in parameters or not is_metric_value(value):
-                    raise ValueError(
-                        f"benchmark {name!r}: 'significance': {parameter!r} is {value!r}, "
-                        "not a finite number of a parameter of the space"
-                    )
-            if entry["partition"] is not None:
-                entry["partition"] = _partition(f"benchmark {name!r}: 'partition'", entry["partition"], parameters)
-            maxima = entry["normalization"]["maxima"]
-            if maxima or name in succeeded:  # empty when the benchmark failed before calibration
-                _check_metrics(f"benchmark {name!r}: normalization maxima", maxima, weights)
-            entry["normalization"] = NormalizationContext(maxima) if maxima else None
-            if name in succeeded:  # oracle scores it by these maxima
-                try:
-                    check_weights(name, entry["normalization"], weights)
-                except DegenerateMetricError as exc:
-                    raise ValueError(str(exc)) from None
-            benchmarks[name] = BenchmarkResult(
-                benchmark=name, records=logged, **{key: entry[key] for key in _RESULT_ENTRY_TYPES}
-            )
+            ctx, significance, part = _one_shot_outcome(name, logged, space, weights, threshold)
+            if part is None and name in succeeded:
+                raise ValueError(f"benchmark {name!r}: 'error' is null, but its one-shot rows do not calibrate it")
+            stored = {key: entry[key] for key in _RESULT_ENTRY_TYPES}
+            outcome = {"significance": significance, "partition": part, "normalization": ctx}
+            benchmarks[name] = BenchmarkResult(benchmark=name, records=logged, **{**stored, **outcome})
+            if (difference := _difference(stored, _result_entry(benchmarks[name]), "")) is not None:
+                raise ValueError(f"benchmark {name!r}: {difference}, as its one-shot rows in {EVALS_FILE} give")
     return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
 
 
-def _partition(what: str, part: Mapping, parameters: set[str]) -> Partition:
-    """The Partition a ``result.json`` entry's ``partition`` object was written
-    from; a ValueError that starts with ``what`` unless its three sets are
-    arrays of ``parameters``, no name in two places, ``num_exhaustive`` is a
-    positive integer and ``warnings`` an array of strings."""
-    placed: list = []
-    for key in ("exhaustive", "greedy", "oneshot"):
-        names = part[key]
-        if not isinstance(names, list) or not all(isinstance(n, str) and n in parameters for n in names):
-            raise ValueError(f"{what}: {key!r} is {names!r}, not an array of the space's parameters")
-        placed += names
-    if len(set(placed)) != len(placed):
-        raise ValueError(f"{what} places a parameter twice: {placed}")
-    count = part["num_exhaustive"]
-    if type(count) is not int or count < 1:
-        raise ValueError(f"{what}: 'num_exhaustive' is {count!r}, not a positive integer")
-    warnings = part["warnings"]
-    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
-        raise ValueError(f"{what}: 'warnings' is {warnings!r}, not an array of strings")
-    return Partition(**{key: tuple(value) if isinstance(value, list) else value for key, value in part.items()})
+def _one_shot_outcome(name: str, logged: Sequence[EvalRecord], space: DesignSpace, weights: Mapping, threshold: int):
+    """Benchmark `name`'s normalization context, significance and partition,
+    derived as the search does from its one-shot records in `logged`: none
+    before all 1 + m are logged (m multi-setting parameters), and the context
+    alone if ``check_weights`` refuses it."""
+    rows = [record.metrics for record in logged if record.phase == PHASE_ONESHOT]
+    if len(rows) < 1 + len(space.multi_setting_names()):
+        return None, {}, None
+    ctx = build_context(rows)
+    try:
+        check_weights(name, ctx, weights)
+    except DegenerateMetricError:
+        return ctx, {}, None
+    significance = one_shot_significance(space, list(map(scorer(ctx, weights), rows)))
+    return ctx, significance, partition(significance, space, threshold)
+
+
+def _difference(stored: object, written: object, path: str) -> str | None:
+    """Where `stored`, read from JSON at `path`, first differs from `written`,
+    the value written for it; None if nowhere. A number equals one of another
+    type (a JSON ``5`` is ``5.0``), but a boolean is no number."""
+    if isinstance(stored, dict) and isinstance(written, dict) and stored.keys() == written.keys():
+        for key, value in written.items():
+            if (found := _difference(stored[key], value, f"{path}.{key}".lstrip("."))) is not None:
+                return found
+        return None
+    written = list(written) if isinstance(written, tuple) else written
+    if stored == written and isinstance(stored, bool) == isinstance(written, bool):
+        return None
+    return f"{path!r} is {stored!r}, not {written!r}"
 
 
 def write_oracle(out: Path, run_manifest: Mapping, guard: int, results: Mapping[str, OracleResult]) -> None:

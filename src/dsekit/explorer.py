@@ -220,15 +220,17 @@ def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     configs = [base] + [{**base, p.name: p.last} for p in multi]
     records = list(session.stream(configs, PHASE_ONESHOT))
     session.calibrate(records)
-
-    f_base = records[0].objective
-    significance: dict[str, float] = {}
-    best: Config = dict(base)
-    for p, record in zip(multi, records[1:]):
-        d = record.objective - f_base
-        significance[p.name] = d
-        best[p.name] = p.first if d > 0 else p.last
+    significance = one_shot_significance(space, [record.objective for record in records])
+    best = {**base, **{p.name: p.first if significance[p.name] > 0 else p.last for p in multi}}
     return significance, best
+
+
+def one_shot_significance(space: DesignSpace, objectives: Sequence[float]) -> dict[str, float]:
+    """Phase 1's D_i = F(last_i) - F(first_i) of each multi-setting parameter,
+    in the space's order, from the one-shot objectives in request order: the
+    all-first configuration's, then one per multi-setting parameter."""
+    f_base, *moved = objectives
+    return {name: f - f_base for name, f in zip(space.multi_setting_names(), moved)}
 
 
 def partition(

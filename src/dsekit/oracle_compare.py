@@ -95,8 +95,8 @@ def oracle_search(
     maps it to its methodology run context; per benchmark, the strict-minimum
     F wins, earliest on ties, its metrics in the weights' order. A response
     must hold exactly the weights' metrics, all finite (else EvaluationError).
-    Before any request, ``check_oracle_inputs`` makes its refusals; then
-    the first evaluation failure is raised, in enumeration order
+    Before any request, `jobs` below 1 and ``check_oracle_inputs``'s refusals
+    raise; then the first evaluation failure is raised, in enumeration order
     (configuration-major, the benchmarks in `contexts` order within a
     configuration), and no request follows it.
 
@@ -111,6 +111,8 @@ def oracle_search(
     returns one benchmark's OracleResult."""
     if isinstance(contexts, str):
         return oracle_search(space, {contexts: jobs}, evaluator, weights)[contexts]  # type: ignore
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     check_oracle_inputs(space, contexts, weights)
     size = cardinality(space)
     scorers = {benchmark: scorer(ctx, weights) for benchmark, ctx in contexts.items()}

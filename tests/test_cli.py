@@ -1224,7 +1224,8 @@ DROP = object()
 
 def with_entry(path, value):
     """Set one value of benchmark t's entry in result.json or oracle.json, or
-    delete it for ``DROP``; ``path`` names nested keys with dots."""
+    delete it for ``DROP``, or, for a function, set it to the function of
+    its value; ``path`` names nested keys with dots."""
     *parents, last = path.split(".")
 
     def corrupt(doc):
@@ -1234,10 +1235,18 @@ def with_entry(path, value):
         if value is DROP:
             del entry[last]
         else:
-            entry[last] = value
+            entry[last] = value(entry[last]) if callable(value) else value
         return doc
 
     return corrupt
+
+
+def with_threshold(threshold):
+    return lambda doc: {**doc, "threshold": threshold}
+
+
+#: The end of the error line of a result.json entry whose one-shot outcome is not its rows'.
+DERIVED = f", as its one-shot rows in {EVALS_FILE} give"
 
 
 def with_logged_best(config, a, b):
@@ -1299,6 +1308,27 @@ class TestExitCodePolicy:
             case("oracle", MANIFEST_FILE, without("evaluator"), "manifest-without-evaluator"),
             case("oracle", MANIFEST_FILE, without("replay_hash"), "manifest-without-replay-hash"),
             case("oracle", RESULT_FILE, without("threshold"), "result-without-threshold"),
+            # The manifest's threshold decides the partition; result.json repeats it.
+            *(
+                case("oracle", MANIFEST_FILE, corrupt, f"manifest-threshold-{id}",
+                     names=f"{MANIFEST_FILE}: 'threshold' is missing or not a positive integer")
+                for corrupt, id in ((with_threshold(0), "zero"), (with_threshold(True), "true"),
+                                    (without("threshold"), "missing"))
+            ),
+            case(
+                "oracle", RESULT_FILE, with_threshold(4), "result-threshold-not-the-manifests",
+                names=f"{RESULT_FILE}: malformed: 'threshold' is 4, but {MANIFEST_FILE} has 3",
+            ),
+            # result.json holds exactly the space's benchmarks, in its order.
+            case(
+                "oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": {}}, "result-without-a-benchmark",
+                names=f"{RESULT_FILE}: malformed: benchmarks [] are not {SPACE_FILE}'s ['t']",
+            ),
+            case(
+                "oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": {"zzz": doc["benchmarks"]["t"]}},
+                "result-benchmark-not-the-spaces",
+                names=f"{RESULT_FILE}: malformed: benchmarks ['zzz'] are not {SPACE_FILE}'s ['t']",
+            ),
             case("oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, "result-benchmarks-list"),
             case("compare", RESULT_FILE, with_entry("best_config", [1, 2]), "result-best-config-list"),
             case("compare", RESULT_FILE, with_entry("objective", "x"), "result-objective-string"),
@@ -1315,6 +1345,13 @@ class TestExitCodePolicy:
             case(
                 "compare", RESULT_FILE, with_entry("best_config", {"A": 2, "B": 100}), "result-config-not-logged",
                 names=f"{RESULT_FILE}: malformed: benchmark 't': the best point is not one {EVALS_FILE} logs",
+            ),
+            case(
+                "compare", RESULT_FILE,
+                lambda doc: with_entry("best_config", None)(with_entry("best_metrics", None)(
+                    with_entry("objective", None)(doc))),
+                "result-succeeded-without-best",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point must be null exactly when 'error' is not",
             ),
             case("compare", ORACLE_FILE, without("benchmarks"), "oracle-without-benchmarks"),
             case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
@@ -1342,14 +1379,23 @@ class TestExitCodePolicy:
             ),
             case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", DROP), "result-maxima-without-time"),
             case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", "x"), "result-maxima-time-string"),
-            # The maxima alone decide degeneracy, whatever the stored list says.
+            # The one-shot outcome is the one the search derives from the one-shot rows of evals.csv.
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima.time", 0.0), "result-maxima-time-zero",
-                names=f"{RESULT_FILE}: malformed: metric 'time' is 0 in every one-shot record for benchmark 't'",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.time' is 0.0, not 26.0{DERIVED}",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("normalization.maxima.power", lambda value: 2 * value),
+                "result-maximum-doubled",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.power' is 4.4, not 2.2{DERIVED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima", {}), "result-succeeded-without-maxima",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': normalization maxima names []",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima' is {{}}, not {{'power': 2.2, 'time': 26.0}}{DERIVED}",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("normalization.degenerate", ["power"]), "result-degenerate-edited",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.degenerate' is ['power'], not []{DERIVED}",
             ),
             case("compare", ORACLE_FILE, with_entry("best_metrics.area", 1.0), "oracle-best-metrics-extra"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
@@ -1365,18 +1411,29 @@ class TestExitCodePolicy:
                 "oracle", RESULT_FILE, with_entry("partition", []), "result-partition-list",
                 names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition' is not an object or null",
             ),
-            # The partition and significance name the space's parameters.
             case(
                 "oracle", RESULT_FILE, with_entry("partition.exhaustive", 5), "result-partition-exhaustive-number",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition': 'exhaustive' is 5",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.exhaustive' is 5, not ['A']{DERIVED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("partition.warnings", "abc"), "result-partition-warnings-string",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition': 'warnings' is 'abc'",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.warnings' is 'abc', not []{DERIVED}",
+            ),
+            case(
+                "oracle", RESULT_FILE,
+                lambda doc: with_entry("partition.greedy", [])(with_entry("partition.oneshot", ["B"])(doc)),
+                "result-partition-greedy-and-oneshot-swapped",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.greedy' is [], not ['B']{DERIVED}",
             ),
             case(
                 "compare", RESULT_FILE, with_entry("significance.A", "x"), "result-significance-string",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance': 'A' is 'x'",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance.A' is 'x', not -0.554895104895105{DERIVED}",
+            ),
+            case(
+                "compare", RESULT_FILE, with_entry("significance.A", lambda value: value / 2),
+                "result-significance-halved",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance.A' is -0.2774475524475525, "
+                f"not -0.554895104895105{DERIVED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("error", 5), "result-error-number",
@@ -1454,6 +1511,40 @@ class TestExitCodePolicy:
         assert f"error: {path}: malformed: benchmark 't': 'best_metrics': 'power' is 1000" in result.stderr
         assert not (run_dir / "oracle").exists()
 
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            # At T = 6 the exhaustive set takes both parameters.
+            (
+                lambda run_dir: [
+                    (run_dir / document).write_text(json.dumps(with_threshold(6)(json.loads(
+                        (run_dir / document).read_text(encoding="utf-8")))), encoding="utf-8")
+                    for document in (MANIFEST_FILE, RESULT_FILE)
+                ],
+                f"benchmark 't': 'partition.exhaustive' is ['A'], not ['A', 'B']{DERIVED}",
+            ),
+            # The first row, A=1 B=100, is a one-shot row but not the best point.
+            (
+                lambda run_dir: (run_dir / EVALS_FILE).write_bytes(
+                    (run_dir / EVALS_FILE).read_bytes().replace(b"t,oneshot,0,", b"t,exhaustive,0,")
+                ),
+                "benchmark 't': 'error' is null, but its one-shot rows do not calibrate it",
+            ),
+        ],
+        ids=["both-thresholds-changed", "one-shot-row-relabelled"],
+    )
+    def test_one_shot_outcome_other_than_the_logs_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
+        _, run_dir = do_run(runner, tmp_path)
+        edit(run_dir)
+        backend = TinyBackend()
+        monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line == f"error: {run_dir / RESULT_FILE}: malformed: {names}"
+        assert backend.threads == set()
+        assert not (run_dir / "oracle").exists()
+
     def test_log_rows_of_a_benchmark_the_results_lack_exit_1(self, runner, tmp_path, monkeypatch):
         _, run_dir = do_run(runner, tmp_path)
         evals = run_dir / EVALS_FILE
@@ -1489,6 +1580,16 @@ class TestExitCodePolicy:
             ),
             (lambda header, rows: (header, [["x" * 200_000, *rows[0][1:]], *rows[1:]]), LONG_CELL_ERROR),
             (lambda header, rows: (header, [["t\udcff", *rows[0][1:]], *rows[1:]]), NON_UTF8_ERROR),
+            # number cells of the first row, which is not the best point
+            (lambda header, rows: (header, [[*rows[0][:-1], "nan"], *rows[1:]]), "line 2: 'nan' is not a finite number"),
+            (
+                lambda header, rows: (header, [[*rows[0][:5], "inf", *rows[0][6:]], *rows[1:]]),
+                "line 2: 'inf' is not a finite number",
+            ),
+            (
+                lambda header, rows: (header, [[*rows[0][:7], "-inf", *rows[0][8:]], *rows[1:]]),
+                "line 2: '-inf' is not a finite number",
+            ),
         ],
         ids=[
             "extra-metric-column",
@@ -1500,6 +1601,9 @@ class TestExitCodePolicy:
             "cell-outside-the-space",
             "cell-beyond-the-field-limit",
             "non-utf-8-byte",
+            "nan-objective",
+            "inf-power",
+            "minus-inf-norm-power",
         ],
     )
     def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):

@@ -120,6 +120,15 @@ class TestOracleSearch:
                 oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, jobs)["t"]
         assert forks == []
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_raise_before_any_request(self, tiny_space, tiny_evaluator, forks, jobs):
+        result = self.tiny_run(tiny_space, tiny_evaluator)
+        tiny_evaluator.calls = 0
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS, jobs)
+        assert tiny_evaluator.calls == 0
+        assert forks == []
+
     def test_weighted_degenerate_metric_raises_before_evaluating(self, tiny_space, forks):
         class NoPower:
             calls = 0
