@@ -34,15 +34,16 @@ import io
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .design_space import DesignSpace, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
-from .errors import DegenerateMetricError
-from .evaluators import csv_rows
-from .explorer import PHASE_ONESHOT, BenchmarkResult, EvalRecord, RunResult, one_shot_significance, partition
-from .objective import NormalizationContext, build_context, check_weights, is_metric_value, scorer, validate_weights
+from .design_space import DesignSpace, cardinality, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
+from .evaluators import TableEvaluator, csv_rows
+from .explorer import BenchmarkResult, EvalRecord, RunResult
+from .explorer import run as run_search
+from .objective import NormalizationContext, is_metric_value, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -62,20 +63,12 @@ SWEEP_FILE = "sweep.csv"
 _RUN_IDENTITY = {"space_sha256": str, "weights": dict, "evaluator": str}
 #: The manifest keys that ``replay_hash`` covers: all that determines results.
 _REPLAYED = ("space_sha256", "threshold", "weights", "evaluator", "version")
-#: Per-benchmark ``result.json`` values, in the order written, with their JSON
-#: types: the ``BenchmarkResult`` fields other than ``benchmark`` and
-#: ``records``, in field order.
-_RESULT_ENTRY_TYPES = {
-    "best_config": ((dict, type(None)), "an object or null"),
-    "best_metrics": ((dict, type(None)), "an object or null"),
-    "objective": ((int, float, type(None)), "a number or null"),
-    "significance": (dict, "an object"),
-    "partition": ((dict, type(None)), "an object or null"),
-    "normalization": (dict, "an object"),
-    "unique_evaluations": (int, "an integer"),
-    "total_requests": (int, "an integer"),
-    "error": ((str, type(None)), "a string or null"),
-}
+#: Per-benchmark ``result.json`` keys, in the order written: the
+#: ``BenchmarkResult`` fields other than ``benchmark`` and ``records``.
+_RESULT_KEYS = (
+    "best_config", "best_metrics", "objective", "significance", "partition", "normalization",
+    "unique_evaluations", "total_requests", "error",
+)
 #: Per-benchmark ``oracle.json`` values, in the order written, with their JSON
 #: types: the ``OracleResult`` fields that ``compare`` reads.
 _ORACLE_ENTRY_TYPES = {
@@ -90,30 +83,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _check_entries(
-    path: Path, payload: Mapping, types: Mapping, space: DesignSpace, weights: Mapping
-) -> None:
-    """Each benchmark entry of the document at ``path`` holds ``types``' keys
-    with their JSON types (never a boolean), a finite objective, a best
-    configuration of ``space`` and best metrics of ``weights``, unless null;
-    else a ValueError naming it."""
-    in_space = _space_test(space)
+def _check_entries(path: Path, payload: Mapping, space: DesignSpace, weights: Mapping) -> None:
+    """Each benchmark entry of the oracle document at ``path`` holds
+    ``_ORACLE_ENTRY_TYPES``' keys with their JSON types (never a boolean), a
+    finite objective, a best configuration of ``space``, best metrics of
+    ``weights`` and the space's cardinality as its evaluation count; else a
+    ValueError naming it."""
+    in_space, size = _space_test(space), cardinality(space)
     with reading(path):
         for name, entry in payload["benchmarks"].items():
-            for key, (kind, spelled) in types.items():
+            for key, (kind, spelled) in _ORACLE_ENTRY_TYPES.items():
                 if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
                     raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
-            if entry["objective"] is not None and not is_metric_value(entry["objective"]):
+            if not is_metric_value(entry["objective"]):
                 raise ValueError(f"benchmark {name!r}: 'objective' is {entry['objective']!r}, not finite")
-            config = entry["best_config"]
-            if config is not None and not in_space(config):
-                raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
+            if not in_space(entry["best_config"]):
+                raise ValueError(f"benchmark {name!r}: 'best_config' {entry['best_config']} is not in the space")
             metrics = entry["best_metrics"]
-            if metrics is not None and metrics.keys() != weights.keys():
+            if metrics.keys() != weights.keys():
                 raise ValueError(f"benchmark {name!r}: 'best_metrics' names {sorted(metrics)}, not the weights' {sorted(weights)}")
-            for metric, value in (metrics or {}).items():
+            for metric, value in metrics.items():
                 if not is_metric_value(value):
                     raise ValueError(f"benchmark {name!r}: 'best_metrics': {metric!r} is {value!r}, not a finite number")
+            if entry["evaluations"] != size:
+                raise ValueError(f"benchmark {name!r}: 'evaluations' is {entry['evaluations']}, not the space's {size} configurations")
 
 
 def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
@@ -270,9 +263,9 @@ def _csv_text(rows: Iterable[Sequence]) -> str:
 
 def _result_entry(result: BenchmarkResult) -> dict:
     """``result``'s ``result.json`` entry, as written and as ``load_run``
-    checks it: its value of each key of ``_RESULT_ENTRY_TYPES``, the
+    checks it: its value of each key of ``_RESULT_KEYS``, the
     partition and normalization as objects."""
-    entry = {key: getattr(result, key) for key in _RESULT_ENTRY_TYPES}
+    entry = {key: getattr(result, key) for key in _RESULT_KEYS}
     if result.partition is not None:
         entry["partition"] = asdict(result.partition)
     ctx = result.normalization or NormalizationContext({})  # None if the search failed before calibration
@@ -339,23 +332,24 @@ def _pareto_rows(
 
 
 def load_run(run_dir: Path) -> tuple[dict, RunResult]:
-    """Rebuild a RunResult (manifest, results, full log) from a run directory.
+    """Rebuild a RunResult (manifest, results, full log) from a run directory
+    by replaying the search over its own log.
 
     A missing key, a wrong shape or a wrong value type in one of its files is
     a ValueError that names the file. So are a manifest threshold that is no
     positive integer; a space that ``validate`` refuses or the manifest does
     not hash; a ``result.json`` threshold or weights other than the
     manifest's, invalid weights, and benchmarks other than the space's, in
-    order; best points not of the weights and the space; an ``evals.csv``
-    header other than ``write_run_dir`` writes, and a row that ``csv_rows``
-    refuses, that is not in the space, or with a cell that is no finite number
-    or a blank score of a benchmark whose ``error`` is null (named by its
-    line); rows of a benchmark ``result.json`` lacks; and an entry that
-    ``evals.csv`` contradicts: a count other than its rows, a best point not
-    logged or not null exactly when ``error`` is not, a null ``error`` without
-    calibration, or a one-shot outcome that is not the ``_result_entry``
-    rendering of ``_one_shot_outcome`` of its rows. The results hold the
-    derived outcome.
+    order; an ``evals.csv`` header other than ``write_run_dir`` writes, and a
+    row that ``csv_rows`` refuses, that is not in the space or with a metric
+    cell that is no finite number. The search is then replayed on the logged
+    metrics: ``explorer.run`` at the manifest's threshold, answered by a
+    ``TableEvaluator`` of the rows. ``evals.csv`` must be the text ``run``
+    writes for the replay, line for line (the first difference is named by
+    its line and column), and each ``result.json`` entry the replayed
+    benchmark's ``_result_entry`` (named by benchmark and key), but for
+    ``error``: a string exactly when the replay fails, the one value the log
+    cannot give. The results are the replay's, with the stored errors.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = load_json(manifest_path)
@@ -385,98 +379,75 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             violations.append(f"{MANIFEST_FILE} has {manifest['weights']}")
         if violations:
             raise ValueError(f"weights {weights}: " + "; ".join(violations))
-        succeeded = {name for name, entry in payload["benchmarks"].items() if entry["error"] is None}
         if list(payload["benchmarks"]) != list(space.benchmarks):
             raise ValueError(f"benchmarks {list(payload['benchmarks'])} are not {SPACE_FILE}'s {list(space.benchmarks)}")
 
-    records: dict[str, list[EvalRecord]] = {}
     in_space = _space_test(space)
-    score_texts = values_getter([f"norm_{m}" for m in weights] + ["objective"])
 
     def number(text: str) -> float:
         if is_metric_value(value := float(text)):
             return value
         raise ValueError(f"{text!r} is not a finite number")
 
-    def record(_, config: dict, row: dict[str, str]) -> EvalRecord:
+    def response(key: tuple, config: dict, row: dict[str, str]) -> tuple:
         if not in_space(config):
             raise ValueError(f"{config} is not in the space")
-        if "" in score_texts(row) and row["benchmark"] in succeeded:
-            raise ValueError(f"a blank score, but benchmark {row['benchmark']!r} succeeded")
-        normalized = {m: number(row[f"norm_{m}"]) for m in weights if row[f"norm_{m}"]}
-        return EvalRecord(
-            benchmark=row["benchmark"],
-            phase=row["phase"],
-            seq=int(row["seq"]),
-            config=config,
-            metrics={m: number(row[m]) for m in weights},
-            normalized=normalized or None,
-            objective=number(row["objective"]) if row["objective"] else None,
-        )
+        return key, {metric: number(row[metric]) for metric in weights}
 
+    header = _evals_header(space, list(weights))
     with open(evals_path, newline="", encoding="utf-8") as fh, reading(evals_path):
         reader = csv.DictReader(fh)
-        header = _evals_header(space, list(weights))
         if reader.fieldnames != header:
             raise ValueError(f"header {reader.fieldnames} is not {header}")
-        for logged in csv_rows(reader, space, record):
-            records.setdefault(logged.benchmark, []).append(logged)
-
-    _check_entries(result_path, payload, _RESULT_ENTRY_TYPES, space, weights)
-    stray = [name for name in records if name not in payload["benchmarks"]]
-    if stray:
-        raise ValueError(
-            f"{evals_path}: rows of benchmark {stray[0]!r}, which {RESULT_FILE} does not hold"
-        )
-    benchmarks: dict[str, BenchmarkResult] = {}
+        log = dict(csv_rows(reader, space, response))
+        fh.seek(0)
+        text = fh.read()
+    replay = run_search(space, TableEvaluator(space, log), weights, threshold)
+    if text != (rewritten := _csv_text([header]) + _evals_text(replay, list(weights))):
+        with reading(evals_path):
+            raise ValueError(_line_difference(text, rewritten, header))
     with reading(result_path):
-        for name, entry in payload["benchmarks"].items():
-            logged = records.get(name, [])
-            if entry["unique_evaluations"] != len(logged):
-                raise ValueError(
-                    f"benchmark {name!r}: 'unique_evaluations' is {entry['unique_evaluations']}, "
-                    f"but {EVALS_FILE} logs {len(logged)} evaluations"
-                )
-            best = entry["best_config"], entry["best_metrics"], entry["objective"]
-            if (best == (None, None, None)) != (name not in succeeded):
-                raise ValueError(f"benchmark {name!r}: the best point must be null exactly when 'error' is not")
-            if name in succeeded and best not in [(r.config, r.metrics, r.objective) for r in logged]:
-                raise ValueError(f"benchmark {name!r}: the best point is not one {EVALS_FILE} logs")
-            ctx, significance, part = _one_shot_outcome(name, logged, space, weights, threshold)
-            if part is None and name in succeeded:
-                raise ValueError(f"benchmark {name!r}: 'error' is null, but its one-shot rows do not calibrate it")
-            stored = {key: entry[key] for key in _RESULT_ENTRY_TYPES}
-            outcome = {"significance": significance, "partition": part, "normalization": ctx}
-            benchmarks[name] = BenchmarkResult(benchmark=name, records=logged, **{**stored, **outcome})
-            if (difference := _difference(stored, _result_entry(benchmarks[name]), "")) is not None:
-                raise ValueError(f"benchmark {name!r}: {difference}, as its one-shot rows in {EVALS_FILE} give")
-    return manifest, RunResult(space=space, weights=weights, benchmarks=benchmarks)
+        for name, result in replay.benchmarks.items():
+            entry = payload["benchmarks"][name]
+            if result.error is not None and isinstance(entry.get("error"), str):
+                result.error = entry["error"]
+            written = _result_entry(result)
+            written = {"error": written.pop("error"), **written}  # a failure explains the rest
+            if (difference := _difference(entry, written, "")) is not None:
+                raise ValueError(f"benchmark {name!r}: {difference}, as the search replays it from {EVALS_FILE}")
+    return manifest, replay
 
 
-def _one_shot_outcome(name: str, logged: Sequence[EvalRecord], space: DesignSpace, weights: Mapping, threshold: int):
-    """Benchmark `name`'s normalization context, significance and partition,
-    derived as the search does from its one-shot records in `logged`: none
-    before all 1 + m are logged (m multi-setting parameters), and the context
-    alone if ``check_weights`` refuses it."""
-    rows = [record.metrics for record in logged if record.phase == PHASE_ONESHOT]
-    if len(rows) < 1 + len(space.multi_setting_names()):
-        return None, {}, None
-    ctx = build_context(rows)
-    try:
-        check_weights(name, ctx, weights)
-    except DegenerateMetricError:
-        return ctx, {}, None
-    significance = one_shot_significance(space, list(map(scorer(ctx, weights), rows)))
-    return ctx, significance, partition(significance, space, threshold)
+def _line_difference(stored: str, written: str, header: Sequence[str]) -> str:
+    """Where the text `stored` first differs from `written`, the text the
+    search writes: its line, as the row reader counts them, and the first
+    column whose cells differ, else the line's ending or quoting."""
+    lines = [io.StringIO(text, newline="").readlines() for text in (stored, written)]
+    index = next(i for i, pair in enumerate(zip_longest(*lines)) if pair[0] != pair[1])
+    if index >= min(map(len, lines)):
+        state = "missing" if index >= len(lines[0]) else "extra"
+        return f"line {index + 1} is {state}: the search writes {len(lines[1]) - 1} data lines, not {len(lines[0]) - 1}"
+    pair = [texts[index] for texts in lines]
+    for column, a, b in zip_longest(header, *(next(csv.reader([text]), []) for text in pair)):
+        if a != b:
+            return f"line {index + 1}: {column!r} is {a!r}, not {b!r}"
+    ends = [text[len(text.rstrip("\r\n")):] for text in pair]
+    if ends[0] != ends[1]:
+        return f"line {index + 1} ends in {ends[0]!r}, not {ends[1]!r}"
+    return f"line {index + 1} quotes its cells otherwise than the search writes them"
 
 
 def _difference(stored: object, written: object, path: str) -> str | None:
     """Where `stored`, read from JSON at `path`, first differs from `written`,
-    the value written for it; None if nowhere. A number equals one of another
-    type (a JSON ``5`` is ``5.0``), but a boolean is no number."""
-    if isinstance(stored, dict) and isinstance(written, dict) and stored.keys() == written.keys():
-        for key, value in written.items():
-            if (found := _difference(stored[key], value, f"{path}.{key}".lstrip("."))) is not None:
+    the value written for it; None if nowhere. A key one holds and the other
+    lacks is named alone. A number equals one of another type (a JSON ``5``
+    is ``5.0``), but a boolean is no number."""
+    if isinstance(stored, dict) and isinstance(written, dict):
+        for key in [*written, *(key for key in stored if key not in written)]:
+            inner = f"{path}.{key}".lstrip(".")
+            if key not in stored or key not in written:
+                return f"{inner!r} is {'missing' if key not in stored else 'not a key the search writes'}"
+            if (found := _difference(stored[key], written[key], inner)) is not None:
                 return found
         return None
     written = list(written) if isinstance(written, tuple) else written
@@ -501,8 +472,9 @@ def write_oracle(out: Path, run_manifest: Mapping, guard: int, results: Mapping[
 def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str, OracleResult]:
     """The per-benchmark results of the oracle document of the run
     ``load_run`` returned as ``manifest`` and ``run``. A space, weights or
-    evaluator other than the manifest's is a ValueError, and so is an entry
-    ``_check_entries`` refuses."""
+    evaluator other than the manifest's is a ValueError, and so are entries
+    other than one per benchmark that succeeded in the run, in its order,
+    and an entry ``_check_entries`` refuses."""
     path = oracle_dir / ORACLE_FILE
     payload = load_json(path)
     for field in _RUN_IDENTITY:
@@ -511,7 +483,11 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
                 f"oracle and run manifests disagree on {field}: "
                 f"{payload.get(field)!r} vs {manifest[field]!r}"
             )
-    _check_entries(path, payload, _ORACLE_ENTRY_TYPES, run.space, run.weights)
+    succeeded = [name for name, result in run.benchmarks.items() if result.error is None]
+    with reading(path):
+        if list(payload["benchmarks"]) != succeeded:
+            raise ValueError(f"benchmarks {list(payload['benchmarks'])} are not those that succeeded in the run, {succeeded}")
+    _check_entries(path, payload, run.space, run.weights)
     return {
         name: OracleResult(benchmark=name, **{key: entry[key] for key in _ORACLE_ENTRY_TYPES})
         for name, entry in payload["benchmarks"].items()

@@ -29,12 +29,12 @@ and the exhaustive product do not depend on their own results, so the
 session streams each (``_Session.stream``), handing it to the backend ahead
 of its turn (``look_ahead``), which lets a worker pool evaluate them in
 parallel; the greedy walk decides each step from the last one and stays
-sequential. The session counts requests and distinct configurations. It
-checks each new response on arrival against the weights, which name and
-order the metrics, logs it in their order, then normalizes and scores it
-once. It builds its benchmark's normalization context from the one-shot
-records, checks the weights against it once and returns it as
-``BenchmarkResult.normalization``. The log keeps one record per distinct
+sequential. The session counts the requests answered with metrics it
+accepts, and the distinct configurations. It checks each new response on
+arrival against the weights, which name and order the metrics, logs it in
+their order, then normalizes and scores it once. It builds its benchmark's
+normalization context from the one-shot records, checks the weights
+against it once and returns it as ``BenchmarkResult.normalization``. The log keeps one record per distinct
 configuration per benchmark, tagged with the phase that first requested
 it, so its length is exactly the unique-evaluation count that
 percent-explored reporting is based on.
@@ -163,7 +163,6 @@ class _Session:
 
     def evaluate(self, config: Config, phase: str) -> EvalRecord:
         metrics = self.evaluator.evaluate(config, self.benchmark)
-        self.total_requests += 1
         key = self.key(config)
         record = self.log.get(key)
         if record is None:
@@ -173,6 +172,7 @@ class _Session:
                 record.normalized = self.ctx.normalize(metrics)
                 record.objective = self.score(metrics)  # type: ignore[misc]
             self.log[key] = record
+        self.total_requests += 1
         return record
 
     def stream(self, configs: Iterable[Config], phase: str) -> Iterator[EvalRecord]:
@@ -220,17 +220,10 @@ def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
     configs = [base] + [{**base, p.name: p.last} for p in multi]
     records = list(session.stream(configs, PHASE_ONESHOT))
     session.calibrate(records)
-    significance = one_shot_significance(space, [record.objective for record in records])
+    f_base = records[0].objective
+    significance = {p.name: record.objective - f_base for p, record in zip(multi, records[1:])}
     best = {**base, **{p.name: p.first if significance[p.name] > 0 else p.last for p in multi}}
     return significance, best
-
-
-def one_shot_significance(space: DesignSpace, objectives: Sequence[float]) -> dict[str, float]:
-    """Phase 1's D_i = F(last_i) - F(first_i) of each multi-setting parameter,
-    in the space's order, from the one-shot objectives in request order: the
-    all-first configuration's, then one per multi-setting parameter."""
-    f_base, *moved = objectives
-    return {name: f - f_base for name, f in zip(space.multi_setting_names(), moved)}
 
 
 def partition(

@@ -894,17 +894,19 @@ class TestCompareMismatch:
         assert "disagree on evaluator" in result.stderr
 
     def test_benchmark_failed_in_the_run_exits_1(self, runner, tmp_path):
-        run_dir = awkward_run(runner, tmp_path)
+        # the table holds no row of benchmark u, so u fails in the run and the oracle skips it
+        result, run_dir = do_run(runner, tmp_path, **{"--space": two_benchmark_space(tmp_path)})
+        assert result.exit_code == 2
         assert invoke(runner, "oracle", run_dir).exit_code == 0
-        path = run_dir / RESULT_FILE
+        path = run_dir / "oracle" / ORACLE_FILE
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["benchmarks"]["synth-fluid"].update(
-            error="boom", best_config=None, best_metrics=None, objective=None
-        )
+        doc["benchmarks"]["u"] = doc["benchmarks"]["t"]
         path.write_text(json.dumps(doc), encoding="utf-8")
         result = invoke(runner, "compare", run_dir, run_dir / "oracle")
         assert result.exit_code == 1
-        assert result.stderr == "error: benchmark 'synth-fluid' failed in the methodology run: boom\n"
+        assert result.stderr == (
+            f"error: {path}: malformed: benchmarks ['t', 'u'] are not those that succeeded in the run, ['t']\n"
+        )
         assert not (run_dir / COMPARE_JSON_FILE).exists()
 
 
@@ -1078,6 +1080,7 @@ class TestExecBackend:
             payload = json.loads((out_dir / RESULT_FILE).read_text(encoding="utf-8"))
             assert payload["benchmarks"]["t"]["error"] is None
             assert payload["benchmarks"]["u"]["error"] is not None
+            load_run(out_dir)  # the replay, missing the refused answer's row, counts u's requests alike
             outputs.append([(out_dir / name).read_bytes() for name in (EVALS_FILE, RESULT_FILE)])
         assert outputs[0] == outputs[1]
 
@@ -1245,8 +1248,8 @@ def with_threshold(threshold):
     return lambda doc: {**doc, "threshold": threshold}
 
 
-#: The end of the error line of a result.json entry whose one-shot outcome is not its rows'.
-DERIVED = f", as its one-shot rows in {EVALS_FILE} give"
+#: The end of the error line of a result.json entry other than the search's replay of evals.csv.
+REPLAYED = f", as the search replays it from {EVALS_FILE}"
 
 
 def with_logged_best(config, a, b):
@@ -1261,6 +1264,12 @@ def with_logged_best(config, a, b):
         return doc
 
     return corrupt
+
+
+def with_cell(rows, index, column, text):
+    """The ``evals.csv`` data rows ``rows`` with the cell of ``column`` in row ``index`` set to ``text``."""
+    position = ["benchmark", "phase", "seq", "A", "B", "power", "time", "norm_power", "norm_time", "objective"].index(column)
+    return [[*row[:position], text, *row[position + 1:]] if i == index else row for i, row in enumerate(rows)]
 
 
 def non_utf8(data):
@@ -1332,28 +1341,59 @@ class TestExitCodePolicy:
             case("oracle", RESULT_FILE, lambda doc: {**doc, "benchmarks": ["t"]}, "result-benchmarks-list"),
             case("compare", RESULT_FILE, with_entry("best_config", [1, 2]), "result-best-config-list"),
             case("compare", RESULT_FILE, with_entry("objective", "x"), "result-objective-string"),
-            # result.json must agree with the log it was written with.
+            # Each result.json entry is the search's own, replayed from evals.csv.
             case(
                 "oracle", RESULT_FILE, with_entry("unique_evaluations", 1), "result-count-not-the-logs",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'unique_evaluations' is 1, "
-                f"but {EVALS_FILE} logs 5 evaluations",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'unique_evaluations' is 1, not 5{REPLAYED}",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("total_requests", -5), "result-total-requests-negative",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'total_requests' is -5, not 8{REPLAYED}",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("total_requests", DROP), "result-without-total-requests",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'total_requests' is missing{REPLAYED}",
+            ),
+            case(
+                "oracle", RESULT_FILE, with_entry("partition.area", 1), "result-partition-extra-key",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.area' is not a key the search writes{REPLAYED}",
             ),
             case(
                 "compare", RESULT_FILE, with_entry("objective", 0.1), "result-objective-not-logged",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point is not one {EVALS_FILE} logs",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'objective' is 0.1, not {TINY_BEST_F}{REPLAYED}",
             ),
             case(
                 "compare", RESULT_FILE, with_entry("best_config", {"A": 2, "B": 100}), "result-config-not-logged",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point is not one {EVALS_FILE} logs",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'best_config.A' is 2, not 4{REPLAYED}",
+            ),
+            # A logged record of higher F as the best point: compare would report its gap.
+            case(
+                "compare", RESULT_FILE, with_logged_best({"A": 1, "B": 100}, 1, 100), "result-best-point-another-logged-record",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'best_config.A' is 1, not 4{REPLAYED}",
             ),
             case(
                 "compare", RESULT_FILE,
                 lambda doc: with_entry("best_config", None)(with_entry("best_metrics", None)(
                     with_entry("objective", None)(doc))),
                 "result-succeeded-without-best",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': the best point must be null exactly when 'error' is not",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'best_config' is None, not {{'A': 4, 'B': 200}}{REPLAYED}",
             ),
             case("compare", ORACLE_FILE, without("benchmarks"), "oracle-without-benchmarks"),
+            # oracle.json holds one entry per benchmark that succeeded in the run, in its order.
+            case(
+                "compare", ORACLE_FILE, lambda doc: {**doc, "benchmarks": {}}, "oracle-without-a-benchmark",
+                names=f"{ORACLE_FILE}: malformed: benchmarks [] are not those that succeeded in the run, ['t']",
+            ),
+            case(
+                "compare", ORACLE_FILE,
+                lambda doc: {**doc, "benchmarks": {**doc["benchmarks"], "zzz": doc["benchmarks"]["t"]}},
+                "oracle-benchmark-not-the-runs",
+                names=f"{ORACLE_FILE}: malformed: benchmarks ['t', 'zzz'] are not those that succeeded in the run, ['t']",
+            ),
+            case(
+                "compare", ORACLE_FILE, with_entry("evaluations", 0), "oracle-evaluations-zero",
+                names=f"{ORACLE_FILE}: malformed: benchmark 't': 'evaluations' is 0, not the space's 6 configurations",
+            ),
             case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
             *(
                 case("oracle", document, lambda doc: [doc], f"{document.split('.')[0]}-is-a-list",
@@ -1379,23 +1419,23 @@ class TestExitCodePolicy:
             ),
             case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", DROP), "result-maxima-without-time"),
             case("oracle", RESULT_FILE, with_entry("normalization.maxima.time", "x"), "result-maxima-time-string"),
-            # The one-shot outcome is the one the search derives from the one-shot rows of evals.csv.
+            # So are its normalization, significance and partition.
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima.time", 0.0), "result-maxima-time-zero",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.time' is 0.0, not 26.0{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.time' is 0.0, not 26.0{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima.power", lambda value: 2 * value),
                 "result-maximum-doubled",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.power' is 4.4, not 2.2{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.power' is 4.4, not 2.2{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.maxima", {}), "result-succeeded-without-maxima",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima' is {{}}, not {{'power': 2.2, 'time': 26.0}}{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.maxima.power' is missing{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("normalization.degenerate", ["power"]), "result-degenerate-edited",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.degenerate' is ['power'], not []{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'normalization.degenerate' is ['power'], not []{REPLAYED}",
             ),
             case("compare", ORACLE_FILE, with_entry("best_metrics.area", 1.0), "oracle-best-metrics-extra"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
@@ -1409,35 +1449,36 @@ class TestExitCodePolicy:
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("partition", []), "result-partition-list",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition' is not an object or null",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition' is [], not {{'exhaustive': ('A',), "
+                f"'greedy': ('B',), 'oneshot': (), 'num_exhaustive': 3, 'warnings': ()}}{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("partition.exhaustive", 5), "result-partition-exhaustive-number",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.exhaustive' is 5, not ['A']{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.exhaustive' is 5, not ['A']{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("partition.warnings", "abc"), "result-partition-warnings-string",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.warnings' is 'abc', not []{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.warnings' is 'abc', not []{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE,
                 lambda doc: with_entry("partition.greedy", [])(with_entry("partition.oneshot", ["B"])(doc)),
                 "result-partition-greedy-and-oneshot-swapped",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.greedy' is [], not ['B']{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'partition.greedy' is [], not ['B']{REPLAYED}",
             ),
             case(
                 "compare", RESULT_FILE, with_entry("significance.A", "x"), "result-significance-string",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance.A' is 'x', not -0.554895104895105{DERIVED}",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance.A' is 'x', not -0.554895104895105{REPLAYED}",
             ),
             case(
                 "compare", RESULT_FILE, with_entry("significance.A", lambda value: value / 2),
                 "result-significance-halved",
                 names=f"{RESULT_FILE}: malformed: benchmark 't': 'significance.A' is -0.2774475524475525, "
-                f"not -0.554895104895105{DERIVED}",
+                f"not -0.554895104895105{REPLAYED}",
             ),
             case(
                 "oracle", RESULT_FILE, with_entry("error", 5), "result-error-number",
-                names=f"{RESULT_FILE}: malformed: benchmark 't': 'error' is not a string or null",
+                names=f"{RESULT_FILE}: malformed: benchmark 't': 'error' is 5, not None{REPLAYED}",
             ),
             *(
                 case(
@@ -1508,27 +1549,28 @@ class TestExitCodePolicy:
         path.write_text(json.dumps(document), encoding="utf-8")
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
-        assert f"error: {path}: malformed: benchmark 't': 'best_metrics': 'power' is 1000" in result.stderr
+        assert f"error: {path}: malformed: benchmark 't': 'best_metrics.power' is 1000" in result.stderr
         assert not (run_dir / "oracle").exists()
 
     @pytest.mark.parametrize(
         "edit, names",
         [
-            # At T = 6 the exhaustive set takes both parameters.
+            # At T = 6 the exhaustive set takes both parameters; its first new request, A=2 B=100,
+            # is not logged, so the replay fails after the one-shot rows.
             (
                 lambda run_dir: [
                     (run_dir / document).write_text(json.dumps(with_threshold(6)(json.loads(
                         (run_dir / document).read_text(encoding="utf-8")))), encoding="utf-8")
                     for document in (MANIFEST_FILE, RESULT_FILE)
                 ],
-                f"benchmark 't': 'partition.exhaustive' is ['A'], not ['A', 'B']{DERIVED}",
+                "line 5 is extra: the search writes 3 data lines, not 5",
             ),
             # The first row, A=1 B=100, is a one-shot row but not the best point.
             (
                 lambda run_dir: (run_dir / EVALS_FILE).write_bytes(
                     (run_dir / EVALS_FILE).read_bytes().replace(b"t,oneshot,0,", b"t,exhaustive,0,")
                 ),
-                "benchmark 't': 'error' is null, but its one-shot rows do not calibrate it",
+                "line 2: 'phase' is 'exhaustive', not 'oneshot'",
             ),
         ],
         ids=["both-thresholds-changed", "one-shot-row-relabelled"],
@@ -1541,20 +1583,21 @@ class TestExitCodePolicy:
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
         [line] = result.stderr.splitlines()
-        assert line == f"error: {run_dir / RESULT_FILE}: malformed: {names}"
+        assert line == f"error: {run_dir / EVALS_FILE}: malformed: {names}"
         assert backend.threads == set()
         assert not (run_dir / "oracle").exists()
 
     def test_log_rows_of_a_benchmark_the_results_lack_exit_1(self, runner, tmp_path, monkeypatch):
         _, run_dir = do_run(runner, tmp_path)
         evals = run_dir / EVALS_FILE
-        header, first, *rest = evals.read_text(encoding="utf-8").splitlines(keepends=True)
-        evals.write_text(header + first.replace("t,", "nope,", 1) + "".join(rest), encoding="utf-8")
+        header, first, *rest = evals.read_bytes().splitlines(keepends=True)
+        evals.write_bytes(header + first.replace(b"t,", b"nope,", 1) + b"".join(rest))
         backend = TinyBackend()
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
-        assert f"{EVALS_FILE}: rows of benchmark 'nope', which {RESULT_FILE} does not hold" in result.stderr
+        # without its first one-shot row, the replay of benchmark t fails at its first request
+        assert result.stderr == f"error: {evals}: malformed: line 2 is extra: the search writes 0 data lines, not 5\n"
         assert backend.threads == set()
         assert not (run_dir / "oracle").exists()
 
@@ -1571,7 +1614,7 @@ class TestExitCodePolicy:
             (lambda header, rows: (header, [rows[0], *rows]), "line 3: duplicate row for benchmark 't'"),
             (
                 lambda header, rows: (header, [[*rows[0][:-1], ""], *rows[1:]]),
-                "line 2: a blank score, but benchmark 't' succeeded",
+                "line 2: 'objective' is '', not '0.9318181818181819'",
             ),
             # the first row, A=1 B=100, is not the best point
             (
@@ -1581,14 +1624,31 @@ class TestExitCodePolicy:
             (lambda header, rows: (header, [["x" * 200_000, *rows[0][1:]], *rows[1:]]), LONG_CELL_ERROR),
             (lambda header, rows: (header, [["t\udcff", *rows[0][1:]], *rows[1:]]), NON_UTF8_ERROR),
             # number cells of the first row, which is not the best point
-            (lambda header, rows: (header, [[*rows[0][:-1], "nan"], *rows[1:]]), "line 2: 'nan' is not a finite number"),
+            (
+                lambda header, rows: (header, [[*rows[0][:-1], "nan"], *rows[1:]]),
+                "line 2: 'objective' is 'nan', not '0.9318181818181819'",
+            ),
             (
                 lambda header, rows: (header, [[*rows[0][:5], "inf", *rows[0][6:]], *rows[1:]]),
                 "line 2: 'inf' is not a finite number",
             ),
             (
                 lambda header, rows: (header, [[*rows[0][:7], "-inf", *rows[0][8:]], *rows[1:]]),
-                "line 2: '-inf' is not a finite number",
+                "line 2: 'norm_power' is '-inf', not '0.3181818181818181'",
+            ),
+            # Every line is the search's own: the fourth row, A=2 B=200, is neither one-shot nor the best point.
+            (lambda header, rows: (header, with_cell(rows, 3, "seq", "99")), "line 5: 'seq' is '99', not '3'"),
+            (lambda header, rows: (header, with_cell(rows, 3, "phase", "bogus")), "line 5: 'phase' is 'bogus', not 'exhaustive'"),
+            (
+                lambda header, rows: (header, with_cell(rows, 3, "phase", "oneshot")),
+                "line 5: 'phase' is 'oneshot', not 'exhaustive'",
+            ),
+            (lambda header, rows: (header, with_cell(rows, 3, "norm_time", "0.25")), "line 5: 'norm_time' is '0.25', not '0.5'"),
+            (lambda header, rows: (header, [*rows[:3], rows[4], rows[3]]), "line 5: 'seq' is '4', not '3'"),
+            # the third one-shot row's objective, lower than the best point's
+            (
+                lambda header, rows: (header, with_cell(rows, 2, "objective", "0.01")),
+                "line 4: 'objective' is '0.01', not '0.9062937062937063'",
             ),
         ],
         ids=[
@@ -1604,6 +1664,12 @@ class TestExitCodePolicy:
             "nan-objective",
             "inf-power",
             "minus-inf-norm-power",
+            "seq-edited",
+            "phase-bogus",
+            "exhaustive-row-relabelled-oneshot",
+            "norm-time-edited",
+            "two-rows-swapped",
+            "objective-below-the-best",
         ],
     )
     def test_evals_csv_other_than_written_exits_1(self, runner, tmp_path, monkeypatch, edit, names):
@@ -1622,6 +1688,30 @@ class TestExitCodePolicy:
         [line] = result.stderr.splitlines()
         assert line.startswith(f"error: {evals}: malformed: ") and names in line
         assert backend.threads == set()
+        assert not (run_dir / "oracle").exists()
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            (lambda data: data.replace(b"\r\n", b"\n"), "line 1 ends in '\\n', not '\\r\\n'"),
+            (lambda data: data[:-2], "line 6 ends in '', not '\\r\\n'"),
+            (
+                lambda data: data.replace(b"\r\nt,oneshot,0,", b'\r\n"t",oneshot,0,'),
+                "line 2 quotes its cells otherwise than the search writes them",
+            ),
+            # the first row's time, 26.0, which run writes as Python prints the float
+            (lambda data: data.replace(b",26.0,", b",26,", 1), "line 2: 'time' is '26', not '26.0'"),
+        ],
+        ids=["lf-line-endings", "no-final-line-ending", "quoted-benchmark-cell", "integer-spelling-of-a-float"],
+    )
+    def test_evals_csv_bytes_other_than_written_exit_1(self, runner, tmp_path, edit, names):
+        # each file parses to the rows run wrote, but is not the text run writes for them
+        _, run_dir = do_run(runner, tmp_path)
+        evals = run_dir / EVALS_FILE
+        evals.write_bytes(edit(evals.read_bytes()))
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {evals}: malformed: {names}\n"
         assert not (run_dir / "oracle").exists()
 
     @pytest.mark.parametrize("timeout", ["inf", "-1", "0"])

@@ -648,8 +648,23 @@ class TestCompare:
     def test_rejects_unknown_or_failed_benchmarks(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
         oracle = oracle_search(tiny_space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
-        with pytest.raises(ValueError, match="no benchmark"):
+        with pytest.raises(ValueError, match="^run has no benchmark 'other'$"):
             compare(result, {"other": oracle})
+
+    def test_rejects_a_benchmark_that_failed_in_the_run(self, tiny_evaluator):
+        # ``load_oracle`` refuses such an oracle document, so only a library caller gets here
+        space = make_space([("A", [1, 2, 4]), ("B", [100, 200])], ["t", "u"])
+
+        class FailsU:
+            def evaluate(self, config, benchmark):
+                if benchmark == "u":
+                    raise EvaluationError("boom")
+                return tiny_evaluator.evaluate(config, benchmark)
+
+        result = run(space, FailsU(), TINY_WEIGHTS, 3)
+        oracle = oracle_search(space, tiny_contexts(result), tiny_evaluator, TINY_WEIGHTS)["t"]
+        with pytest.raises(ValueError, match="^benchmark 'u' failed in the methodology run: boom$"):
+            compare(result, {"u": oracle})
 
     def test_rejects_oracle_worse_than_log(self, tiny_space, tiny_evaluator):
         result = run(tiny_space, tiny_evaluator, TINY_WEIGHTS, 3)
