@@ -32,18 +32,20 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .design_space import DesignSpace, cardinality, load_json, load_space, reading, save_space, space_to_dict, validate, values_getter
+from .design_space import (
+    DesignSpace, cardinality, load_json, load_space, reading, save_space, space_to_dict, typed, validate, values_getter,
+)
 from .evaluators import TableEvaluator, csv_rows
 from .explorer import BenchmarkResult, EvalRecord, RunResult
 from .explorer import run as run_search
-from .objective import NormalizationContext, is_metric_value, validate_weights
+from .objective import NormalizationContext, is_metric_value, scorer, validate_weights
 from .oracle_compare import ComparisonReport, OracleResult
 
 MANIFEST_FILE = "manifest.json"
@@ -65,61 +67,48 @@ _RUN_IDENTITY = {"space_sha256": str, "weights": dict, "evaluator": str}
 _REPLAYED = ("space_sha256", "threshold", "weights", "evaluator", "version")
 #: Per-benchmark ``result.json`` keys, in the order written: the
 #: ``BenchmarkResult`` fields other than ``benchmark`` and ``records``.
-_RESULT_KEYS = (
-    "best_config", "best_metrics", "objective", "significance", "partition", "normalization",
-    "unique_evaluations", "total_requests", "error",
-)
-#: Per-benchmark ``oracle.json`` values, in the order written, with their JSON
-#: types: the ``OracleResult`` fields that ``compare`` reads.
-_ORACLE_ENTRY_TYPES = {
-    "best_config": (dict, "an object"),
-    "best_metrics": (dict, "an object"),
-    "objective": ((int, float), "a number"),
-    "evaluations": (int, "an integer"),
-}
+_RESULT_KEYS = tuple(f.name for f in fields(BenchmarkResult) if f.name not in ("benchmark", "records"))
+#: Per-benchmark ``oracle.json`` keys, in the order written: the
+#: ``OracleResult`` fields other than ``benchmark``.
+_ORACLE_KEYS = tuple(f.name for f in fields(OracleResult) if f.name != "benchmark")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _check_entries(path: Path, payload: Mapping, space: DesignSpace, weights: Mapping) -> None:
-    """Each benchmark entry of the oracle document at ``path`` holds
-    ``_ORACLE_ENTRY_TYPES``' keys with their JSON types (never a boolean), a
-    finite objective, a best configuration of ``space``, best metrics of
-    ``weights`` and the space's cardinality as its evaluation count; else a
-    ValueError naming it."""
-    in_space, size = _space_test(space), cardinality(space)
+def _check_entries(path: Path, payload: Mapping, run: RunResult) -> None:
+    """Each benchmark entry of the oracle document at ``path`` holds what
+    ``run`` cannot give: a best configuration of its space, and best metrics
+    of exactly its weights, each finite. The rest must be what the run gives,
+    as ``oracle_search`` computes it: the F of those metrics under the
+    benchmark's context as ``objective``, the space's cardinality as
+    ``evaluations``. Else a ValueError naming it."""
+    in_space, size = _space_test(run.space), cardinality(run.space)
     with reading(path):
         for name, entry in payload["benchmarks"].items():
-            for key, (kind, spelled) in _ORACLE_ENTRY_TYPES.items():
-                if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
-                    raise TypeError(f"benchmark {name!r}: {key!r} is not {spelled}")
-            if not is_metric_value(entry["objective"]):
-                raise ValueError(f"benchmark {name!r}: 'objective' is {entry['objective']!r}, not finite")
-            if not in_space(entry["best_config"]):
+            if not isinstance(entry["best_config"], dict) or not in_space(entry["best_config"]):
                 raise ValueError(f"benchmark {name!r}: 'best_config' {entry['best_config']} is not in the space")
             metrics = entry["best_metrics"]
-            if metrics.keys() != weights.keys():
-                raise ValueError(f"benchmark {name!r}: 'best_metrics' names {sorted(metrics)}, not the weights' {sorted(weights)}")
-            for metric, value in metrics.items():
-                if not is_metric_value(value):
-                    raise ValueError(f"benchmark {name!r}: 'best_metrics': {metric!r} is {value!r}, not a finite number")
-            if entry["evaluations"] != size:
-                raise ValueError(f"benchmark {name!r}: 'evaluations' is {entry['evaluations']}, not the space's {size} configurations")
+            if not isinstance(metrics, dict) or metrics.keys() != run.weights.keys() or not all(map(is_metric_value, metrics.values())):
+                raise ValueError(f"benchmark {name!r}: 'best_metrics' {metrics} are not finite numbers of exactly the weights' metrics")
+            derived = {"objective": scorer(run.benchmarks[name].normalization, run.weights)(metrics), "evaluations": size}
+            for key, value in derived.items():
+                if (difference := _difference(entry[key], value, key)) is not None:
+                    raise ValueError(f"benchmark {name!r}: {difference}, as the run gives it")
 
 
 def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
     """Whether a configuration sets exactly ``space``'s parameters, each to
-    one of its settings by type and value (``True`` is not ``1``), as a
-    function built once per space: one set lookup per value."""
-    settings = {p.name: {(type(s), s) for s in p.settings} for p in space.parameters}
+    one of its settings (``typed``), as a function built once per space:
+    one set lookup per value."""
+    settings = {p.name: set(map(typed, p.settings)) for p in space.parameters}
 
     def in_space(config: Mapping) -> bool:
         if config.keys() != settings.keys():
             return False
         for name, value in config.items():
-            if (type(value), value) not in settings[name]:
+            if typed(value) not in settings[name]:
                 return False
         return True
 
@@ -404,8 +393,11 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
         text = fh.read()
     replay = run_search(space, TableEvaluator(space, log), weights, threshold)
     if text != (rewritten := _csv_text([header]) + _evals_text(replay, list(weights))):
+        with reading(result_path):  # a failure that result.json does not record is why the lines differ
+            why = [f"; the replay of {name!r} fails: {result.error}" for name, result in replay.benchmarks.items()
+                   if result.error is not None and payload["benchmarks"][name].get("error") is None]
         with reading(evals_path):
-            raise ValueError(_line_difference(text, rewritten, header))
+            raise ValueError(_line_difference(text, rewritten, header) + "".join(why))
     with reading(result_path):
         for name, result in replay.benchmarks.items():
             entry = payload["benchmarks"][name]
@@ -459,13 +451,13 @@ def _difference(stored: object, written: object, path: str) -> str | None:
 def write_oracle(out: Path, run_manifest: Mapping, guard: int, results: Mapping[str, OracleResult]) -> None:
     """Write the oracle document of the run ``run_manifest`` describes: its
     identity and replay hash, the guard, and each benchmark's values of
-    ``_ORACLE_ENTRY_TYPES``."""
+    ``_ORACLE_KEYS``."""
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / ORACLE_FILE, {
         **{key: run_manifest[key] for key in _RUN_IDENTITY},
         "run_replay_hash": run_manifest["replay_hash"],
         "guard": guard,
-        "benchmarks": {name: {key: getattr(r, key) for key in _ORACLE_ENTRY_TYPES} for name, r in results.items()},
+        "benchmarks": {name: {key: getattr(r, key) for key in _ORACLE_KEYS} for name, r in results.items()},
     })
 
 
@@ -474,7 +466,8 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
     ``load_run`` returned as ``manifest`` and ``run``. A space, weights or
     evaluator other than the manifest's is a ValueError, and so are entries
     other than one per benchmark that succeeded in the run, in its order,
-    and an entry ``_check_entries`` refuses."""
+    and an entry ``_check_entries`` refuses: one whose ``objective`` or
+    ``evaluations`` is not what the run gives for it."""
     path = oracle_dir / ORACLE_FILE
     payload = load_json(path)
     for field in _RUN_IDENTITY:
@@ -487,9 +480,9 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
     with reading(path):
         if list(payload["benchmarks"]) != succeeded:
             raise ValueError(f"benchmarks {list(payload['benchmarks'])} are not those that succeeded in the run, {succeeded}")
-    _check_entries(path, payload, run.space, run.weights)
+    _check_entries(path, payload, run)
     return {
-        name: OracleResult(benchmark=name, **{key: entry[key] for key in _ORACLE_ENTRY_TYPES})
+        name: OracleResult(benchmark=name, **{key: entry[key] for key in _ORACLE_KEYS})
         for name, entry in payload["benchmarks"].items()
     }
 

@@ -43,6 +43,11 @@ class Parameter:
         return self.settings[-1]
 
 
+def typed(value: object) -> tuple[type, object]:
+    """How a value matches a setting: by type and value, so neither ``True`` nor ``1.0`` is ``1``."""
+    return type(value), value
+
+
 def values_getter(names: Sequence) -> Callable[[Mapping], tuple]:
     """The values of a mapping at ``names`` as a tuple, also for one name or none."""
     return itemgetter(*names) if len(names) > 1 else lambda m: tuple(m[n] for n in names)
@@ -150,11 +155,11 @@ def enumerate_configs(
     varying fastest; a fixed parameter takes only its fixed value. Emitted
     dicts carry the parameters in declaration order. A fixed name that is not
     a parameter raises UnknownParameterError, a fixed value that is not one of
-    its parameter's settings ValueError.
+    its parameter's settings (``typed``) ValueError.
     """
     fixed = fixed or {}
     for name, value in fixed.items():
-        if value not in space.parameter(name).settings:  # raises UnknownParameterError
+        if typed(value) not in map(typed, space.parameter(name).settings):  # raises UnknownParameterError
             raise ValueError(f"fixed value {value!r} is not a setting of {name!r}")
     names = space.names
     settings = [(fixed[p.name],) if p.name in fixed else p.settings for p in space.parameters]

@@ -921,7 +921,27 @@ class TestCompareMismatch:
         path.write_text(json.dumps(doc), encoding="utf-8")
         result = invoke(runner, "compare", run_dir, run_dir / "oracle")
         assert result.exit_code == 1
-        assert result.stderr == f"error: {path}: malformed: benchmark 't': 'objective' is {value!r}, not finite\n"
+        assert result.stderr == f"error: {path}: malformed: benchmark 't': 'objective' is {value!r}, not {TINY_BEST_F}{DERIVED}\n"
+        assert not (run_dir / COMPARE_JSON_FILE).exists()
+
+    def test_oracle_objective_that_shrinks_a_positive_gap_exits_1(self, runner, tmp_path):
+        # A non-separable table whose optimum, A=2 B=100, the greedy walk of T = 1 misses.
+        table = tmp_path / "bumpy.csv"
+        power = {(1, 100): 10.0, (1, 200): 8.0, (2, 100): 1.0, (2, 200): 6.0, (4, 100): 4.0, (4, 200): 5.0}
+        table.write_text("benchmark,A,B,power,time\n" + "".join(f"t,{a},{b},{p},1.0\n" for (a, b), p in power.items()), encoding="utf-8")
+        ran, run_dir = do_run(runner, tmp_path, threshold=1, **{"--weights": "power=1.0,time=0.0", "--evaluator": f"table:{table}"})
+        assert ran.exit_code == 0, ran.output
+        assert invoke(runner, "oracle", run_dir).exit_code == 0
+        found = json.loads((run_dir / RESULT_FILE).read_text(encoding="utf-8"))["benchmarks"]["t"]["objective"]
+        path = run_dir / "oracle" / ORACLE_FILE
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        optimum = doc["benchmarks"]["t"]["objective"]
+        assert optimum < found
+        doc["benchmarks"]["t"]["objective"] = raised = found * 0.999
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        result = invoke(runner, "compare", run_dir, run_dir / "oracle")
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {path}: malformed: benchmark 't': 'objective' is {raised}, not {optimum}{DERIVED}\n"
         assert not (run_dir / COMPARE_JSON_FILE).exists()
 
 
@@ -1250,6 +1270,7 @@ def with_threshold(threshold):
 
 #: The end of the error line of a result.json entry other than the search's replay of evals.csv.
 REPLAYED = f", as the search replays it from {EVALS_FILE}"
+DERIVED = ", as the run gives it"
 
 
 def with_logged_best(config, a, b):
@@ -1392,7 +1413,12 @@ class TestExitCodePolicy:
             ),
             case(
                 "compare", ORACLE_FILE, with_entry("evaluations", 0), "oracle-evaluations-zero",
-                names=f"{ORACLE_FILE}: malformed: benchmark 't': 'evaluations' is 0, not the space's 6 configurations",
+                names=f"{ORACLE_FILE}: malformed: benchmark 't': 'evaluations' is 0, not 6{DERIVED}",
+            ),
+            # The objective is the F of the entry's best metrics: a lower one would report a phantom gap.
+            case(
+                "compare", ORACLE_FILE, with_entry("objective", lambda value: value * 0.9), "oracle-objective-lowered",
+                names=f"{ORACLE_FILE}: malformed: benchmark 't': 'objective' is {TINY_BEST_F * 0.9}, not {TINY_BEST_F}{DERIVED}",
             ),
             case("compare", ORACLE_FILE, lambda doc: [doc], "oracle-is-a-list"),
             *(
@@ -1563,7 +1589,8 @@ class TestExitCodePolicy:
                         (run_dir / document).read_text(encoding="utf-8")))), encoding="utf-8")
                     for document in (MANIFEST_FILE, RESULT_FILE)
                 ],
-                "line 5 is extra: the search writes 3 data lines, not 5",
+                "line 5 is extra: the search writes 3 data lines, not 5; "
+                "the replay of 't' fails: configuration not in table for benchmark 't': {'A': 2, 'B': 100}",
             ),
             # The first row, A=1 B=100, is a one-shot row but not the best point.
             (
@@ -1596,8 +1623,10 @@ class TestExitCodePolicy:
         monkeypatch.setattr(cli, "make_evaluator", lambda spec, space, timeout, jobs: backend)
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 1
-        # without its first one-shot row, the replay of benchmark t fails at its first request
-        assert result.stderr == f"error: {evals}: malformed: line 2 is extra: the search writes 0 data lines, not 5\n"
+        assert result.stderr == (
+            f"error: {evals}: malformed: line 2 is extra: the search writes 0 data lines, not 5; "
+            "the replay of 't' fails: configuration not in table for benchmark 't': {'A': 1, 'B': 100}\n"
+        )
         assert backend.threads == set()
         assert not (run_dir / "oracle").exists()
 

@@ -122,6 +122,12 @@ class TestEnumerate:
         with pytest.raises(UnknownParameterError):
             list(enumerate_configs(tiny_space, fixed={"C": 1}))
 
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    def test_rejects_fixed_value_equal_to_a_setting_of_another_type(self, tiny_space, value):
+        # a setting is matched by type as well as value: True == 1.0 == 1, but only 1 is A's setting
+        with pytest.raises(ValueError, match="not a setting of 'A'"):
+            list(enumerate_configs(tiny_space, fixed={"A": value}))
+
     @given(small_spaces())
     @settings(max_examples=60, deadline=None)
     def test_enumeration_is_complete_and_distinct(self, space):

@@ -1,6 +1,7 @@
 """Every run directory the search writes loads back: ``load_run`` replays the
 search over the directory's own log and returns the search's own results,
-with the error texts ``result.json`` stores."""
+with the error texts ``result.json`` stores. A log cell that no search could
+have written is refused on its own line, for its own cause."""
 
 import csv
 import json
@@ -8,11 +9,13 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsekit.artifacts import RESULT_FILE, load_run
+from dsekit.artifacts import EVALS_FILE, RESULT_FILE, load_run
 from dsekit.cli import main
 from dsekit.design_space import enumerate_configs, make_space, save_space
 from dsekit.evaluators import TableEvaluator
@@ -79,3 +82,42 @@ def test_every_run_directory_loads_back_as_the_search_returned_it(experiment):
     assert loaded.space == space
     assert loaded.weights == weights
     assert loaded.benchmarks == searched.benchmarks
+
+
+def test_each_cell_no_search_writes_is_named_by_its_line_and_cause(tmp_path):
+    """Every data line of a two-benchmark run that logs one-shot, exhaustive
+    and greedy rows, with one cell set to a non-setting or a non-finite
+    metric: the error names that line and why, not a later difference."""
+    space = make_space([(f"p{i}", list(range(1, n + 1))) for i, n in enumerate([2, 2, 2, 2, 3])], ["x", "y"])
+    save_space(space, tmp_path / "space.json")
+    out = tmp_path / "run"
+    result = CliRunner().invoke(
+        main,
+        ["run", "--space", str(tmp_path / "space.json"), "-T", "6", "--weights", "power=0.5,time=0.5",
+         "--evaluator", "sepmono", "--out", str(out), "--jobs", "1"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 0, result.output
+    load_run(out)
+    evals = out / EVALS_FILE
+    with open(evals, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 16 and {row[1] for row in rows} == {"oneshot", "exhaustive", "greedy"}
+    cases = []
+    for index in range(len(rows)):
+        parameter, metric = space.names[index % 5], ("power", "time")[index % 2]
+        cases += [(index, parameter, text, "is not in the space") for text in ("x", "0")]
+        cases += [(index, metric, text, f"{text!r} is not a finite number") for text in ("nan", "inf", "-inf", "1e400")]
+    misnamed = []
+    for index, column, text, cause in cases:
+        edited = [list(row) for row in rows]
+        edited[index][header.index(column)] = text
+        with open(evals, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *edited])
+        with pytest.raises(ValueError) as refused:
+            load_run(out)
+        message = str(refused.value)
+        if not (message.startswith(f"{evals}: malformed: line {index + 2}: ") and message.endswith(cause)):
+            misnamed.append(message)
+    assert len(cases) == 96
+    assert misnamed == []
