@@ -23,20 +23,21 @@ The run returns the phase winner, unless the log holds a record with a
 strictly lower F (a one-shot record can beat both later phases); then it
 returns the first such minimum. On a tie the phase winner stays.
 
-Each benchmark gets one ``_Session``, the only code that evaluates; it
-asks for one configuration at a time, in the order above. The one-shot set
-and the exhaustive product do not depend on their own results, so the
-session streams each (``_Session.stream``), handing it to the backend ahead
-of its turn (``look_ahead``), which lets a worker pool evaluate them in
-parallel; the greedy walk decides each step from the last one and stays
-sequential. The session counts the requests answered with metrics it
-accepts, and the distinct configurations. It checks each new response on
-arrival against the weights, which name and order the metrics, logs it in
-their order, then normalizes and scores it once. It builds its benchmark's
-normalization context from the one-shot records, checks the weights
-against it once and returns it as ``BenchmarkResult.normalization``. The log keeps one record per distinct
-configuration per benchmark, tagged with the phase that first requested
-it, so its length is exactly the unique-evaluation count that
+Each benchmark's search is one generator, ``_search``, that chains the
+phases and calls no backend. A phase yields batches of requests that do not
+depend on each other's results (the one-shot set, the exhaustive product,
+each greedy step alone, as the walk decides a step from the last) and
+receives their records. ``run``, the one driver, hands each batch to the
+backend ahead of its turn (``look_ahead``), so a worker pool evaluates it in
+parallel, and sends the records back. The benchmark's ``_Session`` counts
+the requests answered with metrics it accepts, and the distinct
+configurations. It checks each new response on arrival against the
+weights, which name and order the metrics, logs it in their order, then
+normalizes and scores it once. It builds its benchmark's normalization
+context from the one-shot records, checks the weights against it once and
+returns it as ``BenchmarkResult.normalization``. The log keeps one record
+per distinct configuration per benchmark, tagged with the phase that first
+requested it, so its length is exactly the unique-evaluation count that
 percent-explored reporting is based on.
 """
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence, TypeVar
 
 from .design_space import Config, DesignSpace, check_space, enumerate_configs
 from .errors import DegenerateMetricError, EvaluationError
@@ -132,27 +133,20 @@ class RunResult:
 
 
 class _Session:
-    """One benchmark's search: the log, the request count and the scoring.
+    """One benchmark's search state: the log, the request count and the scoring.
 
-    Every evaluation of the search goes through ``evaluate``. A response is
-    checked, logged, normalized and scored (by ``score``, built once by
+    Every response the search receives goes through ``record``. A response
+    is checked, logged, normalized and scored (by ``score``, built once by
     ``calibrate``) once, on the first request of its configuration; later
     requests return the same record, and once calibrated a new record is
     scored as it is made. ``log`` maps each configuration's key (``key``, the
     space's ``config_key``) to its record; its values, in request order, are
-    the log.
+    the log. The session holds no backend.
     """
 
-    def __init__(
-        self,
-        space: DesignSpace,
-        benchmark: str,
-        evaluator: Evaluator,
-        weights: WeightVector,
-    ):
+    def __init__(self, space: DesignSpace, benchmark: str, weights: WeightVector):
         self.space = space
         self.benchmark = benchmark
-        self.evaluator = evaluator
         self.weights = weights
         self.metric_names = list(weights)
         self.ctx: NormalizationContext | None = None
@@ -160,9 +154,10 @@ class _Session:
         self.log: dict[tuple, EvalRecord] = {}
         self.key = space.config_key
         self.total_requests = 0
+        self.significance: dict[str, float] = {}
+        self.partition: Partition | None = None
 
-    def evaluate(self, config: Config, phase: str) -> EvalRecord:
-        metrics = self.evaluator.evaluate(config, self.benchmark)
+    def record(self, config: Config, metrics: dict[str, float], phase: str) -> EvalRecord:
         key = self.key(config)
         record = self.log.get(key)
         if record is None:
@@ -175,15 +170,9 @@ class _Session:
         self.total_requests += 1
         return record
 
-    def stream(self, configs: Iterable[Config], phase: str) -> Iterator[EvalRecord]:
-        """The records of `configs`, a phase's independent requests, in order;
-        each is handed to the backend ahead of its turn (``look_ahead``)."""
-        for config in look_ahead(self.evaluator, configs, [self.benchmark]):
-            yield self.evaluate(config, phase)
-
     def calibrate(self, records: Sequence[EvalRecord]) -> None:
         """Build the normalization context from the one-shot records, refuse
-        weight on its degenerate metrics, then score the records."""
+        weight on a metric it cannot scale, then score the records."""
         self.ctx = build_context(r.metrics for r in records)
         check_weights(self.benchmark, self.ctx, self.weights)
         self.score = scorer(self.ctx, self.weights)
@@ -191,20 +180,14 @@ class _Session:
             record.normalized = self.ctx.normalize(record.metrics)
             record.objective = self.score(record.metrics)
 
-    def result(
-        self,
-        best: EvalRecord | None,
-        significance: dict[str, float],
-        part: Partition | None,
-        error: str | None = None,
-    ) -> BenchmarkResult:
+    def result(self, best: EvalRecord | None, error: str | None = None) -> BenchmarkResult:
         return BenchmarkResult(
             benchmark=self.benchmark,
             best_config=None if best is None else dict(best.config),
             best_metrics=None if best is None else dict(best.metrics),
             objective=None if best is None else best.objective,
-            significance=significance,
-            partition=part,
+            significance=self.significance,
+            partition=self.partition,
             normalization=self.ctx,
             unique_evaluations=len(self.log),
             total_requests=self.total_requests,
@@ -213,17 +196,21 @@ class _Session:
         )
 
 
-def _one_shot(session: _Session) -> tuple[dict[str, float], Config]:
+_T = TypeVar("_T")
+#: A phase of the search: it yields ``(phase, configs)``, a batch of
+#: independent requests, receives their records, and returns its outcome.
+_Phase = Generator[tuple[str, Iterable[Config]], list[EvalRecord], _T]
+
+
+def _one_shot(session: _Session) -> _Phase[Config]:
     space = session.space
     base = {p.name: p.first for p in space.parameters}
     multi = [space.parameter(name) for name in space.multi_setting_names()]
-    configs = [base] + [{**base, p.name: p.last} for p in multi]
-    records = list(session.stream(configs, PHASE_ONESHOT))
+    records = yield PHASE_ONESHOT, [base] + [{**base, p.name: p.last} for p in multi]
     session.calibrate(records)
     f_base = records[0].objective
-    significance = {p.name: record.objective - f_base for p, record in zip(multi, records[1:])}
-    best = {**base, **{p.name: p.first if significance[p.name] > 0 else p.last for p in multi}}
-    return significance, best
+    session.significance = significance = {p.name: r.objective - f_base for p, r in zip(multi, records[1:])}
+    return {**base, **{p.name: p.first if significance[p.name] > 0 else p.last for p in multi}}
 
 
 def partition(
@@ -268,7 +255,7 @@ def partition(
     )
 
 
-def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
+def _exhaustive(session: _Session, part: Partition, best: Config) -> _Phase[EvalRecord]:
     """Phase 3: the strict-minimum record over the exhaustive set, earliest on ties.
 
     An empty set enumerates exactly one configuration, the all-best one, so
@@ -277,36 +264,43 @@ def _exhaustive(session: _Session, part: Partition, best: Config) -> EvalRecord:
     space = session.space
     members = set(part.exhaustive)
     fixed = {name: best[name] for name in space.names if name not in members}
-    records = session.stream(enumerate_configs(space, fixed), PHASE_EXHAUSTIVE)
+    records = yield PHASE_EXHAUSTIVE, enumerate_configs(space, fixed)
     return min(records, key=lambda record: record.objective)  # the first of equal minima
 
 
-def _greedy(
-    session: _Session,
-    part: Partition,
-    significance: Mapping[str, float],
-    start: Config,
-) -> EvalRecord:
+def _greedy(session: _Session, part: Partition, start: Config) -> _Phase[EvalRecord]:
     """Phase 4: directional per-parameter walks over the greedy set.
 
     Each walk starts at the parameter's one-shot endpoint B_i: the first
     setting when D_i > 0, the last one otherwise. It stops at the first
     candidate that does not strictly improve on the best objective seen so
-    far in this phase.
+    far in this phase. Each step is a batch of one.
     """
     best = dict(start)
     winner: EvalRecord | None = None
     for name in part.greedy:
         settings = session.space.parameter(name).settings
-        walk = settings if significance[name] > 0 else reversed(settings)
+        walk = settings if session.significance[name] > 0 else reversed(settings)
         for setting in walk:
-            record = session.evaluate({**best, name: setting}, PHASE_GREEDY)
+            (record,) = yield PHASE_GREEDY, [{**best, name: setting}]
             if winner is not None and record.objective >= winner.objective:
                 break
             winner = record
             best[name] = setting
     assert winner is not None
     return winner
+
+
+def _search(session: _Session, threshold: int) -> _Phase[EvalRecord]:
+    """The four phases in order; returns the phase winner, or the first
+    record of the log with a strictly lower F."""
+    best = yield from _one_shot(session)
+    session.partition = part = partition(session.significance, session.space, threshold)
+    winner = yield from _exhaustive(session, part, best)
+    if part.greedy:
+        winner = yield from _greedy(session, part, winner.config)
+    logged = min(session.log.values(), key=lambda r: r.objective)
+    return logged if logged.objective < winner.objective else winner
 
 
 def check_inputs(space: DesignSpace, weights: WeightVector, threshold: int) -> None:
@@ -330,6 +324,7 @@ def run(
     """Run all four phases for every benchmark.
 
     The evaluator is wrapped in a memoizing cache unless it already is one.
+    This loop drives ``_search`` and is the only caller of the cache.
     Weights out of range or not summing to 1 raise before any evaluation.
     An evaluation failure, including a response whose metric names are not
     the weights' or that holds a non-finite value, aborts only the affected
@@ -344,20 +339,20 @@ def run(
 
     results: dict[str, BenchmarkResult] = {}
     for benchmark in benchmarks:
-        session = _Session(space, benchmark, cache, weights)
-        significance: dict[str, float] = {}
-        part: Partition | None = None
+        session = _Session(space, benchmark, weights)
+        search = _search(session, threshold)
+        records: list[EvalRecord] | None = None
         try:
-            significance, best = _one_shot(session)
-            part = partition(significance, space, threshold)
-            winner = _exhaustive(session, part, best)
-            if part.greedy:
-                winner = _greedy(session, part, significance, winner.config)
-            logged = min(session.log.values(), key=lambda r: r.objective)
-            if logged.objective < winner.objective:
-                winner = logged
+            while True:
+                try:
+                    phase, configs = search.send(records)
+                except StopIteration as done:
+                    results[benchmark] = session.result(done.value)
+                    break
+                records = [
+                    session.record(config, cache.evaluate(config, benchmark), phase)
+                    for config in look_ahead(cache, configs, [benchmark])
+                ]
         except (EvaluationError, DegenerateMetricError) as exc:
-            results[benchmark] = session.result(None, significance, part, str(exc))
-        else:
-            results[benchmark] = session.result(winner, significance, part)
+            results[benchmark] = session.result(None, str(exc))
     return RunResult(space=space, weights=dict(weights), benchmarks=results)

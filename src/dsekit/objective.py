@@ -7,8 +7,8 @@ the normalized components. Lower F is always better — metrics the user wants
 to maximize must be supplied as a minimizing proxy (e.g. execution time
 rather than throughput). Values observed after the one-shot phase may exceed
 the recorded maxima; their normalized components are then > 1, by design.
-``check_weights`` refuses a nonzero weight on a degenerate metric once per
-context, before any record is scored.
+``check_weights`` refuses, once per context and before any record is scored,
+a nonzero weight on a metric whose one-shot maximum is not positive.
 """
 
 from __future__ import annotations
@@ -106,11 +106,13 @@ def build_context(phase1_metrics: Iterable[MetricVector]) -> NormalizationContex
 
 
 def check_weights(benchmark: str, ctx: NormalizationContext, weights: WeightVector) -> None:
-    """Refuse a nonzero weight on a degenerate metric; fails only `benchmark`."""
-    for name in ctx.maxima:
-        if name in ctx.degenerate and weights[name] != 0:
+    """Refuse a nonzero weight on a metric whose one-shot maximum is 0 or, as
+    dividing by it would turn the metric's order round, below 0; fails only `benchmark`."""
+    for name, maximum in ctx.maxima.items():
+        if maximum <= 0 and weights[name] != 0:
+            seen = "is 0 in every" if maximum == 0 else f"is at most {maximum} in each"
             raise DegenerateMetricError(
-                f"metric {name!r} is 0 in every one-shot record for benchmark "
+                f"metric {name!r} {seen} one-shot record for benchmark "
                 f"{benchmark!r} but carries weight {weights[name]}"
             )
 

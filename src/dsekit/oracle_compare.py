@@ -319,10 +319,11 @@ class ComparisonReport:
 
 
 def _gap_pct(found: float, optimum: float) -> float | None:
-    """Signed percentage difference; None when the optimum is 0 and found is not."""
+    """Percent of the optimum's magnitude by which found exceeds it, so a
+    positive gap is worse; None when the optimum is 0 and found is not."""
     if optimum == 0:
         return 0.0 if found == 0 else None
-    return 100.0 * (found - optimum) / optimum
+    return 100.0 * (found - optimum) / abs(optimum)
 
 
 def compare(

@@ -741,6 +741,26 @@ class TestOracle:
         payload = json.loads((run_dir / "oracle" / ORACLE_FILE).read_text(encoding="utf-8"))
         assert payload["benchmarks"] == {}
 
+    def test_run_failed_on_weighted_negative_metric_is_skipped(self, runner, tmp_path):
+        # power is below 0 everywhere, so its one-shot maximum cannot scale it
+        space = tmp_path / "negative.json"
+        space.write_text(json.dumps({"parameters": [{"name": "A", "settings": [1, 2, 3]}, {"name": "B", "settings": [10, 20]}], "benchmarks": ["t"]}), encoding="utf-8")
+        table = tmp_path / "negative.csv"
+        table.write_text("benchmark,A,B,power,time\n" + "".join(f"t,{a},{b},{-(a + b / 100)},{a + b}\n" for a in (1, 2, 3) for b in (10, 20)), encoding="utf-8")
+        overrides = {"--space": space, "--weights": "power=1,time=0", "--evaluator": f"table:{table}"}
+        result, run_dir = do_run(runner, tmp_path, **overrides)
+        assert result.exit_code == 2
+        assert result.stdout == (
+            "t: FAILED: metric 'power' is at most -1.1 in each one-shot record for benchmark 't' but carries weight 1.0\n"
+        )
+        load_run(run_dir)
+        result = invoke(runner, "oracle", run_dir)
+        assert result.exit_code == 0
+        assert result.stderr == "warning: skipping t: it failed in the run\n"
+        result, _ = do_run(runner, tmp_path, out="unweighted", **{**overrides, "--weights": "power=0,time=1"})
+        assert result.exit_code == 0
+        assert result.stdout == "t: F=0.52381 [A=1 B=10] (4 unique evaluations)\n"
+
     def test_oracle_scores_only_the_benchmarks_that_succeeded(self, runner, tmp_path, monkeypatch):
         # t succeeds, u fails after calibration, z on a weighted metric that is 0
         class Three:

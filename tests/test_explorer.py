@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from dsekit import (
     CachedEvaluator,
+    DegenerateMetricError,
     EvaluationError,
     SepMonoEvaluator,
     make_space,
+    oracle_search,
     partition,
     run,
 )
@@ -17,6 +21,8 @@ from dsekit.explorer import (
     PHASE_EXHAUSTIVE,
     PHASE_GREEDY,
     PHASE_ONESHOT,
+    _search,
+    _Session,
     map_ordered,
 )
 
@@ -26,7 +32,7 @@ from .bruteforce import (
     sepmono_metrics,
     weighted_objective,
 )
-from .conftest import TINY_PARAMS, TINY_WEIGHTS, tiny_metrics
+from .conftest import TINY_PARAMS, TINY_WEIGHTS, TinyEvaluator, tiny_metrics
 
 TINY_D_A = -0.554895104895105
 TINY_D_B = -0.025524475524475565
@@ -533,6 +539,79 @@ class TestRunIsolation:
         bench = result.benchmarks["t"]
         assert bench.error is None
         assert bench.best_config == {"A": 4, "B": 200}
+
+
+    def test_weighted_negative_metric_fails_the_benchmark(self):
+        # power is below 0 everywhere; divided by its one-shot maximum, -1.1,
+        # its order would turn round and A=1 B=10 (-1.1) would beat A=3 B=20 (-3.2)
+        space = make_space([("A", [1, 2, 3]), ("B", [10, 20])], ["t"])
+        table = {("t", (a, b)): {"power": -(a + b / 100), "time": float(a + b)} for a in (1, 2, 3) for b in (10, 20)}
+        backend = Lookup(space, table)
+        bench = run(space, backend, {"power": 1.0, "time": 0.0}, 3).benchmarks["t"]
+        assert bench.error == (
+            "metric 'power' is at most -1.1 in each one-shot record for benchmark 't' but carries weight 1.0"
+        )
+        assert bench.best_config is None
+        assert bench.normalization.maxima["power"] == -1.1
+        with pytest.raises(DegenerateMetricError, match="'power' is at most -1.1"):
+            oracle_search(space, "t", backend, {"power": 1.0, "time": 0.0}, bench.normalization)
+        # weight 0 on it leaves the benchmark to the other metric
+        bench = run(space, backend, {"power": 0.0, "time": 1.0}, 3).benchmarks["t"]
+        assert bench.error is None
+        assert bench.best_config == {"A": 1, "B": 10}
+
+
+class TestSearchDriver:
+    def test_search_runs_without_a_backend(self, tiny_space):
+        session = _Session(tiny_space, "t", TINY_WEIGHTS)
+        search = _search(session, 3)
+        batches = []
+        records = None
+        while True:
+            try:
+                phase, configs = search.send(records)
+            except StopIteration as done:
+                answer = done.value
+                break
+            configs = list(configs)
+            batches.append((phase, len(configs)))
+            records = [session.record(c, tiny_metrics(c["A"], c["B"]), phase) for c in configs]
+        assert session.partition.num_exhaustive == 3
+        assert batches == [(PHASE_ONESHOT, 3), (PHASE_EXHAUSTIVE, 3), (PHASE_GREEDY, 1), (PHASE_GREEDY, 1)]
+        assert session.result(answer) == run(tiny_space, TinyEvaluator(), TINY_WEIGHTS, 3).benchmarks["t"]
+
+    @pytest.mark.parametrize("at", [1, 4, 7], ids=["oneshot", "exhaustive", "greedy"])
+    def test_backend_stop_iteration_is_raised(self, tiny_space, at):
+        # the backend's StopIteration must not read as the end of the search
+        class StopsAt(RequestLog):
+            def evaluate(self, config, benchmark):
+                if len(self.log) + 1 == at:
+                    raise StopIteration
+                return super().evaluate(config, benchmark)
+
+        with pytest.raises(StopIteration):
+            run(tiny_space, StopsAt(TinyEvaluator()), TINY_WEIGHTS, 3)
+
+
+def backend_calls(node, function=None):
+    """The innermost function around each call of ``<x>.evaluate`` or
+    ``look_ahead`` under ``node``."""
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "evaluate") or (
+            isinstance(func, ast.Name) and func.id == "look_ahead"
+        ):
+            yield function
+    for child in ast.iter_child_nodes(node):
+        yield from backend_calls(child, function)
+
+
+def test_only_run_calls_the_backend():
+    """The phases yield their requests; ``run``'s loop alone sends them."""
+    source = Path(__file__).parents[1] / "src" / "dsekit" / "explorer.py"
+    assert set(backend_calls(ast.parse(source.read_text(encoding="utf-8")))) == {"run"}
 
 
 class TestRunFindsSeparableOptimum:

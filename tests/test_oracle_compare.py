@@ -680,6 +680,7 @@ class TestCompare:
         assert _gap_pct(1.0, 0.0) is None
         assert _gap_pct(3.0, 2.0) == pytest.approx(50.0)
         assert _gap_pct(1.0, 2.0) == pytest.approx(-50.0)
+        assert _gap_pct(-1.1, -3.2) == pytest.approx(65.625)  # worse than a negative optimum
 
     def test_sepmono_gap_is_zero(self, tiny_space):
         evaluator = SepMonoEvaluator(tiny_space)
