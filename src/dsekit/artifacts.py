@@ -68,34 +68,10 @@ _REPLAYED = ("space_sha256", "threshold", "weights", "evaluator", "version")
 #: Per-benchmark ``result.json`` keys, in the order written: the
 #: ``BenchmarkResult`` fields other than ``benchmark`` and ``records``.
 _RESULT_KEYS = tuple(f.name for f in fields(BenchmarkResult) if f.name not in ("benchmark", "records"))
-#: Per-benchmark ``oracle.json`` keys, in the order written: the
-#: ``OracleResult`` fields other than ``benchmark``.
-_ORACLE_KEYS = tuple(f.name for f in fields(OracleResult) if f.name != "benchmark")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _check_entries(path: Path, payload: Mapping, run: RunResult) -> None:
-    """Each benchmark entry of the oracle document at ``path`` holds what
-    ``run`` cannot give: a best configuration of its space, and best metrics
-    of exactly its weights, each finite. The rest must be what the run gives,
-    as ``oracle_search`` computes it: the F of those metrics under the
-    benchmark's context as ``objective``, the space's cardinality as
-    ``evaluations``. Else a ValueError naming it."""
-    in_space, size = _space_test(run.space), cardinality(run.space)
-    with reading(path):
-        for name, entry in payload["benchmarks"].items():
-            if not isinstance(entry["best_config"], dict) or not in_space(entry["best_config"]):
-                raise ValueError(f"benchmark {name!r}: 'best_config' {entry['best_config']} is not in the space")
-            metrics = entry["best_metrics"]
-            if not isinstance(metrics, dict) or metrics.keys() != run.weights.keys() or not all(map(is_metric_value, metrics.values())):
-                raise ValueError(f"benchmark {name!r}: 'best_metrics' {metrics} are not finite numbers of exactly the weights' metrics")
-            derived = {"objective": scorer(run.benchmarks[name].normalization, run.weights)(metrics), "evaluations": size}
-            for key, value in derived.items():
-                if (difference := _difference(entry[key], value, key)) is not None:
-                    raise ValueError(f"benchmark {name!r}: {difference}, as the run gives it")
 
 
 def _space_test(space: DesignSpace) -> Callable[[Mapping], bool]:
@@ -338,7 +314,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
     its line and column), and each ``result.json`` entry the replayed
     benchmark's ``_result_entry`` (named by benchmark and key), but for
     ``error``: a string exactly when the replay fails, the one value the log
-    cannot give. The results are the replay's, with the stored errors.
+    cannot give. Last, the manifest's ``replay_hash`` must be the
+    ``replay_hash`` of its keys. The results are the replay's, with the
+    stored errors.
     """
     manifest_path = run_dir / MANIFEST_FILE
     manifest = load_json(manifest_path)
@@ -407,6 +385,9 @@ def load_run(run_dir: Path) -> tuple[dict, RunResult]:
             written = {"error": written.pop("error"), **written}  # a failure explains the rest
             if (difference := _difference(entry, written, "")) is not None:
                 raise ValueError(f"benchmark {name!r}: {difference}, as the search replays it from {EVALS_FILE}")
+    with reading(manifest_path):  # last, so that a rule above names what is wrong with a hashed key
+        if manifest["replay_hash"] != replay_hash(manifest):
+            raise ValueError(f"'replay_hash' is not the hash of its {', '.join(_REPLAYED)}")
     return manifest, replay
 
 
@@ -448,26 +429,37 @@ def _difference(stored: object, written: object, path: str) -> str | None:
     return f"{path!r} is {stored!r}, not {written!r}"
 
 
-def write_oracle(out: Path, run_manifest: Mapping, guard: int, results: Mapping[str, OracleResult]) -> None:
+def _oracle_entry(result: OracleResult) -> dict:
+    """``result``'s ``oracle.json`` entry, as written and as ``load_oracle``
+    checks it: its fields other than ``benchmark``, in order."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name != "benchmark"}
+
+
+def write_oracle(out: Path, run_manifest: Mapping, results: Mapping[str, OracleResult]) -> None:
     """Write the oracle document of the run ``run_manifest`` describes: its
-    identity and replay hash, the guard, and each benchmark's values of
-    ``_ORACLE_KEYS``."""
+    identity, then each benchmark's ``_oracle_entry``. Every run of that
+    identity shares it, whatever its threshold."""
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / ORACLE_FILE, {
         **{key: run_manifest[key] for key in _RUN_IDENTITY},
-        "run_replay_hash": run_manifest["replay_hash"],
-        "guard": guard,
-        "benchmarks": {name: {key: getattr(r, key) for key in _ORACLE_KEYS} for name, r in results.items()},
+        "benchmarks": {name: _oracle_entry(result) for name, result in results.items()},
     })
 
 
 def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str, OracleResult]:
     """The per-benchmark results of the oracle document of the run
-    ``load_run`` returned as ``manifest`` and ``run``. A space, weights or
-    evaluator other than the manifest's is a ValueError, and so are entries
-    other than one per benchmark that succeeded in the run, in its order,
-    and an entry ``_check_entries`` refuses: one whose ``objective`` or
-    ``evaluations`` is not what the run gives for it."""
+    ``load_run`` returned as ``manifest`` and ``run``, built from the run.
+
+    A space, weights or evaluator other than the manifest's is a ValueError;
+    so are entries other than one per benchmark that succeeded in the run,
+    in its order, a ``best_config`` that is not in the space, and
+    ``best_metrics`` other than finite numbers of exactly the weights'
+    metrics, in their order. Each result takes those two values and, as
+    ``oracle_search`` computes them, the F of the metrics under the
+    benchmark's context as ``objective`` and the space's cardinality as
+    ``evaluations``; the stored entry must be its ``_oracle_entry``, else a
+    ValueError names the benchmark and the first key that differs. Other
+    top-level keys are ignored."""
     path = oracle_dir / ORACLE_FILE
     payload = load_json(path)
     for field in _RUN_IDENTITY:
@@ -477,14 +469,21 @@ def load_oracle(oracle_dir: Path, manifest: Mapping, run: RunResult) -> dict[str
                 f"{payload.get(field)!r} vs {manifest[field]!r}"
             )
     succeeded = [name for name, result in run.benchmarks.items() if result.error is None]
+    in_space, size = _space_test(run.space), cardinality(run.space)
+    results = {}
     with reading(path):
         if list(payload["benchmarks"]) != succeeded:
             raise ValueError(f"benchmarks {list(payload['benchmarks'])} are not those that succeeded in the run, {succeeded}")
-    _check_entries(path, payload, run)
-    return {
-        name: OracleResult(benchmark=name, **{key: entry[key] for key in _ORACLE_KEYS})
-        for name, entry in payload["benchmarks"].items()
-    }
+        for name, entry in payload["benchmarks"].items():
+            config, metrics = entry["best_config"], entry["best_metrics"]
+            if not isinstance(config, dict) or not in_space(config):
+                raise ValueError(f"benchmark {name!r}: 'best_config' {config} is not in the space")
+            if not isinstance(metrics, dict) or list(metrics) != list(run.weights) or not all(map(is_metric_value, metrics.values())):
+                raise ValueError(f"benchmark {name!r}: 'best_metrics' {metrics} are not finite numbers of exactly the weights' metrics, in their order")
+            results[name] = OracleResult(name, config, metrics, scorer(run.benchmarks[name].normalization, run.weights)(metrics), size)
+            if (difference := _difference(entry, _oracle_entry(results[name]), "")) is not None:
+                raise ValueError(f"benchmark {name!r}: {difference}, as the run gives it")
+    return results
 
 
 def compare_payload(report: ComparisonReport) -> dict:

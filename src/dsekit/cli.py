@@ -392,14 +392,14 @@ def oracle_cmd(run_dir: Path, out_dir: Path | None, jobs: int, timeout: float) -
             contexts[benchmark] = bench.normalization
         else:
             click.echo(f"warning: skipping {benchmark}: it failed in the run", err=True)
-    guard = check_oracle_inputs(space, contexts, run_result.weights)  # before the backend is built
+    check_oracle_inputs(space, contexts, run_result.weights)  # before the backend is built
     with _evaluator(manifest["evaluator"], space, timeout, jobs) as evaluator:
         results = oracle_search(space, contexts, evaluator, run_result.weights, jobs)
     for benchmark, best in results.items():
         config = " ".join(f"{k}={v}" for k, v in best.best_config.items())
         click.echo(f"{benchmark}: F={best.objective:.6g} [{config}]")
     out = out_dir if out_dir is not None else run_dir / "oracle"
-    artifacts.write_oracle(out, manifest, guard, results)
+    artifacts.write_oracle(out, manifest, results)
 
 
 @main.command(name="compare")

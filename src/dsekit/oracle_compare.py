@@ -57,10 +57,10 @@ def enumeration_guard() -> int:
 
 def check_oracle_inputs(
     space: DesignSpace, contexts: Mapping[str, NormalizationContext], weights: WeightVector
-) -> int:
+) -> None:
     """``oracle_search``'s refusals, which the CLI makes before it builds the
     backend: an invalid space (``run``'s ValueError), a cardinality above the
-    guard, then each benchmark's context (not None) and weights; returns the guard."""
+    guard, then each benchmark's context (not None) and weights."""
     check_space(space)
     limit = enumeration_guard()
     if (size := cardinality(space)) > limit:
@@ -72,7 +72,6 @@ def check_oracle_inputs(
         if ctx is None:
             raise ValueError(f"benchmark {benchmark!r} has no normalization context")
         check_weights(benchmark, ctx, weights)
-    return limit
 
 
 @dataclass

@@ -1087,6 +1087,7 @@ class TestExecBackend:
         manifest_file = run_dir / MANIFEST_FILE
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
         manifest["evaluator"] = f"exec:{tmp_path / 'absent-worker'}"
+        manifest["replay_hash"] = replay_hash(manifest)
         manifest_file.write_text(json.dumps(manifest), encoding="utf-8")
         result = invoke(runner, "oracle", run_dir)
         assert result.exit_code == 2
@@ -1357,6 +1358,15 @@ class TestExitCodePolicy:
         [
             case("oracle", MANIFEST_FILE, without("evaluator"), "manifest-without-evaluator"),
             case("oracle", MANIFEST_FILE, without("replay_hash"), "manifest-without-replay-hash"),
+            # replay_hash is the hash of what determines results; no other rule checks evaluator or version.
+            *(
+                case(command, MANIFEST_FILE, lambda doc: {**doc, "evaluator": "sepmono"},
+                     f"{command}-manifest-evaluator-not-the-hashed-one", names=f"{MANIFEST_FILE}: malformed: "
+                     "'replay_hash' is not the hash of its space_sha256, threshold, weights, evaluator, version")
+                for command in ("oracle", "compare")
+            ),
+            case("oracle", MANIFEST_FILE, without("version"), "manifest-without-version",
+                 names=f"{MANIFEST_FILE}: missing key 'version'"),
             case("oracle", RESULT_FILE, without("threshold"), "result-without-threshold"),
             # The manifest's threshold decides the partition; result.json repeats it.
             *(
@@ -1486,7 +1496,16 @@ class TestExitCodePolicy:
             case("compare", ORACLE_FILE, with_entry("best_metrics.area", 1.0), "oracle-best-metrics-extra"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", "x"), "oracle-best-metrics-string"),
             case("compare", ORACLE_FILE, with_entry("best_metrics.time", DROP), "oracle-best-metrics-without-time"),
+            # compare reports the metrics in the weights' order.
+            case(
+                "compare", ORACLE_FILE, with_entry("best_metrics", lambda metrics: dict(reversed(metrics.items()))),
+                "oracle-best-metrics-reordered", names=f"{ORACLE_FILE}: malformed: benchmark 't': 'best_metrics' {{'time': ",
+            ),
             case("compare", ORACLE_FILE, with_entry("best_config.A", DROP), "oracle-best-config-without-parameter"),
+            case(
+                "compare", ORACLE_FILE, with_entry("area", 1.0), "oracle-entry-extra-key",
+                names=f"{ORACLE_FILE}: malformed: benchmark 't': 'area' is not a key the search writes{DERIVED}",
+            ),
             # A setting is a value of its type: the JSON boolean true equals 1, but is no setting.
             case("compare", ORACLE_FILE, with_entry("best_config.A", True), "oracle-best-config-boolean"),
             case(
@@ -2051,8 +2070,8 @@ class TestForkedChildren:
             run_dir = tmp_path / "run"
             assert invoke(runner, "run", *tiny, "--out", run_dir, "--evaluator", worker, "--jobs", 1).exit_code == 0
             manifest = run_dir / MANIFEST_FILE
-            document = json.loads(manifest.read_text(encoding="utf-8"))
-            manifest.write_text(json.dumps({**document, "evaluator": hanging[0]}), encoding="utf-8")
+            document = {**json.loads(manifest.read_text(encoding="utf-8")), "evaluator": hanging[0]}
+            manifest.write_text(json.dumps({**document, "replay_hash": replay_hash(document)}), encoding="utf-8")
             args = ["oracle", run_dir, *hanging[1:]]
         proc = subprocess.Popen(
             [sys.executable, "-c", FORKING_CLI, *map(str, args)],

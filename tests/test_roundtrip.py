@@ -11,7 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from dsekit import oracle_compare
-from dsekit.artifacts import EVALS_FILE, MANIFEST_FILE, ORACLE_FILE, PARETO_FILE, RESULT_FILE, SIGNIFICANCE_FILE
+from dsekit.artifacts import (
+    COMPARE_JSON_FILE, COMPARE_TXT_FILE, EVALS_FILE, MANIFEST_FILE, ORACLE_FILE, PARETO_FILE, RESULT_FILE,
+    SIGNIFICANCE_FILE, replay_hash,
+)
 from dsekit.cli import main
 from dsekit.design_space import enumerate_configs, load_shipped_space, shipped_space_path
 from dsekit.evaluators import SyntheticEvaluator
@@ -49,6 +52,40 @@ def test_oracle_bytes_and_stdout_do_not_depend_on_jobs(demo, tmp_path, monkeypat
     dsekit("compare", demo, tmp_path / "jobs1", "--out", tmp_path / "compare")
 
 
+def test_oracle_json_holds_the_run_identity_and_the_entries_only(demo, tmp_path):
+    dsekit("oracle", demo, "--jobs", 1, "--out", tmp_path / "oracle")
+    path = tmp_path / "oracle" / ORACLE_FILE
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert list(document) == ["space_sha256", "weights", "evaluator", "benchmarks"]
+    new = dsekit("compare", demo, tmp_path / "oracle", "--out", tmp_path / "new")
+    # an oracle.json that also holds the run's replay hash and the guard, as older ones do, gives the same bytes
+    entries = document.pop("benchmarks")
+    replay = json.loads((demo / MANIFEST_FILE).read_text(encoding="utf-8"))["replay_hash"]
+    older = {**document, "run_replay_hash": replay, "guard": 1_000_000, "benchmarks": entries}
+    path.write_text(json.dumps(older, indent=2) + "\n", encoding="utf-8")
+    old = dsekit("compare", demo, tmp_path / "oracle", "--out", tmp_path / "old")
+    assert old.stdout == new.stdout
+    for name in (COMPARE_JSON_FILE, COMPARE_TXT_FILE):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+
+def test_one_oracle_serves_every_run_of_a_sweep(tmp_path):
+    # the runs of one sweep share their space, weights and evaluator, and so their oracle
+    sweep = tmp_path / "sweep"
+    dsekit(
+        "sweep", "--space", "parsec-small", "--thresholds", "1,60", "--profile", "lowpower",
+        "--evaluator", "synthetic:synth-fluid", "--jobs", 1, "--out", sweep,
+    )
+    runs = [sweep / "run01-T1", sweep / "run02-T60"]
+    for run in runs:
+        dsekit("oracle", run, "--jobs", 1)
+    assert (runs[0] / "oracle" / ORACLE_FILE).read_bytes() == (runs[1] / "oracle" / ORACLE_FILE).read_bytes()
+    compared = [dsekit("compare", runs[1], run / "oracle", "--out", tmp_path / run.name) for run in runs]
+    assert compared[0].stdout == compared[1].stdout
+    for name in (COMPARE_JSON_FILE, COMPARE_TXT_FILE):
+        assert (tmp_path / runs[0].name / name).read_bytes() == (tmp_path / runs[1].name / name).read_bytes()
+
+
 def test_sweep_bytes_do_not_depend_on_jobs(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle_compare, "cpus_available", lambda: 3)  # one forked child per search, three at once
     outputs = []
@@ -81,6 +118,7 @@ def test_exec_pool_oracle_equals_the_in_process_one(tmp_path, capfd):
     shutil.rmtree(pooled / "oracle")
     manifest = json.loads((pooled / MANIFEST_FILE).read_text(encoding="utf-8"))
     manifest["evaluator"] = WORKER + " --error-on synth-fluid"
+    manifest["replay_hash"] = replay_hash(manifest)
     (pooled / MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
     result = dsekit("oracle", pooled, "--jobs", 2, code=2)
     assert result.stderr == "error: injected failure for synth-fluid\n"
